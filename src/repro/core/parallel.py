@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -71,13 +72,15 @@ TAG_SAMPLE_LOW = 2
 class RankResult:
     """Everything a rank returns to the driver."""
 
-    alpha: np.ndarray
-    gamma: np.ndarray
+    #: ``alpha``, ``gamma`` and ``trace`` are released (``None``) once
+    #: ``fit_parallel`` / ``fit_svr_parallel`` have assembled the result
+    alpha: Optional[np.ndarray]
+    gamma: Optional[np.ndarray]
     beta: float
     beta_up: float
     beta_low: float
     iterations: int
-    trace: RankTrace
+    trace: Optional[RankTrace]
     vtime: float
 
 

@@ -352,6 +352,10 @@ def fit_parallel(
     trace = SolveTrace.merge(
         [r.trace for r in results], n, X.shape[1], X.avg_row_nnz
     )
+    gamma = np.concatenate([r.gamma for r in results])
+    for r in results:
+        # merged above: the FitResult keeps α, γ and the trace once
+        r.alpha = r.gamma = r.trace = None
     stats = FitStats(
         heuristic=heur.name,
         nprocs=nprocs,
@@ -376,5 +380,5 @@ def fit_parallel(
         beta_up=results[0].beta_up,
         beta_low=results[0].beta_low,
         dc=dc_stats,
-        gamma=np.concatenate([r.gamma for r in results]),
+        gamma=gamma,
     )

@@ -137,6 +137,9 @@ def fit_svr_parallel(
     trace = SolveTrace.merge(
         [r.trace for r in results], 2 * n, X.shape[1], X.avg_row_nnz
     )
+    for r in results:
+        # merged above: the SVRFitResult keeps the coefficients and trace
+        r.alpha = r.gamma = r.trace = None
     return SVRFitResult(
         model=model,
         beta_coef=beta_coef,

@@ -16,8 +16,8 @@ fixed rank order, so results are bitwise identical run to run.
 
 Fault behaviour: collective steps ride the same p2p paths as user
 messages, so they inherit the fault layer transparently — a dropped
-collective message is re-requested by the mailbox's retry/backoff loop,
-and an unrecoverable loss surfaces as a structured
+collective message is re-requested by the receiving mailbox as soon as
+the engine withholds it, and an unrecoverable loss surfaces as a structured
 :class:`~repro.mpi.errors.MessageLostError` on the blocked rank (the
 job watchdog then reports every other rank's blocked state via
 :class:`~repro.mpi.errors.DeadlockError` diagnostics if they hang).

@@ -307,13 +307,16 @@ class Comm:
         )
 
     def rerequest(self, source: int, tag: int) -> bool:
-        """Ask the fault engine to retransmit a withheld message.
+        """Ask the fault engine to retransmit the pristine original of a
+        corrupted message.
 
-        Integrity-checking protocols (the reconstruction ring) call this
-        after detecting a corrupt payload; the pristine envelope — if the
-        engine ledgered one — is re-injected into this rank's mailbox.
-        Returns False when no fault engine is installed or nothing
-        matching is recoverable.
+        Integrity-checking protocols (frame decoding, the reconstruction
+        ring) call this after detecting a corrupt payload; the pristine
+        envelope — if the engine ledgered one — is re-injected into this
+        rank's mailbox.  (Dropped messages need no call: the mailbox
+        recovers them as soon as the engine withholds them.)  Returns
+        False when no fault engine is installed or nothing matching is
+        recoverable.
         """
         engine = self._runtime.faults
         if engine is None:

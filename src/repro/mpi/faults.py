@@ -8,27 +8,37 @@ seeded and all decisions are functions of deterministic per-fault
 counters, so the same plan reproduces the same schedule run after run.
 
 The :class:`FaultEngine` is the runtime-side interpreter.  It sits on
-the delivery path (``SpmdRuntime.deliver``) and on receive timeouts
+the delivery path (``SpmdRuntime.deliver``) and on the receive side
 (:meth:`Mailbox.take`):
 
 - *delay* shifts an envelope's virtual departure time (the modeled
   machine was slow) — virtual time changes, payloads do not;
 - *drop* diverts the envelope to a per-destination ledger instead of
-  the mailbox.  The receiver's bounded retry/backoff loop re-requests
-  it (``re_request``), modeling receiver-driven retransmission.  A
-  re-injected envelope keeps its original departure stamp, so a run
-  that completes under drops is bitwise identical — virtual times
-  included — to the fault-free run;
+  the mailbox, and the runtime tells the destination mailbox at once
+  (:meth:`~repro.mpi.mailbox.Mailbox.withhold`).  A receive that
+  matches the withheld envelope re-requests it from the ledger
+  (``re_request``) without sleeping, modeling receiver-driven
+  retransmission; a ``count=k`` drop is handed back on the k-th ask.
+  A re-injected envelope keeps its original departure stamp and is
+  matched before any later envelope of its (src, tag, context)
+  stream, so a run that completes under drops is bitwise identical —
+  virtual times and MPI message order included — to the fault-free
+  run;
 - *dup* delivers the same envelope twice; the mailbox discards the
   duplicate by sequence number;
 - *corrupt* delivers a tampered copy and stashes the pristine envelope
-  in the ledger, so integrity-checking receivers (the reconstruction
-  ring verifies a per-chunk checksum) can recover it via
-  :meth:`re_request`;
+  in the ledger, so integrity-checking receivers (frame CRCs, the
+  reconstruction ring's chunk checksum) can recover it via
+  :meth:`re_request`.  The stashed copy is not announced to the
+  mailbox: it must not be matched before the tampered copy is consumed;
 - *stall* blocks the rank's thread in host time before its n-th send
   (exercising peers' retry paths and the watchdog); *kill* raises
   :class:`~repro.mpi.errors.InjectedFault` inside the rank, aborting
   the job with a structured :class:`~repro.mpi.errors.SpmdJobError`.
+
+The engine cannot see a stalled or killed sender, nor a message that
+was never sent; only those leave a receiver waiting out the
+:class:`RetryPolicy` host timeouts.
 
 Invariant (asserted by the fault-matrix tests): any run that
 *completes* under fault injection produces bitwise-identical results
@@ -56,10 +66,12 @@ KINDS = ("delay", "drop", "dup", "corrupt", "stall", "kill")
 class RetryPolicy:
     """Bounded retry/backoff schedule for blocked receives.
 
-    A receive waits ``timeout`` host seconds, re-requests, then waits
-    ``timeout * backoff``, and so on, up to ``max_retries`` re-request
-    attempts before raising
-    :class:`~repro.mpi.errors.MessageLostError`.  Only active while a
+    A receive makes at most ``max_retries`` re-requests before raising
+    :class:`~repro.mpi.errors.MessageLostError`.  A receive matching a
+    dropped envelope re-requests it at once; only a receive waiting on
+    something the engine cannot see (a stalled or killed sender, a
+    message never sent) waits ``timeout`` host seconds, re-requests,
+    then waits ``timeout * backoff``, and so on.  Only active while a
     fault engine is installed; fault-free jobs keep the plain blocking
     behaviour (the watchdog covers genuine deadlocks).
     """
@@ -138,6 +150,20 @@ def _parse_int(v: str) -> Optional[int]:
     return None if v in ("*", "any") else int(v)
 
 
+#: keys of a fault clause (``kind:key=val,...``) and their parsers
+_FAULT_KEYS = {
+    "src": _parse_int, "dest": _parse_int, "tag": _parse_int,
+    "nth": int, "count": int, "seconds": float, "prob": float,
+    "rank": int, "after": int,
+}
+#: keys of a ``retry:`` clause -> (RetryPolicy field, parser)
+_RETRY_KEYS = {
+    "timeout": ("timeout", float),
+    "backoff": ("backoff", float),
+    "max": ("max_retries", int),
+}
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic set of faults plus the retry policy.
@@ -175,34 +201,28 @@ class FaultPlan:
                 )
             kind, _, body = clause.partition(":")
             kind = kind.strip()
+            keys = _RETRY_KEYS if kind == "retry" else _FAULT_KEYS
             kv: Dict[str, str] = {}
             for item in body.split(","):
                 item = item.strip()
                 if not item:
                     continue
                 k, _, v = item.partition("=")
-                kv[k.strip()] = v.strip()
+                k = k.strip()
+                if k not in keys:
+                    raise ValueError(
+                        f"unknown key {k!r} in {kind} clause {clause!r}; "
+                        f"expected one of {', '.join(keys)}"
+                    )
+                kv[k] = v.strip()
             if kind == "retry":
-                if "timeout" in kv:
-                    retry_kwargs["timeout"] = float(kv["timeout"])
-                if "backoff" in kv:
-                    retry_kwargs["backoff"] = float(kv["backoff"])
-                if "max" in kv:
-                    retry_kwargs["max_retries"] = int(kv["max"])
+                for k, v in kv.items():
+                    name, conv = _RETRY_KEYS[k]
+                    retry_kwargs[name] = conv(v)
                 continue
-            fault = Fault(
-                kind=kind,
-                src=_parse_int(kv["src"]) if "src" in kv else None,
-                dest=_parse_int(kv["dest"]) if "dest" in kv else None,
-                tag=_parse_int(kv["tag"]) if "tag" in kv else None,
-                nth=int(kv["nth"]) if "nth" in kv else None,
-                count=int(kv["count"]) if "count" in kv else 1,
-                seconds=float(kv["seconds"]) if "seconds" in kv else 0.0,
-                prob=float(kv["prob"]) if "prob" in kv else 1.0,
-                rank=int(kv["rank"]) if "rank" in kv else None,
-                after=int(kv["after"]) if "after" in kv else 1,
+            faults.append(
+                Fault(kind=kind, **{k: _FAULT_KEYS[k](v) for k, v in kv.items()})
             )
-            faults.append(fault)
         return cls(
             faults=tuple(faults), seed=seed, retry=RetryPolicy(**retry_kwargs)
         )
@@ -294,20 +314,25 @@ class _FaultState:
 class _LedgerEntry:
     """A withheld envelope awaiting receiver-driven retransmission."""
 
-    __slots__ = ("env", "remaining")
+    __slots__ = ("env", "remaining", "dropped")
 
-    def __init__(self, env: Envelope, remaining: int):
+    def __init__(self, env: Envelope, remaining: int, dropped: bool):
         self.env = env
         self.remaining = remaining  # re-requests still to suppress
+        #: a drop (announced to the destination mailbox, recovered by
+        #: sequence number), not the pristine original of a corrupt copy
+        self.dropped = dropped
 
 
 class FaultEngine:
     """Thread-safe interpreter of one :class:`FaultPlan` for one job.
 
     Locking discipline: the engine lock is *never* held while calling
-    into a mailbox (delivery decisions are computed under the lock,
-    applied outside), so the mailbox-lock -> engine-lock order taken by
-    retrying receivers cannot deadlock against the send path.
+    into a mailbox (delivery decisions, the announcement of a drop
+    included, are computed under the lock and applied outside), so the
+    mailbox-lock -> engine-lock order taken by duplicate discards
+    cannot deadlock against the send path.  Receivers re-request
+    outside their mailbox lock.
     """
 
     def __init__(self, plan: FaultPlan, nprocs: int, tracer=None, on_kill=None):
@@ -387,7 +412,10 @@ class FaultEngine:
     # delivery-side hook
     # ------------------------------------------------------------------
     def route(self, env: Envelope) -> List[Envelope]:
-        """Decide the fate of one envelope; returns what to deliver now."""
+        """Decide the fate of one envelope; returns what to deliver now.
+
+        An empty list means the envelope was dropped into the ledger;
+        the caller announces it to the destination mailbox."""
         if not self._message_states:  # fast path: no message faults
             return [env]
         with self._lock:
@@ -406,7 +434,7 @@ class FaultEngine:
                 if f.kind == "drop":
                     self.stats["dropped"] += 1
                     self._ledger[env.dest].append(
-                        _LedgerEntry(env, remaining=f.count - 1)
+                        _LedgerEntry(env, remaining=f.count - 1, dropped=True)
                     )
                     return []
                 if f.kind == "dup":
@@ -414,7 +442,9 @@ class FaultEngine:
                     return [env, env]
                 if f.kind == "corrupt":
                     self.stats["corrupted"] += 1
-                    self._ledger[env.dest].append(_LedgerEntry(env, remaining=0))
+                    self._ledger[env.dest].append(
+                        _LedgerEntry(env, remaining=0, dropped=False)
+                    )
                     return [self._corrupted(env, st.stream_rng(env))]
         return [env]
 
@@ -448,8 +478,15 @@ class FaultEngine:
         src: Optional[int],
         tag: Optional[int],
         context: int,
+        seq: Optional[int] = None,
     ) -> Optional[Envelope]:
-        """A timed-out receiver asks for a withheld matching envelope.
+        """A receiver asks for a withheld envelope; every call is one retry.
+
+        With ``seq``, the request names a dropped envelope that the
+        destination mailbox was told about.  Only that mailbox recovers
+        drops, so a dropped envelope is handed out exactly once.
+        Without ``seq``, it asks for the pristine original of a
+        corrupted envelope matching (src, tag, context).
 
         Returns the pristine envelope when one is due for
         retransmission (the caller delivers it), ``None`` when nothing
@@ -459,7 +496,10 @@ class FaultEngine:
             self.stats["retries"] += 1
             entries = self._ledger[dest]
             for i, entry in enumerate(entries):
-                if not entry.env.matches(src, tag, context):
+                if seq is not None:
+                    if entry.env.seq != seq:
+                        continue
+                elif entry.dropped or not entry.env.matches(src, tag, context):
                     continue
                 if entry.remaining > 0:
                     entry.remaining -= 1

@@ -3,26 +3,32 @@
 Each rank owns one :class:`Mailbox`.  Senders deposit envelopes; receivers
 block until a matching envelope is available.  Matching follows MPI
 non-overtaking order: among envelopes from the same (source, tag, context),
-the earliest deposited one is matched first.
+the earliest sent one is matched first.
 
 Mailbox waits poll an abort event so that when any rank raises, peers
 blocked in communication are promptly woken with :class:`SpmdAborted`.
 
 When a fault engine is installed (see :mod:`repro.mpi.faults`) the
-mailbox grows two responsibilities:
+mailbox grows three responsibilities:
 
-- *bounded retry/backoff*: a blocked ``take`` waits the engine policy's
-  timeout, re-requests a withheld envelope from the engine's ledger
-  (receiver-driven retransmission), doubles the wait, and after
-  ``max_retries`` attempts raises a structured
+- *event-driven drop recovery*: the runtime announces every envelope
+  the engine drops (:meth:`Mailbox.withhold`) and wakes the receiver.
+  A ``take`` that matches a withheld envelope re-requests it from the
+  engine's ledger at once, before any later envelope of the same
+  stream, so drops cost no host sleep and never reorder a stream;
+- *bounded retry/backoff* for what the engine cannot see (a stalled or
+  killed sender, a message never sent): a blocked ``take`` waits the
+  engine policy's timeout, re-requests, doubles the wait, and after
+  ``max_retries`` re-requests (of either kind) raises a structured
   :class:`~repro.mpi.errors.MessageLostError` instead of hanging into
   the 60 s job watchdog;
 - *duplicate discard*: envelopes are tracked by sequence number and a
   re-delivery of an already-seen envelope (the ``dup`` fault) is
   dropped, preserving exactly-once matching.
 
-Both are dormant on fault-free jobs — no seen-set is kept and waits
-block indefinitely, exactly the pre-fault-layer behaviour.
+All three are dormant on fault-free jobs — no seen-set is kept, nothing
+is ever withheld and waits block indefinitely, exactly the
+pre-fault-layer behaviour.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from .errors import MessageLostError, SpmdAborted
 from .message import Envelope
@@ -57,6 +63,9 @@ class Mailbox:
         self._seen: Optional[Set[int]] = (
             set() if engine is not None and engine.needs_dedup else None
         )
+        #: envelopes the fault engine dropped on their way here and
+        #: still holds in its ledger (see :meth:`withhold`)
+        self._withheld: List[Envelope] = []
         #: (src, tag, context, host-monotonic start) of the receive this
         #: rank is currently blocked in, for watchdog diagnostics.
         self._waiting: Optional[Tuple[Optional[int], Optional[int], int, float]] = None
@@ -72,11 +81,53 @@ class Mailbox:
             self.delivered += 1
             self._cond.notify_all()
 
+    def withhold(self, env: Envelope) -> None:
+        """Note that the fault engine dropped ``env`` into its ledger and
+        wake a blocked receiver, which re-requests it at once."""
+        with self._cond:
+            self._withheld.append(env)
+            self._cond.notify_all()
+
     def _find(self, src: Optional[int], tag: Optional[int], context: int):
         for i, env in enumerate(self._queue):
             if env.matches(src, tag, context):
                 return i
         return None
+
+    def _first_withheld(
+        self, src: Optional[int], tag: Optional[int], context: int,
+        i: Optional[int],
+    ) -> Optional[Envelope]:
+        """The withheld envelope a receive must match before the queued
+        one at ``i``: the earliest of that envelope's stream sent before
+        it (non-overtaking), or, with nothing queued, the earliest
+        matching one.  Sequence numbers order a stream: its sender
+        draws them in program order."""
+        queued = None if i is None else self._queue[i]
+        first = None
+        for env in self._withheld:
+            if not env.matches(src, tag, context):
+                continue
+            if queued is not None and (
+                env.src != queued.src or env.tag != queued.tag
+                or env.seq > queued.seq
+            ):
+                continue
+            if first is None or env.seq < first.seq:
+                first = env
+        return first
+
+    def _recovered(self, env: Envelope) -> Envelope:
+        """Bookkeeping for a withheld envelope handed back by the engine."""
+        with self._cond:
+            # by identity: Envelope equality would compare payload arrays
+            for k, held in enumerate(self._withheld):
+                if held is env:
+                    del self._withheld[k]
+                    break
+            self._seen.add(env.seq)
+            self.delivered += 1
+        return env
 
     def probe(self, src: Optional[int], tag: Optional[int], context: int):
         """Non-blocking match test; returns the envelope without removing."""
@@ -97,9 +148,11 @@ class Mailbox:
 
         Blocks until one arrives when ``block`` is true.  Raises
         :class:`SpmdAborted` if the job was cancelled while waiting.
-        Under fault injection, waits follow the bounded retry/backoff
-        schedule of ``policy`` (default: the engine's policy) and raise
-        :class:`MessageLostError` once the budget is exhausted.
+        Under fault injection, a matching envelope the engine withheld
+        is re-requested at once; otherwise waits follow the bounded
+        retry/backoff schedule of ``policy`` (default: the engine's
+        policy).  Either way :class:`MessageLostError` is raised once
+        the re-request budget is exhausted.
         """
         engine = self._engine
         if engine is not None and policy is None:
@@ -109,6 +162,7 @@ class Mailbox:
         budget = policy.budget(1) if policy is not None else None
         try:
             while True:
+                withheld = None
                 with self._cond:
                     if self._waiting is None and block:
                         self._waiting = (src, tag, context, started)
@@ -118,24 +172,36 @@ class Mailbox:
                             f"for a message"
                         )
                     i = self._find(src, tag, context)
-                    if i is not None:
-                        env = self._queue[i]
-                        del self._queue[i]
-                        return env
-                    if not block:
-                        return None
-                    self._cond.wait(timeout=_POLL_INTERVAL)
-                    if engine is None:
-                        continue
-                    waited = time.monotonic() - started
-                    if waited < budget:
-                        continue
-                # timed out: re-request outside the mailbox lock (the
-                # engine must never be entered while a mailbox lock is
-                # held by another path — see FaultEngine locking notes)
+                    if self._withheld:
+                        withheld = self._first_withheld(src, tag, context, i)
+                    if withheld is None:
+                        if i is not None:
+                            env = self._queue[i]
+                            del self._queue[i]
+                            return env
+                        if not block:
+                            return None
+                        self._cond.wait(timeout=_POLL_INTERVAL)
+                        if engine is None:
+                            continue
+                        waited = time.monotonic() - started
+                        if waited < budget:
+                            continue
+                # re-request outside the mailbox lock (the engine must
+                # never be entered while a mailbox lock is held by
+                # another path — see FaultEngine locking notes)
                 attempt += 1
                 if attempt > policy.max_retries:
                     raise MessageLostError(self.rank, src, tag, attempt - 1)
+                if withheld is not None:
+                    env = engine.re_request(
+                        self.rank, withheld.src, withheld.tag, context,
+                        seq=withheld.seq,
+                    )
+                    if env is not None:
+                        return self._recovered(env)
+                    continue  # a count=k drop: ask again at once
+                # timed out on something the engine cannot see
                 recovered = engine.re_request(self.rank, src, tag, context)
                 if recovered is not None:
                     self.put(recovered)

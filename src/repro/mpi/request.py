@@ -6,11 +6,14 @@ blocks.  Receives complete when a matching envelope is taken from the
 mailbox; completion synchronizes the rank's virtual clock with the modeled
 arrival time of the message.
 
-Under fault injection a blocked ``wait`` follows the mailbox's bounded
-retry/backoff schedule (see :class:`repro.mpi.faults.RetryPolicy`): it
-re-requests withheld envelopes from the fault-engine ledger and raises
-:class:`~repro.mpi.errors.MessageLostError` when the budget is
-exhausted, instead of hanging into the job watchdog.
+Under fault injection a blocked ``wait`` recovers through the mailbox:
+an envelope the fault engine dropped is re-requested from its ledger as
+soon as the engine withholds it, in stream order, and only a wait on
+something the engine cannot see (a stalled or killed sender) follows the
+bounded retry/backoff schedule (see
+:class:`repro.mpi.faults.RetryPolicy`).  Either way an exhausted budget
+raises :class:`~repro.mpi.errors.MessageLostError` instead of hanging
+into the job watchdog.
 """
 
 from __future__ import annotations

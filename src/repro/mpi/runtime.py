@@ -15,9 +15,12 @@ per-rank blocked-state diagnostics) instead of a hung test suite.
 Jobs can run under an adversarial delivery schedule: pass ``faults`` (a
 :class:`~repro.mpi.faults.FaultPlan` or its spec string) to
 :func:`run_spmd` and the runtime installs a
-:class:`~repro.mpi.faults.FaultEngine` on the delivery path.  Receives
-then follow a bounded retry/backoff policy instead of blocking
-indefinitely, and the job result carries the engine's fault report.
+:class:`~repro.mpi.faults.FaultEngine` on the delivery path.  When the
+engine drops an envelope, the runtime tells the destination mailbox at
+once, so the receiver recovers it without a host-clock wait; receives
+that wait on something the engine cannot see (a stall, a kill) follow a
+bounded retry/backoff policy instead of blocking indefinitely.  The job
+result carries the engine's fault report.
 """
 
 from __future__ import annotations
@@ -143,11 +146,16 @@ class SpmdRuntime:
     def deliver(self, env: Envelope) -> None:
         """Route one envelope to its destination, via the fault engine
         when one is installed (which may drop, delay, duplicate or
-        corrupt it per the plan)."""
+        corrupt it per the plan).  A drop is announced to the
+        destination mailbox, outside the engine lock, so a receiver
+        blocked on it re-requests it at once."""
         if self.faults is None:
             self.mailboxes[env.dest].put(env)
             return
-        for out in self.faults.route(env):
+        routed = self.faults.route(env)
+        if not routed:
+            self.mailboxes[env.dest].withhold(env)
+        for out in routed:
             self.mailboxes[out.dest].put(out)
 
     def abort(self) -> None:

@@ -37,6 +37,9 @@ BATCH_SWEEP = (1, 8, 64)
 #: the acceptance bar: batch-64 throughput vs single-request scoring
 SPEEDUP_BAR = 3.0
 BASE_BATCH, TOP_BATCH = 1, 64
+#: the faulted runs' plans: a seeded 2% drop rate (the run's few dozen
+#: slab messages may see no drop at all) and every message dropped
+FAULT_PLANS = ("seed=5;drop:prob=0.02", "drop:prob=1.0")
 
 
 def _train_model(
@@ -97,13 +100,13 @@ def run_serve_bench(
     speedups = []
     by_key = {(c["nprocs"], c["max_batch"]): c for c in configs}
     for nprocs in NPROCS_SWEEP:
-        base, top = by_key[(nprocs, BASE_BATCH)], by_key[(nprocs, TOP_BATCH)]
+        low, top = by_key[(nprocs, BASE_BATCH)], by_key[(nprocs, TOP_BATCH)]
         speedups.append({
             "nprocs": nprocs,
             "modeled_speedup": (
-                top["throughput_modeled"] / base["throughput_modeled"]
+                top["throughput_modeled"] / low["throughput_modeled"]
             ),
-            "host_speedup": top["throughput_host"] / base["throughput_host"],
+            "host_speedup": top["throughput_host"] / low["throughput_host"],
         })
 
     # duplicate-heavy replay: two waves of the same requests, the second
@@ -124,13 +127,24 @@ def run_serve_bench(
 
     # fault injection on the serving path: dropped slab messages are
     # retried by the runtime, scores stay bitwise exact
-    faulty = serve_requests(
-        model, X_req, arrivals,
-        policy=BatchPolicy(max_batch=32, max_delay=0.0),
-        config=base.replace(nprocs=2, faults="drop:p=0.02,seed=5"),
-    )
-    if not np.array_equal(faulty.scores, direct):
-        raise AssertionError("serving under faults diverges from direct scoring")
+    faulted_runs = []
+    for faults in FAULT_PLANS:
+        faulty = serve_requests(
+            model, X_req, arrivals,
+            policy=BatchPolicy(max_batch=32, max_delay=0.0),
+            config=base.replace(nprocs=2, faults=faults),
+        )
+        if not np.array_equal(faulty.scores, direct):
+            raise AssertionError(
+                f"serving under {faults!r} diverges from direct scoring"
+            )
+        faulted_runs.append({
+            "faults": faults,
+            "bitwise_identical": True,
+            "fault_stats": faulty.spmd.fault_stats["stats"],
+        })
+    if not faulted_runs[-1]["fault_stats"]["dropped"]:
+        raise AssertionError(f"fault plan {FAULT_PLANS[-1]!r} dropped nothing")
 
     return {
         "benchmark": "serve",
@@ -147,12 +161,7 @@ def run_serve_bench(
                for k in ("hits", "misses", "hit_rate")},
             "bitwise_identical": True,
         },
-        "faulted_run": {
-            "faults": "drop:p=0.02,seed=5",
-            "bitwise_identical": True,
-            "fault_stats": faulty.spmd.fault_stats["stats"]
-            if faulty.spmd.fault_stats else None,
-        },
+        "faulted_runs": faulted_runs,
     }
 
 

@@ -77,10 +77,7 @@ class TestShrinkingAccuracy:
         X, y = problem
         fr = fit_parallel(X, y, PARAMS, heuristic="multi5pc", nprocs=3)
         K = dense_kernel_matrix(X, PARAMS.kernel)
-        gamma = np.concatenate(
-            [r.gamma for r in fr.spmd.results]
-        )
-        assert np.allclose(K @ (fr.alpha * y) - y, gamma, atol=1e-8)
+        assert np.allclose(K @ (fr.alpha * y) - y, fr.gamma, atol=1e-8)
 
 
 class TestShrinkingBehaviour:

@@ -5,7 +5,15 @@ Every completing job must be bitwise identical to its fault-free run —
 results *and* virtual times — and every non-completing job must fail
 with a structured error (never a watchdog hang: all timeouts here are
 tight).
+
+Drop recovery is event-driven, so the drop tests run under
+:data:`EVENT`: a 30 s retry timeout behind a 5 s watchdog.  A receiver
+that misses its wake-up fails the test with a ``DeadlockError`` instead
+of passing slowly.
 """
+
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +31,11 @@ pytestmark = pytest.mark.faults
 
 #: fast-failing policy so nothing in this module waits long
 FAST = RetryPolicy(timeout=0.05, backoff=1.5, max_retries=3)
+
+#: a host timeout far beyond the watchdog: only event-driven recovery
+#: can complete a job before :data:`WATCHDOG` seconds without progress
+EVENT = RetryPolicy(timeout=30.0)
+WATCHDOG = 5.0
 
 
 def pingpong(comm):
@@ -75,6 +88,19 @@ class TestPlanParsing:
             RetryPolicy(max_retries=0)
         assert RetryPolicy(timeout=0.1, backoff=2.0).budget(3) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("spec, key", [
+        ("drop:p=0.02,seed=5", "p"),
+        ("seed=5;drop:prob=0.02,probability=1", "probability"),
+        ("retry:timeout=0.1,retries=4", "retries"),
+    ], ids=["drop-p", "drop-probability", "retry-retries"])
+    def test_unknown_key_rejected(self, spec, key):
+        # a misspelt key used to be ignored: "drop:p=0.02,seed=5" parsed
+        # as prob=1.0, seed=0 and dropped every message
+        clause = next(c for c in spec.split(";") if f"{key}=" in c)
+        with pytest.raises(ValueError) as ei:
+            FaultPlan.parse(spec)
+        assert repr(key) in str(ei.value) and repr(clause) in str(ei.value)
+
     def test_as_plan_coercions(self):
         assert as_plan(None) is None
         plan = FaultPlan(faults=(Fault("dup"),))
@@ -118,23 +144,65 @@ class TestMessageFaults:
     def test_drop_recovered_bitwise(self, baseline):
         plan = FaultPlan(
             faults=(Fault("drop", src=0, dest=1, tag=5, nth=1),),
-            seed=1, retry=FAST,
+            seed=1, retry=EVENT,
         )
-        res = run_spmd(pingpong, 2, faults=plan)
+        res = run_spmd(pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
         self._identical(res, baseline)
         stats = res.fault_stats["stats"]
         assert stats["dropped"] == 1
-        assert stats["retransmitted"] == 1
+        assert stats["retries"] == stats["retransmitted"] == 1
 
     def test_drop_count_needs_more_retries(self, baseline):
         # two suppressed delivery attempts -> recovered on the 3rd ask
         plan = FaultPlan(
             faults=(Fault("drop", tag=5, nth=1, count=3),),
-            seed=1, retry=FAST,
+            seed=1, retry=EVENT,
         )
-        res = run_spmd(pingpong, 2, faults=plan)
+        res = run_spmd(pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
         self._identical(res, baseline)
-        assert res.fault_stats["stats"]["retries"] >= 3
+        stats = res.fault_stats["stats"]
+        assert stats["retries"] == 3
+        assert stats["dropped"] == stats["retransmitted"] == 1
+
+    def test_drop_after_receiver_blocked(self, baseline):
+        """The drop fires while rank 1 already waits in its receive: the
+        announcement itself must wake it."""
+        def late_pingpong(comm):
+            if comm.rank == 0:
+                time.sleep(0.2)  # rank 1 blocks in recv meanwhile
+            return pingpong(comm)
+
+        plan = FaultPlan(
+            faults=(Fault("drop", src=0, dest=1, tag=5, nth=1),),
+            seed=1, retry=EVENT,
+        )
+        res = run_spmd(late_pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
+        self._identical(res, baseline)
+        stats = res.fault_stats["stats"]
+        assert stats["retries"] == stats["retransmitted"] == stats["dropped"] == 1
+
+    def test_drop_keeps_stream_order(self):
+        """A dropped message is not overtaken by a later one of its
+        (src, tag, context) stream."""
+        def two_sends(comm):
+            if comm.rank == 0:
+                comm.send(1.0, dest=1, tag=5)
+                comm.send(2.0, dest=1, tag=5)
+                return None
+            time.sleep(0.1)  # both sends are settled before the receives
+            return [comm.recv(source=0, tag=5) for _ in range(2)]
+
+        baseline = run_spmd(two_sends, 2)
+        plan = FaultPlan(
+            faults=(Fault("drop", src=0, dest=1, tag=5, nth=1),),
+            seed=1, retry=EVENT,
+        )
+        res = run_spmd(two_sends, 2, faults=plan, deadlock_timeout=WATCHDOG)
+        assert baseline.results[1] == [1.0, 2.0]
+        assert res.results[1] == [1.0, 2.0]
+        assert res.vtime == baseline.vtime
+        stats = res.fault_stats["stats"]
+        assert stats["retries"] == stats["retransmitted"] == stats["dropped"] == 1
 
     def test_dup_discarded(self, baseline):
         plan = FaultPlan(faults=(Fault("dup", src=0, dest=1, tag=5),), seed=1)
@@ -152,44 +220,69 @@ class TestMessageFaults:
         assert res.vtime > baseline.vtime
         assert res.fault_stats["stats"]["delayed"] == 1
 
+    def test_drop_stress_keeps_every_stream_in_order(self):
+        """More ranks than cores, a tiny thread switch interval and a
+        30% drop rate under wildcard receives: every stream still
+        arrives complete and in order, each drop recovered by one
+        immediate re-request."""
+        n_msgs = 20
+
+        def storm(comm):
+            for k in range(n_msgs):
+                for peer in range(comm.size):
+                    if peer != comm.rank:
+                        comm.send((comm.rank, k), dest=peer, tag=7)
+            got = {}
+            for _ in range(n_msgs * (comm.size - 1)):
+                src, k = comm.recv(tag=7)
+                got.setdefault(src, []).append(k)
+            return got
+
+        plan = FaultPlan(
+            faults=(Fault("drop", tag=7, prob=0.3),), seed=3, retry=EVENT
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res = run_spmd(storm, 6, faults=plan, deadlock_timeout=WATCHDOG)
+        finally:
+            sys.setswitchinterval(interval)
+        for rank, got in enumerate(res.results):
+            assert sorted(got) == [r for r in range(6) if r != rank]
+            assert all(ks == list(range(n_msgs)) for ks in got.values())
+        stats = res.fault_stats["stats"]
+        assert stats["dropped"] > 0
+        assert stats["retries"] == stats["retransmitted"] == stats["dropped"]
+
     def test_exhausted_retries_name_rank_and_tag(self):
+        # 99 suppressed asks exceed the 6-ask budget: rank 1 gives up at
+        # once, long before its 30 s host timeout or the watchdog
         plan = FaultPlan(
             faults=(Fault("drop", src=0, dest=1, tag=5, nth=1, count=99),),
-            seed=1, retry=FAST,
+            seed=1, retry=EVENT,
         )
         with pytest.raises(SpmdJobError) as ei:
-            run_spmd(pingpong, 2, faults=plan, deadlock_timeout=20.0)
-        lost = [
-            e for e in ei.value.failures.values()
-            if isinstance(e, MessageLostError)
-        ]
-        assert lost, f"expected a MessageLostError, got {ei.value.failures}"
-        # rank 1 loses the dropped tag-5 message; rank 0 — starved of the
-        # reply — may exhaust its own budget on tag 6 first (host-timing
-        # race).  Either way the error names the blocked rank, source
-        # and tag.
-        msgs = {str(e) for e in lost}
-        assert any(
-            ("rank 1" in m and "src=0" in m and "tag=5" in m)
-            or ("rank 0" in m and "src=1" in m and "tag=6" in m)
-            for m in msgs
-        ), msgs
+            run_spmd(pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
+        assert set(ei.value.failures) == {1}, ei.value.failures
+        lost = ei.value.failures[1]
+        assert isinstance(lost, MessageLostError)
+        msg = str(lost)
+        assert "rank 1" in msg and "src=0" in msg and "tag=5" in msg
+        assert lost.attempts == EVENT.max_retries
 
     def test_faults_on_collectives_recovered(self):
         baseline = run_spmd(ring_allreduce, 4)
         plan = FaultPlan(
-            faults=(Fault("drop", dest=2, nth=1),), seed=2, retry=FAST
+            faults=(Fault("drop", dest=2, nth=1),), seed=2, retry=EVENT
         )
-        res = run_spmd(ring_allreduce, 4, faults=plan)
+        res = run_spmd(ring_allreduce, 4, faults=plan, deadlock_timeout=WATCHDOG)
         assert res.results == baseline.results == [10.0] * 4
         assert res.vtime == baseline.vtime
         # nth counts per (src, dest) stream: every sender's first
         # message into rank 2 is dropped, and each one is recovered
-        assert res.fault_stats["stats"]["retransmitted"] >= 1
-        assert (
-            res.fault_stats["stats"]["retransmitted"]
-            == res.fault_stats["stats"]["dropped"]
-        )
+        stats = res.fault_stats["stats"]
+        assert stats["dropped"] >= 1
+        assert stats["retries"] == stats["retransmitted"] == stats["dropped"]
 
 
 class TestRankFaults:

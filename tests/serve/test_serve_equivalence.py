@@ -81,18 +81,27 @@ def test_sums_reduction_close_not_guaranteed_bitwise(served_model, requests_60):
     assert np.allclose(res.scores, direct, rtol=1e-12, atol=1e-12)
 
 
-def test_faults_on_serving_path(served_model, requests_60):
-    """Dropped slab messages are retried; scores stay bitwise exact and
-    the fault engine reports activity."""
+def _serve_faulted(served_model, requests_60, faults):
     model, _ = served_model
     direct = model.decision_function(requests_60)
     res = serve_requests(
         model, requests_60, burst_arrivals(60),
         policy=BatchPolicy(max_batch=8, max_delay=0.0),
-        config=RunConfig(nprocs=2, faults="drop:p=0.05,seed=9"),
+        config=RunConfig(nprocs=2, faults=faults),
     )
     assert np.array_equal(res.scores, direct)
-    assert res.spmd.fault_stats is not None
+    assert 0 < res.spmd.fault_stats["stats"]["dropped"]
+
+
+def test_faults_on_serving_path(served_model, requests_60):
+    """Dropped slab messages are retried; scores stay bitwise exact and
+    the fault engine reports activity."""
+    _serve_faulted(served_model, requests_60, "seed=9;drop:prob=0.05")
+
+
+def test_total_drop_on_serving_path(served_model, requests_60):
+    """Every slab message dropped and recovered: still bitwise exact."""
+    _serve_faulted(served_model, requests_60, "drop:prob=1.0")
 
 
 def test_backpressure_under_overload(served_model, requests_60):

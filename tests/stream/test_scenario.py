@@ -101,7 +101,7 @@ def test_certified_run_reports_eval_reduction():
     assert run_stream(scenario()).eval_reduction is None
 
 
-def test_faulted_stream_bitwise_identical():
+def _assert_faulted_stream_identical(faults):
     X_probe, _ = (
         drift_stream(DriftStreamSpec(n_batches=1, batch_size=40, seed=42))
     )[0]
@@ -110,14 +110,28 @@ def test_faulted_stream_bitwise_identical():
         clf = IncrementalSVC(
             C=5.0, gamma=0.5, config=RunConfig(nprocs=2, faults=faults)
         )
+        dropped = 0
         for Xb, yb in drift_stream(SPEC):
             clf.partial_fit(Xb, yb)
-        return clf.decision_function(X_probe), clf.alpha_
+            if faults is not None:
+                stats = clf.fit_result_.spmd.fault_stats["stats"]
+                dropped += stats["dropped"]
+        return clf.decision_function(X_probe), clf.alpha_, dropped
 
-    clean_scores, clean_alpha = final_scores(None)
-    fault_scores, fault_alpha = final_scores("drop:p=0.02,seed=5")
+    clean_scores, clean_alpha, _ = final_scores(None)
+    fault_scores, fault_alpha, dropped = final_scores(faults)
+    assert 0 < dropped
     assert np.array_equal(clean_scores, fault_scores)
     assert np.array_equal(clean_alpha, fault_alpha)
+
+
+def test_faulted_stream_bitwise_identical():
+    _assert_faulted_stream_identical("seed=5;drop:prob=0.02")
+
+
+def test_total_drop_stream_bitwise_identical():
+    # every message of every refit is dropped and recovered
+    _assert_faulted_stream_identical("drop:prob=1.0")
 
 
 def test_report_json_clean():
