@@ -54,6 +54,7 @@ from .wss import (
     Violators,
     beta_from_moments,
     local_extrema,
+    masked_extrema,
     solve_pair,
 )
 from .wss_policies import (
@@ -690,10 +691,13 @@ class PackedRankSolver(RankSolver):
       the election that carries its δ), which changes no elected
       winner because the masked-out candidates are exactly the samples
       the legacy engine had already eliminated by then.
-    - **Compacted state**: α/y/γ/C/norms and the active CSR rows live
-      in packed arrays (:class:`CompactActiveSet`), rebuilt only at
-      shrink/reconstruction events — no ``flatnonzero`` and no
-      fancy-index gathers per iteration.
+    - **Compacted state**: α/y/γ/C/norms, the up/low election masks
+      and the active CSR rows live in packed arrays
+      (:class:`CompactActiveSet`), rebuilt only at shrink/reconstruction
+      events.  An iteration refreshes the mask bits of the (at most two)
+      α it writes and elects by one masked argmin/argmax per side — no
+      ``flatnonzero``, no fancy-index gathers and no mask rescan per
+      iteration; sample lookups are O(1).
     - **Owner-rooted pair movement**: each working-set sample is
       broadcast from its owning rank (no rank-0 relay), and a
       resident-pair cache skips the broadcast and reuses the kernel
@@ -723,15 +727,40 @@ class PackedRankSolver(RankSolver):
         self.compact = CompactActiveSet(blk, self.C)
         self._resident: dict = {}
         self._pending: "_PendingShrink | None" = None
+        # the two per-class boxes, once per solve: box_for turns a
+        # scalar label into its box with numpy, twice per iteration
+        self._box_pos = params.box_for(1.0)
+        self._box_neg = params.box_for(-1.0)
+
+    def _box_of(self, y: float) -> float:
+        """``params.box_for(y)`` for a scalar label."""
+        return self._box_pos if y > 0 else self._box_neg
 
     # ------------------------------------------------------------------
     # fused election
     # ------------------------------------------------------------------
+    def _candidates(self):
+        """``(up, low, tail)`` for the next election.
+
+        The maintained masks, narrowed by a pending shrink — candidates
+        the deferred shrink will eliminate must not win this election
+        (the legacy engine eliminated them before electing) — into new
+        arrays, so the maintained masks never change.  ``tail`` is the
+        pending shrink's surviving-active count (``None`` without one).
+        """
+        cs, pending = self.compact, self._pending
+        if pending is None:
+            return cs.up, cs.low, None
+        up, low = cs.up, cs.low
+        if pending.n_shrunk:
+            keep = ~pending.mask
+            up, low = up & keep, low & keep
+        return up, low, float(cs.n_active - pending.n_shrunk)
+
     def _election_buffer(self, up, low, tail) -> np.ndarray:
         cs = self.compact
-        bu, ku, bl, kl = local_extrema(
-            cs.gamma, up, low, 0,
-            rank=self.comm.rank, local_indices=cs.lidx,
+        bu, ku, bl, kl = masked_extrema(
+            cs.gamma, up, low, rank=self.comm.rank, local_indices=cs.lidx
         )
         gi_up = float(cs.gidx[ku]) if ku != NO_INDEX else float(NO_INDEX)
         gi_low = float(cs.gidx[kl]) if kl != NO_INDEX else float(NO_INDEX)
@@ -745,27 +774,17 @@ class PackedRankSolver(RankSolver):
         pending shrink's δ when one rode along)."""
         cs, comm = self.compact, self.comm
         pending = self._pending
-        up, low = up_low_masks(cs.alpha, cs.y, cs.C)
-        if pending is not None:
-            # candidates the deferred shrink will eliminate must not
-            # win this election — the legacy engine eliminated them
-            # before electing
-            if pending.n_shrunk:
-                keep = ~pending.mask
-                up &= keep
-                low &= keep
-            tail = float(cs.n_active - pending.n_shrunk)
-        else:
-            tail = None
+        up, low, tail = self._candidates()
         comm.advance(comm.machine.time_flops(8.0 * cs.n_active))
         out = comm.allreduce_buffer(
             self._election_buffer(up, low, tail), MINLOC_MAXLOC
         )
         if pending is not None:
             out = self._resolve_shrink(pending, int(out[4]), out)
+        beta_up, i_up, beta_low, i_low = out[:4].tolist()
         return Violators(
-            beta_up=float(out[0]), i_up=int(out[1]), gamma_up=float(out[0]),
-            beta_low=float(out[2]), i_low=int(out[3]), gamma_low=float(out[2]),
+            beta_up=beta_up, i_up=int(i_up), gamma_up=beta_up,
+            beta_low=beta_low, i_low=int(i_low), gamma_low=beta_low,
         )
 
     def _select_second_order(self) -> Violators:
@@ -782,15 +801,7 @@ class PackedRankSolver(RankSolver):
         """
         cs, comm = self.compact, self.comm
         pending = self._pending
-        up, low = up_low_masks(cs.alpha, cs.y, cs.C)
-        if pending is not None:
-            if pending.n_shrunk:
-                keep = ~pending.mask
-                up &= keep
-                low &= keep
-            tail = float(cs.n_active - pending.n_shrunk)
-        else:
-            tail = None
+        up, low, tail = self._candidates()
         comm.advance(comm.machine.time_flops(8.0 * cs.n_active))
         out = comm.allreduce_buffer(
             self._election_buffer(up, low, tail), MINLOC_MAXLOC
@@ -799,7 +810,7 @@ class PackedRankSolver(RankSolver):
             out = self._resolve_shrink(pending, int(out[4]), out)
             # the shrink (or its veto) may have recompacted the arrays;
             # phase B scores over the post-resolution candidate set
-            up, low = up_low_masks(cs.alpha, cs.y, cs.C)
+            low = cs.low
         beta_up, i_up = float(out[0]), int(out[1])
         beta_low, i_low1 = float(out[2]), int(out[3])
         first = Violators(
@@ -848,12 +859,11 @@ class PackedRankSolver(RankSolver):
             # candidate set; this second Allreduce is the rare path)
             self.trace.shrunk_per_event.append(0)
             self.delta_c = max(1.0, self._initial_threshold)
-            up, low = up_low_masks(cs.alpha, cs.y, cs.C)
             self.comm.advance(
                 self.comm.machine.time_flops(8.0 * cs.n_active)
             )
             return self.comm.allreduce_buffer(
-                self._election_buffer(up, low, None), MINLOC_MAXLOC
+                self._election_buffer(cs.up, cs.low, None), MINLOC_MAXLOC
             )
         self.trace.shrunk_per_event.append(pending.n_shrunk)
         if pending.n_shrunk:
@@ -935,7 +945,8 @@ class PackedRankSolver(RankSolver):
         ]
         if need:
             rows = CSRMatrix.from_rows(
-                [(e.idx, e.vals) for e in need], self.blk.X.shape[1]
+                [(e.idx, e.vals) for e in need], self.blk.X.shape[1],
+                check=False,
             )
             cols = self.kernel.block(
                 cs.Xa, cs.norms, rows, np.array([e.norm for e in need])
@@ -953,7 +964,7 @@ class PackedRankSolver(RankSolver):
         if col is None:
             cs = self.compact
             rows = CSRMatrix.from_rows(
-                [(ent.idx, ent.vals)], self.blk.X.shape[1]
+                [(ent.idx, ent.vals)], self.blk.X.shape[1], check=False
             )
             col = self.kernel.block(
                 cs.Xa, cs.norms, rows, np.array([ent.norm])
@@ -983,7 +994,7 @@ class PackedRankSolver(RankSolver):
         new_up, new_low = solve_pair(
             k_uu, k_ll, k_ul, yu, yl, au, al,
             viol.gamma_up, viol.gamma_low,
-            self.params.box_for(yu), self.params.box_for(yl),
+            self._box_of(yu), self._box_of(yl),
         )
         d_up = new_up - au
         d_low = new_low - al
@@ -991,9 +1002,9 @@ class PackedRankSolver(RankSolver):
         k_up_col, k_low_col = self._kernel_columns(ent_up, ent_low)
         apply_pair_update(cs.gamma, k_up_col, k_low_col, yu, yl, d_up, d_low)
         if self.blk.owns_global(viol.i_up):
-            cs.alpha[cs.position_of_global(viol.i_up)] = new_up
+            cs.set_alpha(cs.position_of_global(viol.i_up), new_up)
         if self.blk.owns_global(viol.i_low):
-            cs.alpha[cs.position_of_global(viol.i_low)] = new_low
+            cs.set_alpha(cs.position_of_global(viol.i_low), new_low)
         # every rank computed the update redundantly — keep the cached
         # payloads current so a repeat election moves no bytes
         ent_up.alpha = new_up
@@ -1042,6 +1053,17 @@ class PackedRankSolver(RankSolver):
     # ------------------------------------------------------------------
     # event boundaries: flush packed state back into the block
     # ------------------------------------------------------------------
+    def _bump_epoch(self) -> None:
+        """Also release resident kernel columns of older compactions:
+        each is a view pinning its whole 1–2-column slab, and every
+        rank would otherwise end a fit holding one stale column per
+        distinct working-set sample."""
+        super()._bump_epoch()
+        epoch = self.compact.epoch
+        for ent in self._resident.values():
+            if ent.epoch != epoch:
+                ent.kcol = None
+
     def reconstruct(self) -> Violators:
         assert self._pending is None, "shrink unresolved at reconstruction"
         self.compact.flush()

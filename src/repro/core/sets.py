@@ -74,6 +74,18 @@ def up_low_masks(
     return (pos & not_c) | (not_pos & not_zero), (pos & not_zero) | (not_pos & not_c)
 
 
+def up_low_at(alpha: float, y: float, C: float) -> "tuple[bool, bool]":
+    """:func:`up_low_masks` for one sample: the same bound tests on
+    Python floats, so the two flags equal the masks' entries bit for
+    bit (NaN included).  Used to refresh maintained masks after an α
+    write without rescanning the arrays."""
+    at_zero = alpha <= C * _BOUND_RTOL
+    at_c = alpha >= C * (1.0 - _BOUND_RTOL)
+    if y > 0:
+        return not at_c, not at_zero
+    return not at_zero, not at_c
+
+
 def free_mask(alpha: np.ndarray, C: float) -> np.ndarray:
     """Membership in I0 (0 < α < C), used for the final β (hyperplane b)."""
     return (alpha > C * _BOUND_RTOL) & (alpha < C * (1.0 - _BOUND_RTOL))

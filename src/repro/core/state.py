@@ -15,6 +15,7 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
+from .sets import up_low_at, up_low_masks
 
 
 class LocalBlock:
@@ -119,6 +120,13 @@ class CompactActiveSet:
     :meth:`flush` scatters the working α/γ back into the
     :class:`LocalBlock`'s full-length arrays at those same events.
 
+    ``up``/``low`` are the election masks of :func:`up_low_masks` over
+    the packed α (LIBSVM keeps the same state as ``alpha_status``).
+    They are rebuilt at compaction and refreshed per sample by
+    :meth:`set_alpha`, the only way the hot path writes α, so they
+    always equal ``up_low_masks(alpha, y, C)``; callers that narrow the
+    candidates (a pending shrink) combine them into new arrays.
+
     Entries keep the block's local-index order, so elementwise scans
     over the packed arrays visit samples in exactly the order the
     uncompacted engine's ``active_view`` gathers produce — argmin/argmax
@@ -147,7 +155,16 @@ class CompactActiveSet:
         self.C = self._box[lidx].copy()
         self.norms = blk.norms[lidx].copy()
         self.Xa = blk.X.take_rows(lidx)
+        self.up, self.low = up_low_masks(self.alpha, self.y, self.C)
+        self._position = dict(zip(self.gidx.tolist(), range(lidx.size)))
         self.epoch += 1
+
+    def set_alpha(self, k: int, value: float) -> None:
+        """Write α at packed position ``k`` and refresh its mask bits."""
+        self.alpha[k] = value
+        self.up[k], self.low[k] = up_low_at(
+            value, float(self.y[k]), float(self.C[k])
+        )
 
     def flush(self) -> None:
         """Scatter the working α/γ back into the block's full arrays."""
@@ -161,8 +178,8 @@ class CompactActiveSet:
 
     def position_of_global(self, g: int) -> int:
         """Packed position of global sample ``g`` (must be active here)."""
-        k = int(np.searchsorted(self.gidx, g))
-        if k >= self.gidx.size or self.gidx[k] != g:
+        k = self._position.get(g)
+        if k is None:
             raise IndexError(f"global index {g} is not active on this rank")
         return k
 

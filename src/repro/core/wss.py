@@ -116,6 +116,44 @@ def local_extrema(
     return beta_up, i_up, beta_low, i_low
 
 
+def masked_extrema(
+    gamma: np.ndarray,
+    up: np.ndarray,
+    low: np.ndarray,
+    *,
+    rank: int | None = None,
+    local_indices: np.ndarray | None = None,
+) -> Tuple[float, int, float, int]:
+    """:func:`local_extrema` (with offset 0) as one masked argmin and one
+    masked argmax.
+
+    Same results bit for bit, NaN guard and diagnostic included, with a
+    constant number of numpy calls and no index gathers.  A
+    non-candidate reads as +inf to the argmin (−inf to the argmax), so
+    the first minimum is a candidate unless every candidate is +inf (or
+    there is none); the first candidate then wins, as it does in
+    :func:`local_extrema`.
+    """
+    # a sum of squares is NaN only through a NaN entry (inf stays inf)
+    if math.isnan(gamma.dot(gamma)):
+        guard_gamma_finite(gamma, rank=rank, local_indices=local_indices)
+    beta_up, i_up = np.inf, NO_INDEX
+    beta_low, i_low = -np.inf, NO_INDEX
+    if gamma.size == 0:
+        return beta_up, i_up, beta_low, i_low
+    k = int(np.where(up, gamma, np.inf).argmin())
+    if not up[k]:
+        k = int(up.argmax())
+    if up[k]:
+        beta_up, i_up = float(gamma[k]), k
+    k = int(np.where(low, gamma, -np.inf).argmax())
+    if not low[k]:
+        k = int(low.argmax())
+    if low[k]:
+        beta_low, i_low = float(gamma[k]), k
+    return beta_up, i_up, beta_low, i_low
+
+
 def solve_pair(
     k_up_up: float,
     k_low_low: float,

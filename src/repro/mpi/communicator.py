@@ -50,6 +50,9 @@ class Comm:
         self._machine = runtime.machine
         self._tracer = runtime.tracer
         self._suite = runtime.collectives
+        #: peer local rank -> shares this rank's node (machine geometry
+        #: is fixed for the job; filled lazily, one lookup per peer)
+        self._intra: dict = {}
 
     # ------------------------------------------------------------------
     # identity
@@ -171,9 +174,11 @@ class Comm:
     def _complete_recv(self, env: Envelope) -> None:
         """Clock/statistics bookkeeping once an envelope is matched."""
         t0 = self._clock.now
-        intra = self._machine.same_node(
-            self._group[env.src], self._group[self._rank]
-        )
+        intra = self._intra.get(env.src)
+        if intra is None:
+            intra = self._intra[env.src] = self._machine.same_node(
+                self._group[env.src], self._group[self._rank]
+            )
         arrival = env.depart_time + self._machine.p2p_time(env.nbytes, intra=intra)
         self._clock.sync_to(arrival, kind="comm")
         self._clock.record_recv(env.nbytes)
@@ -405,11 +410,13 @@ class Comm:
         :meth:`Allreduce` the result is returned rather than written
         in place.  Reduction tree and combine order are identical to
         :meth:`allreduce`, so (value, location) elections produce the
-        same winners on either path.
+        same winners on either path.  The operand is not copied: sends
+        snapshot it and combines return new arrays (a one-rank
+        communicator returns the operand itself).
         """
         src = as_array(arr)
         t0, b0 = self._coll_entry()
-        out = self._suite.allreduce(self, src.copy(), op, arrays=True, typed=True)
+        out = self._suite.allreduce(self, src, op, arrays=True, typed=True)
         self._trace_collective("Allreduce", t0, b0)
         return np.asarray(out)
 

@@ -28,7 +28,10 @@ mailbox grows three responsibilities:
 
 All three are dormant on fault-free jobs — no seen-set is kept, nothing
 is ever withheld and waits block indefinitely, exactly the
-pre-fault-layer behaviour.
+pre-fault-layer behaviour.  Their receives take a separate path with no
+retry bookkeeping: no policy budget, one lock hold when the envelope is
+already queued, and a host clock read only when the receive has to wait
+(for the watchdog's blocked-state diagnostics).
 """
 
 from __future__ import annotations
@@ -155,11 +158,13 @@ class Mailbox:
         the re-request budget is exhausted.
         """
         engine = self._engine
-        if engine is not None and policy is None:
+        if engine is None:
+            return self._take_plain(src, tag, context, block)
+        if policy is None:
             policy = engine.policy
         attempt = 0
         started = time.monotonic()
-        budget = policy.budget(1) if policy is not None else None
+        budget = policy.budget(1)
         try:
             while True:
                 withheld = None
@@ -182,8 +187,6 @@ class Mailbox:
                         if not block:
                             return None
                         self._cond.wait(timeout=_POLL_INTERVAL)
-                        if engine is None:
-                            continue
                         waited = time.monotonic() - started
                         if waited < budget:
                             continue
@@ -209,6 +212,34 @@ class Mailbox:
                 budget = policy.budget(attempt + 1)
         finally:
             with self._cond:
+                self._waiting = None
+
+    def _take_plain(
+        self, src: Optional[int], tag: Optional[int], context: int, block: bool
+    ) -> Optional[Envelope]:
+        """:meth:`take` on a fault-free job: nothing is ever withheld or
+        lost, so there is no retry bookkeeping, and a receive whose
+        envelope is already queued holds the lock once.  A receive that
+        has to wait records its start for :meth:`wait_state`."""
+        with self._cond:
+            try:
+                while True:
+                    if self._abort.is_set():
+                        raise SpmdAborted(
+                            f"rank {self.rank}: job aborted while waiting "
+                            f"for a message"
+                        )
+                    i = self._find(src, tag, context)
+                    if i is not None:
+                        env = self._queue[i]
+                        del self._queue[i]
+                        return env
+                    if not block:
+                        return None
+                    if self._waiting is None:
+                        self._waiting = (src, tag, context, time.monotonic())
+                    self._cond.wait(timeout=_POLL_INTERVAL)
+            finally:
                 self._waiting = None
 
     def wake(self) -> None:

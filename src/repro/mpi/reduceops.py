@@ -81,10 +81,14 @@ def _fused_minloc_maxloc(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     out = a.copy()
-    if b[0] < a[0] or (b[0] == a[0] and b[1] < a[1]):
-        out[0], out[1] = b[0], b[1]
-    if b[2] > a[2] or (b[2] == a[2] and b[3] < a[3]):
-        out[2], out[3] = b[2], b[3]
+    # Python floats compare like the float64 slots, without numpy
+    # scalar boxing
+    a0, a1, a2, a3 = a[:ELECTION_SLOTS].tolist()
+    b0, b1, b2, b3 = b[:ELECTION_SLOTS].tolist()
+    if b0 < a0 or (b0 == a0 and b1 < a1):
+        out[0], out[1] = b0, b1
+    if b2 > a2 or (b2 == a2 and b3 < a3):
+        out[2], out[3] = b2, b3
     if a.shape[0] > ELECTION_SLOTS:
         out[ELECTION_SLOTS:] = a[ELECTION_SLOTS:] + b[ELECTION_SLOTS:]
     return out

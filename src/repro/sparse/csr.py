@@ -115,8 +115,14 @@ class CSRMatrix:
         cls,
         rows: Sequence[Tuple[np.ndarray, np.ndarray]],
         ncols: int,
+        *,
+        check: bool = True,
     ) -> "CSRMatrix":
-        """Build from per-row ``(indices, values)`` pairs."""
+        """Build from per-row ``(indices, values)`` pairs.
+
+        ``check=False`` skips validation, for rows taken from an
+        already validated matrix.
+        """
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         idx_parts: List[np.ndarray] = []
         val_parts: List[np.ndarray] = []
@@ -130,7 +136,7 @@ class CSRMatrix:
             val_parts.append(val)
         indices = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
         data = np.concatenate(val_parts) if val_parts else np.empty(0, np.float64)
-        return cls(data, indices, indptr, (len(rows), ncols))
+        return cls(data, indices, indptr, (len(rows), ncols), check=check)
 
     @classmethod
     def empty(cls, ncols: int) -> "CSRMatrix":

@@ -24,6 +24,25 @@ def make_blobs(n=80, d=3, sep=3.0, noise=1.0, seed=0, density=1.0):
     return CSRMatrix.from_dense(Xd[perm]), y[perm]
 
 
+#: the engine, communicator and WSS equivalence oracles still call the
+#: per-call keyword shims that pyproject.toml turns into errors; they
+#: keep warning until they are migrated in a change of their own, so a
+#: solver change is checked against them unedited
+SHIM_CALLERS = {
+    "test_engine_equivalence.py",
+    "test_comm_equivalence.py",
+    "test_wss_policies.py",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.path.name in SHIM_CALLERS:
+            item.add_marker(pytest.mark.filterwarnings(
+                "default:.*per-call keyword shim:DeprecationWarning"
+            ))
+
+
 @pytest.fixture
 def blobs():
     return make_blobs()

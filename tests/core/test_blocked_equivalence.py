@@ -20,6 +20,7 @@ tests pin that claim:
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core import reconstruction as recon_mod
 from repro.core.libsvm_smo import _RowProvider
@@ -92,7 +93,9 @@ def test_unknown_fold_mode_rejected():
 
 
 def _fit(X, y, heuristic, p):
-    r = fit_parallel(X, y, PARAMS, heuristic=heuristic, nprocs=p)
+    r = fit_parallel(
+        X, y, PARAMS, config=RunConfig(heuristic=heuristic, nprocs=p)
+    )
     return {
         "alpha": r.alpha,
         "beta": r.model.beta,
@@ -175,7 +178,7 @@ def test_simulate_misses_predicts_eviction_chain():
 # ----------------------------------------------------------------------
 def test_decision_function_shard_invariant():
     X, y = make_blobs(n=70, sep=2.0, noise=1.1, seed=5)
-    model = fit_parallel(X, y, PARAMS, nprocs=2).model
+    model = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=2)).model
     X_test, _ = make_blobs(n=37, sep=2.0, noise=1.1, seed=6)
     full = model.decision_function(X_test)
     pieces = [

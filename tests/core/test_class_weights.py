@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVC, SVMParams, fit_parallel, solve_sequential
 from repro.kernels import RBFKernel
 from repro.sparse import CSRMatrix
@@ -74,7 +75,9 @@ def test_parallel_matches_sequential_weighted():
     ref = solve_sequential(X, y, params)
     for heur in ("original", "multi5pc"):
         for p in (1, 3):
-            fr = fit_parallel(X, y, params, heuristic=heur, nprocs=p)
+            fr = fit_parallel(
+                X, y, params, config=RunConfig(heuristic=heur, nprocs=p)
+            )
             assert np.allclose(fr.alpha, ref.alpha, atol=0.05 * params.C)
 
 
@@ -83,7 +86,9 @@ def test_weighted_equality_constraint_holds():
     params = SVMParams(
         C=1.0, kernel=RBFKernel(0.5), weight_pos=4.0, weight_neg=0.5
     )
-    fr = fit_parallel(X, y, params, heuristic="multi2", nprocs=2)
+    fr = fit_parallel(
+        X, y, params, config=RunConfig(heuristic="multi2", nprocs=2)
+    )
     assert abs(float(fr.alpha @ y)) < 1e-8
 
 

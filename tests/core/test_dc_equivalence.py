@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ..conftest import assert_model_equiv, make_blobs
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.kernels import LinearKernel, RBFKernel
 
@@ -50,7 +51,9 @@ def _cold(kernel_name):
 @pytest.mark.parametrize("dc", ["clusters=3", "clusters=2,levels=2"])
 def test_dc_equivalent_to_cold(dc, nprocs, comm, kernel_name):
     params = _PARAMS[kernel_name]
-    warm = fit_parallel(_X, _Y, params, dc=dc, nprocs=nprocs, comm=comm)
+    warm = fit_parallel(
+        _X, _Y, params, config=RunConfig(dc=dc, nprocs=nprocs, comm=comm)
+    )
     assert warm.dc is not None
     assert warm.dc.n_rounds >= 1
     # The whole point: warm refinement converges far faster than cold.
@@ -62,10 +65,14 @@ def test_dc_equivalent_to_cold(dc, nprocs, comm, kernel_name):
 def test_dc_bitwise_across_nprocs_and_comm(kernel_name):
     """The DC path is deterministic: same alpha regardless of layout."""
     params = _PARAMS[kernel_name]
-    ref = fit_parallel(_X, _Y, params, dc="clusters=3", nprocs=1)
+    ref = fit_parallel(
+        _X, _Y, params, config=RunConfig(dc="clusters=3", nprocs=1)
+    )
     for nprocs, comm in [(2, "flat"), (4, "flat"), (4, "hierarchical")]:
-        other = fit_parallel(_X, _Y, params, dc="clusters=3",
-                             nprocs=nprocs, comm=comm)
+        other = fit_parallel(
+            _X, _Y, params,
+            config=RunConfig(dc="clusters=3", nprocs=nprocs, comm=comm),
+        )
         np.testing.assert_array_equal(ref.alpha, other.alpha)
         assert ref.model.beta == other.model.beta
 
@@ -80,10 +87,13 @@ def test_dc_equivalent_under_faults(comm):
     """
     params = _PARAMS["rbf"]
     faults = "seed=7;delay:nth=3,seconds=0.001;dup:nth=5"
-    clean = fit_parallel(_X, _Y, params, dc="clusters=2", nprocs=4,
-                         comm=comm)
-    faulted = fit_parallel(_X, _Y, params, dc="clusters=2", nprocs=4,
-                           comm=comm, faults=faults)
+    clean = fit_parallel(
+        _X, _Y, params, config=RunConfig(dc="clusters=2", nprocs=4, comm=comm)
+    )
+    faulted = fit_parallel(
+        _X, _Y, params,
+        config=RunConfig(dc="clusters=2", nprocs=4, comm=comm, faults=faults),
+    )
     stats = faulted.spmd.fault_stats
     assert stats is not None
     fired = {k: v for k, v in stats["stats"].items() if v}
@@ -94,7 +104,9 @@ def test_dc_equivalent_under_faults(comm):
 
 def test_dc_multilevel_schedule():
     """levels=2 runs coarse-to-fine: more clusters first, then fewer."""
-    warm = fit_parallel(_X, _Y, _PARAMS["rbf"], dc="clusters=2,levels=2")
+    warm = fit_parallel(
+        _X, _Y, _PARAMS["rbf"], config=RunConfig(dc="clusters=2,levels=2")
+    )
     levels = warm.dc.levels
     assert len(levels) == 2
     assert levels[0].n_clusters > levels[1].n_clusters

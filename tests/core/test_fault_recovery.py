@@ -13,6 +13,7 @@ shrink-to-empty guard, and the final-β NaN guard.
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core.parallel import RankSolver
 from repro.core.reconstruction import (
@@ -54,7 +55,9 @@ def problem():
 def reference(problem):
     X, y = problem
     return {
-        p: fit_parallel(X, y, PARAMS, heuristic="multi5pc", nprocs=p)
+        p: fit_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic="multi5pc", nprocs=p)
+        )
         for p in (1, 2, 4)
     }
 
@@ -62,8 +65,11 @@ def reference(problem):
 def _fit_with(problem, p, faults):
     X, y = problem
     return fit_parallel(
-        X, y, PARAMS, heuristic="multi5pc", nprocs=p, faults=faults,
-        deadlock_timeout=20.0,
+        X, y, PARAMS,
+        config=RunConfig(
+            heuristic="multi5pc", nprocs=p, faults=faults,
+            deadlock_timeout=20.0,
+        ),
     )
 
 
@@ -267,16 +273,20 @@ def _chunk_nbytes(chunk):
 class TestPartitionEdgeCases:
     def test_more_ranks_than_samples_bitwise(self):
         X, y = make_blobs(n=6, seed=4)
-        ref = fit_parallel(X, y, PARAMS, nprocs=1)
+        ref = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=1))
         for p in (7, 9):
-            fr = fit_parallel(X, y, PARAMS, nprocs=p)
+            fr = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=p))
             assert np.array_equal(fr.alpha, ref.alpha)
             assert fr.iterations == ref.iterations
 
     def test_empty_rank_with_shrinking_heuristic(self):
         X, y = make_blobs(n=5, seed=4)
-        ref = fit_parallel(X, y, PARAMS, heuristic="single5pc", nprocs=1)
-        fr = fit_parallel(X, y, PARAMS, heuristic="single5pc", nprocs=8)
+        ref = fit_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic="single5pc", nprocs=1)
+        )
+        fr = fit_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic="single5pc", nprocs=8)
+        )
         assert np.array_equal(fr.alpha, ref.alpha)
 
 
@@ -331,8 +341,12 @@ class TestShrinkGuards:
         params = SVMParams(
             C=10.0, kernel=RBFKernel(0.5), eps=1e-3, max_iter=50_000
         )
-        ref = fit_parallel(X, y, params, heuristic="original", nprocs=1)
-        fr = fit_parallel(X, y, params, heuristic=heur, nprocs=2)
+        ref = fit_parallel(
+            X, y, params, config=RunConfig(heuristic="original", nprocs=1)
+        )
+        fr = fit_parallel(
+            X, y, params, config=RunConfig(heuristic=heur, nprocs=2)
+        )
         assert np.array_equal(fr.alpha, ref.alpha)
 
 

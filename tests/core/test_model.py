@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core.model import SVMModel
 from repro.kernels import RBFKernel
@@ -16,7 +17,7 @@ PARAMS = SVMParams(C=10.0, kernel=RBFKernel(0.5))
 @pytest.fixture(scope="module")
 def fitted():
     X, y = make_blobs(n=100, sep=2.5, noise=1.0, seed=9)
-    fr = fit_parallel(X, y, PARAMS, nprocs=2)
+    fr = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
     return X, y, fr
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import MultiClassSVC, NotFittedError
 from repro.sparse import CSRMatrix
 
@@ -21,7 +22,9 @@ def three_classes(seed=0, per=40, d=3):
 @pytest.fixture(scope="module")
 def fitted():
     X, y = three_classes()
-    clf = MultiClassSVC(C=10.0, gamma=0.5, heuristic="multi5pc", nprocs=2)
+    clf = MultiClassSVC(
+        C=10.0, gamma=0.5, config=RunConfig(heuristic="multi5pc", nprocs=2)
+    )
     clf.fit(X, y)
     return X, y, clf
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import (
     SVMParams,
     decision_function_parallel,
@@ -21,7 +22,7 @@ PARAMS = SVMParams(C=10.0, kernel=RBFKernel(0.5))
 @pytest.fixture(scope="module")
 def model_and_data():
     X, y = make_blobs(n=120, sep=2.2, noise=1.0, seed=31)
-    fr = fit_parallel(X, y, PARAMS, nprocs=2)
+    fr = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
     X_test, _ = make_blobs(n=77, sep=2.2, noise=1.0, seed=32)
     return fr.model, X_test
 
@@ -30,7 +31,7 @@ def model_and_data():
 def test_matches_serial_decision_function(model_and_data, p):
     model, X_test = model_and_data
     serial = model.decision_function(X_test)
-    out = decision_function_parallel(model, X_test, nprocs=p)
+    out = decision_function_parallel(model, X_test, config=RunConfig(nprocs=p))
     assert np.allclose(out.decision_values, serial, atol=1e-12)
     assert np.array_equal(out.labels, np.where(serial >= 0, 1.0, -1.0))
 
@@ -38,14 +39,17 @@ def test_matches_serial_decision_function(model_and_data, p):
 def test_predict_parallel_labels(model_and_data):
     model, X_test = model_and_data
     assert np.array_equal(
-        predict_parallel(model, X_test, nprocs=4), model.predict(X_test)
+        predict_parallel(
+            model, X_test, config=RunConfig(nprocs=4)
+        ), model.predict(X_test)
     )
 
 
 def test_vtime_charged(model_and_data):
     model, X_test = model_and_data
     out = decision_function_parallel(
-        model, X_test, nprocs=2, machine=MachineSpec.cascade()
+        model, X_test,
+        config=RunConfig(nprocs=2, machine=MachineSpec.cascade())
     )
     assert out.vtime > 0
     # kernel work split over ranks: per-rank compute below the serial total
@@ -60,15 +64,21 @@ def test_vtime_charged(model_and_data):
 def test_more_ranks_than_rows_clamped(model_and_data):
     model, _ = model_and_data
     X_small = CSRMatrix.from_dense(np.random.default_rng(0).normal(size=(3, 3)))
-    out = decision_function_parallel(model, X_small, nprocs=16)
+    out = decision_function_parallel(
+        model, X_small, config=RunConfig(nprocs=16)
+    )
     assert out.decision_values.shape == (3,)
 
 
 def test_validation(model_and_data):
     model, X_test = model_and_data
     with pytest.raises(ValueError):
-        decision_function_parallel(model, X_test, nprocs=0)
+        decision_function_parallel(model, X_test, config=RunConfig(nprocs=0))
     with pytest.raises(ValueError):
-        decision_function_parallel(model, CSRMatrix.empty(3), nprocs=1)
+        decision_function_parallel(
+            model, CSRMatrix.empty(3), config=RunConfig(nprocs=1)
+        )
     with pytest.raises(ValueError):
-        decision_function_parallel(model, np.ones((2, 99)), nprocs=1)
+        decision_function_parallel(
+            model, np.ones((2, 99)), config=RunConfig(nprocs=1)
+        )

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel, solve_sequential
 from repro.kernels import RBFKernel
 from repro.sparse import CSRMatrix
@@ -48,7 +49,9 @@ def test_shrinking_solver_equals_reference(seed, n, sep, noise, C, heuristic, p)
     X, y = random_problem(seed, n, sep, noise)
     params = SVMParams(C=C, kernel=RBFKernel(0.7), eps=1e-3, max_iter=100_000)
     ref = solve_sequential(X, y, params)
-    fr = fit_parallel(X, y, params, heuristic=heuristic, nprocs=p)
+    fr = fit_parallel(
+        X, y, params, config=RunConfig(heuristic=heuristic, nprocs=p)
+    )
     # dual feasibility
     assert fr.alpha.min() >= -1e-12
     assert fr.alpha.max() <= C + 1e-9
@@ -81,8 +84,12 @@ def test_shrinking_solver_equals_reference(seed, n, sep, noise, C, heuristic, p)
 def test_prediction_invariant_to_p(seed, p):
     X, y = random_problem(seed, 50, 2.0, 1.0)
     params = SVMParams(C=5.0, kernel=RBFKernel(0.7), eps=1e-3, max_iter=100_000)
-    a = fit_parallel(X, y, params, heuristic="multi5pc", nprocs=1)
-    b = fit_parallel(X, y, params, heuristic="multi5pc", nprocs=p)
+    a = fit_parallel(
+        X, y, params, config=RunConfig(heuristic="multi5pc", nprocs=1)
+    )
+    b = fit_parallel(
+        X, y, params, config=RunConfig(heuristic="multi5pc", nprocs=p)
+    )
     assert np.array_equal(a.alpha, b.alpha)
     assert np.array_equal(a.model.predict(X), b.model.predict(X))
 
@@ -109,7 +116,9 @@ def test_svr_recovers_linear_functions(seed, slope, intercept, epsilon):
     y = slope * X[:, 0] + intercept
     params = SVMParams(C=100.0, kernel=LinearKernel(), eps=1e-4,
                        max_iter=100_000)
-    res = fit_svr_parallel(X, y, params, epsilon=epsilon, nprocs=2)
+    res = fit_svr_parallel(
+        X, y, params, epsilon=epsilon, config=RunConfig(nprocs=2)
+    )
     pred = res.model.decision_function(X)
     assert np.abs(pred - y).max() <= epsilon + 0.05
     # dual structure holds
@@ -131,7 +140,9 @@ def test_weighted_solver_respects_boxes(seed, w_pos, w_neg):
     X, y = random_problem(seed, 40, 1.2, 1.2)
     params = SVMParams(C=2.0, kernel=RBFKernel(0.7), eps=1e-3,
                        max_iter=100_000, weight_pos=w_pos, weight_neg=w_neg)
-    fr = fit_parallel(X, y, params, heuristic="multi5pc", nprocs=2)
+    fr = fit_parallel(
+        X, y, params, config=RunConfig(heuristic="multi5pc", nprocs=2)
+    )
     assert fr.alpha[y > 0].max(initial=0.0) <= 2.0 * w_pos + 1e-9
     assert fr.alpha[y < 0].max(initial=0.0) <= 2.0 * w_neg + 1e-9
     assert abs(float(fr.alpha @ y)) < 1e-7 * max(1.0, 2.0 * max(w_pos, w_neg))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVC, NotFittedError
 from repro.kernels import LinearKernel, RBFKernel
 
@@ -17,7 +18,7 @@ def data():
 
 def test_fit_predict_score(data):
     Xd, y = data
-    clf = SVC(C=10.0, gamma=0.5, nprocs=2).fit(Xd, y)
+    clf = SVC(C=10.0, gamma=0.5, config=RunConfig(nprocs=2)).fit(Xd, y)
     assert clf.score(Xd, y) > 0.85
     assert clf.n_iter_ > 0
     assert clf.n_support_ > 0
@@ -68,14 +69,20 @@ def test_gamma_and_sigma_sq_conflict():
 
 def test_kernel_instance_accepted(data):
     Xd, y = data
-    clf = SVC(C=5.0, kernel=LinearKernel(), heuristic="original").fit(Xd, y)
+    clf = SVC(
+        C=5.0, kernel=LinearKernel(), config=RunConfig(heuristic="original")
+    ).fit(Xd, y)
     assert clf.score(Xd, y) > 0.8
 
 
 def test_heuristic_choice_does_not_change_predictions(data):
     Xd, y = data
-    a = SVC(C=10.0, gamma=0.5, heuristic="original").fit(Xd, y)
-    b = SVC(C=10.0, gamma=0.5, heuristic="multi2", nprocs=3).fit(Xd, y)
+    a = SVC(
+        C=10.0, gamma=0.5, config=RunConfig(heuristic="original")
+    ).fit(Xd, y)
+    b = SVC(
+        C=10.0, gamma=0.5, config=RunConfig(heuristic="multi2", nprocs=3)
+    ).fit(Xd, y)
     assert np.array_equal(a.predict(Xd), b.predict(Xd))
 
 
@@ -88,7 +95,7 @@ def test_decision_function_consistent_with_predict(data):
 
 
 def test_get_set_params(data):
-    clf = SVC(C=2.0, heuristic="multi10pc", nprocs=4)
+    clf = SVC(C=2.0, config=RunConfig(heuristic="multi10pc", nprocs=4))
     p = clf.get_params()
     assert p["C"] == 2.0 and p["heuristic"] == "multi10pc" and p["nprocs"] == 4
     clf.set_params(C=5.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVR, NotFittedError, SVMParams, fit_svr_parallel
 from repro.kernels import LinearKernel, RBFKernel
 from repro.sparse import CSRMatrix
@@ -21,40 +22,48 @@ PARAMS = SVMParams(C=10.0, kernel=RBFKernel(1.0), eps=1e-3, max_iter=200_000)
 class TestFitSVRParallel:
     def test_sine_fit_quality(self):
         X, y = sine_problem()
-        res = fit_svr_parallel(X, y, PARAMS, epsilon=0.1, nprocs=2)
+        res = fit_svr_parallel(
+            X, y, PARAMS, epsilon=0.1, config=RunConfig(nprocs=2)
+        )
         pred = res.model.decision_function(X)
         # predictions within tube + noise of the true function
         assert np.abs(pred - np.sin(X[:, 0])).max() < 0.25
 
     def test_deterministic_across_p(self):
         X, y = sine_problem(seed=1)
-        a = fit_svr_parallel(X, y, PARAMS, nprocs=1)
-        b = fit_svr_parallel(X, y, PARAMS, nprocs=5)
+        a = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=1))
+        b = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=5))
         assert np.array_equal(a.beta_coef, b.beta_coef)
         assert a.iterations == b.iterations
 
     def test_shrinking_matches_original(self):
         X, y = sine_problem(seed=2)
-        shr = fit_svr_parallel(X, y, PARAMS, heuristic="multi5pc", nprocs=2)
-        orig = fit_svr_parallel(X, y, PARAMS, heuristic="original", nprocs=2)
+        shr = fit_svr_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic="multi5pc", nprocs=2)
+        )
+        orig = fit_svr_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic="original", nprocs=2)
+        )
         assert np.allclose(shr.beta_coef, orig.beta_coef, atol=0.05 * PARAMS.C)
         assert shr.trace.total_shrunk() > 0  # shrinking actually engaged
 
     def test_equality_constraint(self):
         X, y = sine_problem(seed=3)
-        res = fit_svr_parallel(X, y, PARAMS, nprocs=2)
+        res = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
         assert abs(res.beta_coef.sum()) < 1e-8
 
     def test_coefficients_bounded(self):
         X, y = sine_problem(seed=4)
-        res = fit_svr_parallel(X, y, PARAMS, nprocs=1)
+        res = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=1))
         assert np.all(np.abs(res.beta_coef) <= PARAMS.C + 1e-9)
 
     def test_kkt_tube_condition(self):
         """Samples strictly inside the ε-tube have β = 0."""
         X, y = sine_problem(seed=5)
         eps_tube = 0.15
-        res = fit_svr_parallel(X, y, PARAMS, epsilon=eps_tube, nprocs=1)
+        res = fit_svr_parallel(
+            X, y, PARAMS, epsilon=eps_tube, config=RunConfig(nprocs=1)
+        )
         pred = res.model.decision_function(X)
         resid = np.abs(pred - y)
         inside = resid < eps_tube - 5e-3
@@ -67,7 +76,7 @@ class TestFitSVRParallel:
         with pytest.raises(ValueError):
             fit_svr_parallel(X, y[:-1], PARAMS)
         with pytest.raises(ValueError):
-            fit_svr_parallel(X, y, PARAMS, nprocs=0)
+            fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=0))
         weighted = SVMParams(C=1.0, kernel=RBFKernel(1.0), weight_pos=2.0)
         with pytest.raises(ValueError):
             fit_svr_parallel(X, y, weighted)
@@ -89,7 +98,9 @@ class TestSVRFacade:
 
     def test_r2_score_range(self):
         X, y = sine_problem(seed=7)
-        svr = SVR(C=10.0, gamma=1.0, epsilon=0.1, nprocs=2).fit(X, y)
+        svr = SVR(
+            C=10.0, gamma=1.0, epsilon=0.1, config=RunConfig(nprocs=2)
+        ).fit(X, y)
         assert 0.9 < svr.score(X, y) <= 1.0
 
     def test_larger_epsilon_fewer_svs(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core.trace import RankTrace, ReconEvent, SolveTrace
 from repro.kernels import RBFKernel
@@ -73,7 +74,7 @@ class TestPersistence:
         X, y = make_blobs(n=60, sep=1.5, noise=1.2, seed=17)
         fr = fit_parallel(
             X, y, SVMParams(C=10.0, kernel=RBFKernel(0.5)),
-            heuristic="multi2", nprocs=2,
+            config=RunConfig(heuristic="multi2", nprocs=2),
         )
         path = tmp_path / "trace.json"
         fr.trace.save(path)
@@ -89,7 +90,8 @@ class TestPersistence:
 
         X, y = make_blobs(n=60, sep=1.5, noise=1.2, seed=18)
         fr = fit_parallel(
-            X, y, SVMParams(C=10.0, kernel=RBFKernel(0.5)), nprocs=1
+            X, y, SVMParams(C=10.0, kernel=RBFKernel(0.5)),
+            config=RunConfig(nprocs=1)
         )
         path = tmp_path / "t.json"
         fr.trace.save(path)
@@ -102,7 +104,9 @@ class TestGapHistory:
     def test_gap_monotone_trend_and_convergence(self):
         X, y = make_blobs(n=80, sep=1.6, noise=1.2, seed=19)
         params = SVMParams(C=10.0, kernel=RBFKernel(0.5), eps=1e-3)
-        fr = fit_parallel(X, y, params, heuristic="original", nprocs=2)
+        fr = fit_parallel(
+            X, y, params, config=RunConfig(heuristic="original", nprocs=2)
+        )
         gaps = fr.trace.gap_history
         assert gaps.shape == (fr.iterations,)
         assert gaps[0] == pytest.approx(2.0)  # initial ±1 gradient gap

@@ -8,6 +8,7 @@ approximate solution)."""
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import (
     HEURISTICS,
     SVMParams,
@@ -44,22 +45,34 @@ def test_unsafe_variant_constructor():
 
 def test_unsafe_never_reconstructs(problem):
     X, y = problem
-    fr = fit_parallel(X, y, PARAMS, heuristic=mid_heuristic("never"), nprocs=2)
+    fr = fit_parallel(
+        X, y, PARAMS,
+        config=RunConfig(heuristic=mid_heuristic("never"), nprocs=2),
+    )
     assert fr.trace.total_shrunk() > 0
     assert fr.trace.n_reconstructions() == 0
 
 
 def test_unsafe_does_less_work_than_safe(problem):
     X, y = problem
-    unsafe = fit_parallel(X, y, PARAMS, heuristic=mid_heuristic("never"), nprocs=1)
-    safe = fit_parallel(X, y, PARAMS, heuristic=mid_heuristic("multi"), nprocs=1)
+    unsafe = fit_parallel(
+        X, y, PARAMS,
+        config=RunConfig(heuristic=mid_heuristic("never"), nprocs=1),
+    )
+    safe = fit_parallel(
+        X, y, PARAMS,
+        config=RunConfig(heuristic=mid_heuristic("multi"), nprocs=1),
+    )
     assert unsafe.trace.kernel_evals < safe.trace.kernel_evals
     assert unsafe.iterations <= safe.iterations
 
 
 def test_unsafe_still_produces_reasonable_classifier(problem):
     X, y = problem
-    fr = fit_parallel(X, y, PARAMS, heuristic=mid_heuristic("never"), nprocs=2)
+    fr = fit_parallel(
+        X, y, PARAMS,
+        config=RunConfig(heuristic=mid_heuristic("never"), nprocs=2),
+    )
     assert fr.model.accuracy(X, y) > 0.75
     # dual feasibility still holds (it is a feasible, just suboptimal, point)
     assert fr.alpha.min() >= -1e-12
@@ -72,7 +85,10 @@ def test_unsafe_may_deviate_from_optimum(problem):
     samples that the unsafe mode never revisits."""
     X, y = problem
     ref = solve_sequential(X, y, PARAMS)
-    fr = fit_parallel(X, y, PARAMS, heuristic=mid_heuristic("never"), nprocs=1)
+    fr = fit_parallel(
+        X, y, PARAMS,
+        config=RunConfig(heuristic=mid_heuristic("never"), nprocs=1),
+    )
     # recompute the exact gradient of the unsafe solution and measure
     # its true KKT gap: it may exceed the 2ε the safe solver certifies
     from repro.core.sets import low_mask, up_mask
@@ -95,5 +111,7 @@ def test_safe_modes_unaffected(problem):
     X, y = problem
     ref = solve_sequential(X, y, PARAMS)
     for name in ("single5pc", "multi5pc"):
-        fr = fit_parallel(X, y, PARAMS, heuristic=name, nprocs=2)
+        fr = fit_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic=name, nprocs=2)
+        )
         assert np.allclose(fr.alpha, ref.alpha, atol=0.05 * PARAMS.C)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import (
     SVC,
     cross_val_score,
@@ -71,7 +72,7 @@ def test_grid_search_prefers_sane_region():
     # model memorizes the training fold and generalizes at chance level
     res = grid_search(
         X, y, Cs=[10.0], sigma_sqs=[1e-6, 2.0], k=3,
-        base_params={"heuristic": "original"},
+        base_params={"config": RunConfig(heuristic="original")},
     )
     assert res.best_params["sigma_sq"] == 2.0
     assert len(res.table) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import RunConfig
 from repro.core import (
     SVMParams,
     fit_parallel,
@@ -25,9 +26,11 @@ def problem():
 
 def test_warm_start_from_solution_converges_fast(problem):
     X, y = problem
-    cold = fit_parallel(X, y, PARAMS, heuristic="original", nprocs=2)
+    cold = fit_parallel(
+        X, y, PARAMS, config=RunConfig(heuristic="original", nprocs=2)
+    )
     warm = fit_parallel(
-        X, y, PARAMS, heuristic="original", nprocs=2,
+        X, y, PARAMS, config=RunConfig(heuristic="original", nprocs=2),
         warm_start_alpha=cold.alpha,
     )
     # restarting at the optimum needs (almost) no iterations
@@ -41,7 +44,8 @@ def test_warm_start_reaches_same_solution(problem):
     # seed with a roughly feasible half-solution
     seed = ref.alpha * 0.5
     warm = fit_parallel(
-        X, y, PARAMS, heuristic="multi5pc", nprocs=3, warm_start_alpha=seed
+        X, y, PARAMS, warm_start_alpha=seed,
+        config=RunConfig(heuristic="multi5pc", nprocs=3)
     )
     check_kkt(X, y, warm.alpha, warm.model.beta, PARAMS.kernel,
               PARAMS.C, PARAMS.eps)
@@ -51,12 +55,12 @@ def test_warm_start_reaches_same_solution(problem):
 def test_warm_start_across_C_change(problem):
     """The regularization-path use case: refit after a small C change."""
     X, y = problem
-    first = fit_parallel(X, y, PARAMS, nprocs=2)
+    first = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
     params2 = SVMParams(C=12.0, kernel=RBFKernel(0.5), eps=1e-3,
                         max_iter=200_000)
-    cold = fit_parallel(X, y, params2, nprocs=2)
+    cold = fit_parallel(X, y, params2, config=RunConfig(nprocs=2))
     warm = fit_parallel(
-        X, y, params2, nprocs=2, warm_start_alpha=first.alpha
+        X, y, params2, config=RunConfig(nprocs=2), warm_start_alpha=first.alpha
     )
     assert warm.iterations < cold.iterations
     check_kkt(X, y, warm.alpha, warm.model.beta, params2.kernel,
@@ -65,7 +69,7 @@ def test_warm_start_across_C_change(problem):
 
 def test_warm_start_p_consistency(problem):
     X, y = problem
-    seed_fit = fit_parallel(X, y, PARAMS, nprocs=1)
+    seed_fit = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=1))
     seed = seed_fit.alpha * 0.7
     # project back onto the equality constraint
     seed -= y * (seed @ y) / len(y)
@@ -74,8 +78,12 @@ def test_warm_start_p_consistency(problem):
     seed = np.clip(seed, 0.0, PARAMS.C)
     if abs(seed @ y) > 1e-8:
         pytest.skip("could not project the seed onto the constraint")
-    a = fit_parallel(X, y, PARAMS, nprocs=1, warm_start_alpha=seed)
-    b = fit_parallel(X, y, PARAMS, nprocs=4, warm_start_alpha=seed)
+    a = fit_parallel(
+        X, y, PARAMS, config=RunConfig(nprocs=1), warm_start_alpha=seed
+    )
+    b = fit_parallel(
+        X, y, PARAMS, config=RunConfig(nprocs=4), warm_start_alpha=seed
+    )
     assert np.array_equal(a.alpha, b.alpha)
 
 
@@ -96,9 +104,11 @@ def test_warm_start_validation(problem):
 
 def test_zero_seed_equals_cold_start(problem):
     X, y = problem
-    cold = fit_parallel(X, y, PARAMS, heuristic="original", nprocs=2)
+    cold = fit_parallel(
+        X, y, PARAMS, config=RunConfig(heuristic="original", nprocs=2)
+    )
     warm = fit_parallel(
-        X, y, PARAMS, heuristic="original", nprocs=2,
+        X, y, PARAMS, config=RunConfig(heuristic="original", nprocs=2),
         warm_start_alpha=np.zeros(X.shape[0]),
     )
     assert np.array_equal(cold.alpha, warm.alpha)
@@ -197,9 +207,11 @@ class TestWarmStartDtype:
 
     def test_float32_seed_accepted(self, problem):
         X, y = problem
-        cold = fit_parallel(X, y, PARAMS, nprocs=2)
+        cold = fit_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
         seed32 = cold.alpha.astype(np.float32)
-        warm = fit_parallel(X, y, PARAMS, nprocs=2, warm_start_alpha=seed32)
+        warm = fit_parallel(
+            X, y, PARAMS, config=RunConfig(nprocs=2), warm_start_alpha=seed32
+        )
         assert warm.alpha.dtype == np.float64
         # the float32 rounding perturbs the seed by ~1e-7 * C: the
         # refinement must still land on an eps-KKT point quickly
@@ -210,7 +222,7 @@ class TestWarmStartDtype:
     def test_integer_zero_seed_accepted(self, problem):
         X, y = problem
         warm = fit_parallel(
-            X, y, PARAMS, nprocs=1,
+            X, y, PARAMS, config=RunConfig(nprocs=1),
             warm_start_alpha=np.zeros(X.shape[0], dtype=np.int64),
         )
         assert warm.alpha.dtype == np.float64

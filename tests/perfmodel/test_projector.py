@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.kernels import RBFKernel
 from repro.perfmodel import (
@@ -27,7 +28,9 @@ def traced_fit():
 
     X, y = make_blobs(n=200, d=5, sep=1.2, noise=1.3, seed=23)
     mid = Heuristic("mid", "random", 100, "multi", "average")
-    fr = fit_parallel(X, y, PARAMS, heuristic=mid, nprocs=1, machine=M)
+    fr = fit_parallel(
+        X, y, PARAMS, config=RunConfig(heuristic=mid, nprocs=1, machine=M)
+    )
     assert fr.trace.total_shrunk() > 0  # fixture precondition
     return fr
 
@@ -111,7 +114,10 @@ def test_parallel_efficiency(traced_fit):
 def test_shrinking_trace_projects_faster_iter_compute(traced_fit):
     """A shrunk active set means fewer modeled kernel evals."""
     X, y = make_blobs(n=200, d=5, sep=1.2, noise=1.3, seed=23)
-    orig = fit_parallel(X, y, PARAMS, heuristic="original", nprocs=1, machine=M)
+    orig = fit_parallel(
+        X, y, PARAMS,
+        config=RunConfig(heuristic="original", nprocs=1, machine=M),
+    )
     assert (
         project(traced_fit.trace, M, 1).iter_compute
         < project(orig.trace, M, 1).iter_compute
@@ -127,7 +133,10 @@ def wss_fits():
     out = {}
     for wss in ("mvp", "second_order", "planning_ahead"):
         out[wss] = fit_parallel(
-            X, y, PARAMS, heuristic="multi5pc", nprocs=2, machine=M, wss=wss
+            X, y, PARAMS,
+            config=RunConfig(
+                heuristic="multi5pc", nprocs=2, machine=M, wss=wss
+            ),
         )
     return out
 

@@ -58,25 +58,6 @@ def test_runconfig_validation_and_merge():
         cfg.merged(bogus=1)
 
 
-def test_runconfig_equivalent_to_keyword_shims():
-    """config= and the legacy keywords produce identical fits."""
-    X, y = make_blobs(n=60, seed=8)
-    via_kw = repro.SVC(C=5.0, sigma_sq=2.0, nprocs=2,
-                       heuristic="multi5pc").fit(X, y)
-    via_cfg = repro.SVC(
-        C=5.0, sigma_sq=2.0,
-        config=repro.RunConfig(nprocs=2, heuristic="multi5pc"),
-    ).fit(X, y)
-    assert np.array_equal(
-        via_kw.model_.sv_coef, via_cfg.model_.sv_coef
-    )
-    assert via_kw.model_.beta == via_cfg.model_.beta
-
-    # explicit keywords override the config
-    clf = repro.SVC(config=repro.RunConfig(nprocs=4), nprocs=1)
-    assert clf.nprocs == 1
-
-
 def test_runconfig_threads_through_functional_api():
     X, y = make_blobs(n=60, seed=9)
     clf = repro.train(X, y, C=5.0, sigma_sq=2.0)

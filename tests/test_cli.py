@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.config import RunConfig
 from repro.core.model import load_model, save_model
 from repro.data import load_dataset
 from repro.sparse import save_libsvm
@@ -86,7 +87,7 @@ def test_model_file_roundtrip(tmp_path):
     fr = fit_parallel(
         ds.X_train, ds.y_train,
         SVMParams(C=10.0, kernel=RBFKernel(0.25)),
-        nprocs=2,
+        config=RunConfig(nprocs=2),
     )
     path = tmp_path / "m.json"
     save_model(fr.model, path)

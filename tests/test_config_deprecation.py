@@ -56,6 +56,27 @@ def test_svc_shim_warns_and_matches_config(problem):
     )
 
 
+def test_runconfig_equivalent_to_keyword_shims():
+    """config= and the legacy keywords produce identical fits, and an
+    explicit keyword overrides the config it is passed with."""
+    X, y = make_blobs(n=60, seed=8)
+    with pytest.warns(DeprecationWarning, match=r"SVC: .*heuristic, nprocs"):
+        via_kw = SVC(C=5.0, sigma_sq=2.0, nprocs=2, heuristic="multi5pc")
+    via_kw.fit(X, y)
+    via_cfg = SVC(
+        C=5.0, sigma_sq=2.0,
+        config=RunConfig(nprocs=2, heuristic="multi5pc"),
+    ).fit(X, y)
+    assert np.array_equal(
+        via_kw.model_.sv_coef, via_cfg.model_.sv_coef
+    )
+    assert via_kw.model_.beta == via_cfg.model_.beta
+
+    with pytest.warns(DeprecationWarning, match=r"SVC: .*nprocs"):
+        clf = SVC(config=RunConfig(nprocs=4), nprocs=1)
+    assert clf.nprocs == 1
+
+
 def test_predict_shim_warns(problem, rbf_params):
     X, y = problem
     model = fit_parallel(X, y, rbf_params, config=RunConfig()).model
