@@ -71,7 +71,6 @@ def _recon_blocks(seed: int = 0):
         blk.alpha[:] = alpha[lo:hi]
         blk.active[:] = ~shrunk[lo:hi]
         blk.gamma[shrunk[lo:hi]] = 999.0
-        blk.invalidate_active()
     return blocks, int(np.count_nonzero(alpha)), int(np.count_nonzero(shrunk))
 
 

@@ -16,10 +16,10 @@ solver statistics the paper reports (iterations, SV count, shrink and
 reconstruction activity, modeled time on the Cascade-like cluster) and
 can persist the trained model as JSON.
 
-The run-time knobs (``--nprocs``, ``--heuristic``, ``--engine``,
-``--comm``, ``--wss``, ``--kernel-cache-mb``, ``--dc``, ``--faults``,
-``--machine``) are registered once by :func:`add_runconfig_args` and
-shared verbatim by ``train``, ``serve-bench`` and ``stream-bench``.
+The run-time knobs (``--nprocs``, ``--heuristic``, ``--comm``,
+``--wss``, ``--kernel-cache-mb``, ``--dc``, ``--faults``, ``--machine``)
+are registered once by :func:`add_runconfig_args` and shared verbatim
+by ``train``, ``serve-bench`` and ``stream-bench``.
 """
 
 from __future__ import annotations
@@ -79,18 +79,12 @@ def add_runconfig_args(parser) -> None:
                              "simulated runtime, e.g. "
                              "'seed=7;drop:src=0,dest=1,tag=3,nth=1' "
                              "(kinds: delay drop dup corrupt stall kill)")
-    parser.add_argument("--engine", default=None,
-                        choices=("packed", "legacy"),
-                        help="iteration engine (default: packed, or the "
-                             "REPRO_SVM_ENGINE environment variable)")
     parser.add_argument("--comm", default=None,
                         choices=("flat", "hierarchical"),
-                        help="collective suite (default: flat, or the "
-                             "REPRO_SVM_COMM environment variable)")
+                        help="collective suite (default: flat)")
     parser.add_argument("--wss", default=None,
                         choices=("mvp", "second_order", "planning_ahead"),
-                        help="working-set selection policy (default: mvp, "
-                             "or the REPRO_SVM_WSS environment variable)")
+                        help="working-set selection policy (default: mvp)")
     parser.add_argument("--kernel-cache-mb", type=float, default=None,
                         metavar="MB",
                         help="per-rank kernel-column cache budget in MiB "
@@ -107,7 +101,6 @@ def runconfig_from_args(args) -> RunConfig:
     return RunConfig(
         nprocs=args.nprocs,
         heuristic=args.heuristic,
-        engine=args.engine,
         comm=args.comm,
         machine=_machine(args.machine),
         faults=args.faults,

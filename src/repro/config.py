@@ -3,13 +3,13 @@
 Every entry point that launches a simulated job — :func:`repro.core.fit_parallel`,
 :class:`repro.core.SVC`, :func:`repro.core.decision_function_parallel`, the
 serving subsystem (:mod:`repro.serve`) and the CLI — historically grew its own
-copy of the same knobs: process count, shrinking heuristic, iteration engine,
-machine model, fault plan, tracing.  :class:`RunConfig` consolidates them into
+copy of the same knobs: process count, shrinking heuristic, machine model,
+fault plan, tracing.  :class:`RunConfig` consolidates them into
 one value that can be built once and passed everywhere::
 
     from repro import RunConfig, SVC
 
-    cfg = RunConfig(nprocs=8, heuristic="multi5pc", engine="packed",
+    cfg = RunConfig(nprocs=8, heuristic="multi5pc",
                     faults="seed=7;delay:src=0,nth=2,seconds=1e-4")
     clf = SVC(C=10.0, sigma_sq=4.0, config=cfg).fit(X, y)
     scores = repro.serve.serve_requests(clf.model_, X_req, config=cfg)
@@ -42,14 +42,10 @@ class RunConfig:
         Table II shrinking heuristic name (or a
         :class:`~repro.core.shrinking.Heuristic`); only consulted by the
         training entry points.
-    engine:
-        Iteration engine (``"packed"`` / ``"legacy"``); ``None`` defers to
-        the ``REPRO_SVM_ENGINE`` environment variable.
     wss:
         Working-set-selection policy (``"mvp"`` / ``"second_order"`` /
-        ``"planning_ahead"``); ``None`` defers to the ``REPRO_SVM_WSS``
-        environment variable and then the ``mvp`` default.  Only
-        consulted by the training entry points.
+        ``"planning_ahead"``); ``None`` means ``"mvp"``.  Only consulted
+        by the training entry points.
     kernel_cache_mb:
         Per-rank byte budget (MiB) for the training-side kernel-column
         cache; ``0`` disables it (second-order policies still keep the
@@ -57,8 +53,7 @@ class RunConfig:
         the training entry points.
     comm:
         Collective suite (``"flat"`` / ``"hierarchical"``); ``None``
-        defers to the ``REPRO_SVM_COMM`` environment variable and then
-        the flat default.
+        means ``"flat"``.
     machine:
         :class:`~repro.perfmodel.machine.MachineSpec` for virtual-time
         accounting (``None`` = the paper's Cascade testbed).
@@ -89,7 +84,6 @@ class RunConfig:
 
     nprocs: int = 1
     heuristic: Any = "multi5pc"
-    engine: Optional[str] = None
     wss: Optional[str] = None
     kernel_cache_mb: float = 0.0
     comm: Optional[str] = None
@@ -149,7 +143,6 @@ class RunConfig:
                 if isinstance(self.heuristic, str)
                 else getattr(self.heuristic, "name", str(self.heuristic))
             ),
-            "engine": self.engine,
             "wss": self.wss,
             "kernel_cache_mb": self.kernel_cache_mb,
             "comm": self.comm,

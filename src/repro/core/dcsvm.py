@@ -45,7 +45,7 @@ concatenating once:
    violator pair eventually co-locates) until the solver's own
    convergence measure β_low − β_up falls under a small multiple of ε,
    then :func:`project_feasible` repairs the float drift and the result
-   seeds the exact packed-engine solve as ``warm_start_alpha``.
+   seeds the exact solve as ``warm_start_alpha``.
 
 Correctness contract: the final model is produced by the *exact*
 solver, so DC changes only where the solve starts, never where it
@@ -581,7 +581,6 @@ def _solve_round(
     k: int,
     params: SVMParams,
     cfg: RunConfig,
-    engine: str,
 ):
     """Solve the ``k`` block subproblems of one partition concurrently.
 
@@ -642,7 +641,7 @@ def _solve_round(
                 continue  # this cluster is narrower than the group
             rr = solve_rank(
                 subcomm, blocks[subcomm.rank], part_c, params, sub_heur,
-                engine, wss=wss, cache_bytes=cache_bytes,
+                wss=wss, cache_bytes=cache_bytes,
             )
             out.append((c, subcomm.rank, rr))
         return out
@@ -693,7 +692,6 @@ def dc_warm_start(
     cfg: RunConfig,
     *,
     heur: Heuristic,
-    engine: str,
 ) -> Tuple[np.ndarray, DCStats]:
     """Run the DC outer loop and return ``(warm_alpha, stats)``.
 
@@ -757,7 +755,7 @@ def dc_warm_start(
                 k, seed=dc.seed + round_counter
             )
             block_alpha, sizes, iters, evals, bcasts, spmd = _solve_round(
-                X, y, alpha, f, assign, k, sub_params, cfg, engine
+                X, y, alpha, f, assign, k, sub_params, cfg
             )
 
             # line-searched merge: d is the blockwise step; the exact

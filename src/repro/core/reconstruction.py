@@ -37,8 +37,8 @@ from ..sparse.csr import CSRMatrix
 from .state import LocalBlock
 from .trace import RankTrace, ReconEvent
 
-#: base tag for ring traffic (engine uses 1 and 2 for working-set
-#: samples).  Step ``s`` of the ring uses ``TAG_RING + s``: sends are
+#: base tag for ring traffic (fault specs address the first ring step
+#: as ``tag=3``).  Step ``s`` of the ring uses ``TAG_RING + s``: sends are
 #: eager and a neighbor may run several steps ahead, so per-step tags
 #: keep matching unambiguous when a chunk is delayed, dropped or being
 #: re-requested — the receiver can never confuse the step-``s``
@@ -310,7 +310,6 @@ def gradient_reconstruction(
     if shrunk_idx.size:
         blk.gamma[shrunk_idx] = accum + blk.gamma0[shrunk_idx]
         blk.active[shrunk_idx] = True
-        blk.invalidate_active()
 
     avg_nnz = blk.X.avg_row_nnz or 1.0
     comm.charge_kernel_evals(evals, avg_nnz)

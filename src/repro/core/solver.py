@@ -10,7 +10,6 @@ virtual-time statistics.  The high-level sklearn-style facade lives in
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -24,26 +23,12 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
 from .dcsvm import DCStats, dc_warm_start, project_feasible
 from .model import SVMModel
-from .parallel import ENGINES, RankResult, solve_rank
+from .parallel import RankResult, solve_rank
 from .params import SVMParams
 from .shrinking import Heuristic, get_heuristic
 from .state import make_blocks
 from .trace import FitStats, SolveTrace
 from .wss_policies import resolve_wss
-
-#: environment override for the iteration engine ("packed" / "legacy")
-ENGINE_ENV = "REPRO_SVM_ENGINE"
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Pick the iteration engine: explicit arg > env var > "packed"."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "packed"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
-        )
-    return engine
 
 
 @dataclass
@@ -94,7 +79,6 @@ def fit_parallel(
     warm_start_gamma: Optional[np.ndarray] = None,
     warm_start_active: Optional[np.ndarray] = None,
     faults=None,
-    engine: Optional[str] = None,
     wss: Optional[str] = None,
     kernel_cache_mb: Optional[float] = None,
     comm: Optional[str] = None,
@@ -102,8 +86,9 @@ def fit_parallel(
 ) -> FitResult:
     """Train with the distributed solver on ``nprocs`` simulated ranks.
 
-    Run-time knobs (``nprocs``, ``heuristic``, ``engine``, ``machine``,
-    ``faults``, ``deadlock_timeout``) are preferably passed as one
+    Run-time knobs (``nprocs``, ``heuristic``, ``machine``, ``faults``,
+    ``deadlock_timeout``, ``wss``, ``kernel_cache_mb``, ``comm``,
+    ``dc``) are preferably passed as one
     :class:`~repro.config.RunConfig` via ``config=``; the individual
     keywords remain as back-compat shims and, when given explicitly,
     override the config's fields (see :func:`repro.config.resolve_config`).
@@ -135,15 +120,6 @@ def fit_parallel(
     sequence).  A fit that completes under injection returns a model
     bitwise identical to the fault-free fit.
 
-    ``engine`` selects the per-iteration engine: ``"packed"`` (default;
-    fused violator Allreduce, compacted active-set state, owner-rooted
-    pair broadcast) or ``"legacy"`` (the original two-Allreduce,
-    rank-0-relay path).  The two produce bitwise-identical models,
-    iteration sequences and kernel-eval counts; only host time and
-    simulated communication cost differ.  ``None`` reads the
-    ``REPRO_SVM_ENGINE`` environment variable, falling back to
-    ``"packed"``.
-
     ``wss`` selects the working-set-selection policy: ``"mvp"``
     (default; Keerthi et al. maximal violating pair, bitwise identical
     to the historical behaviour), ``"second_order"`` (LIBSVM's WSS2
@@ -152,8 +128,7 @@ def fit_parallel(
     the previous pair).  The non-default policies trade extra per-
     iteration work/communication for substantially fewer iterations and
     kernel evaluations; their models agree with ``mvp`` within solver
-    tolerance.  ``None`` reads the ``REPRO_SVM_WSS`` environment
-    variable, falling back to ``"mvp"``.
+    tolerance.  ``None`` means ``"mvp"``.
 
     ``kernel_cache_mb`` gives each rank a byte-budgeted LRU cache of
     training-side kernel columns (invalidated at every shrink/
@@ -166,8 +141,7 @@ def fit_parallel(
     textbook algorithms) or ``"hierarchical"`` (topology-aware two-level
     variants; see :mod:`repro.mpi.topology`).  Both produce bitwise
     identical models and iteration sequences; only the simulated
-    communication cost differs.  ``None`` reads the ``REPRO_SVM_COMM``
-    environment variable, falling back to ``"flat"``.
+    communication cost differs.  ``None`` means ``"flat"``.
 
     ``dc`` enables the divide-and-conquer outer loop
     (:mod:`repro.core.dcsvm`): cluster the samples, solve the
@@ -195,7 +169,6 @@ def fit_parallel(
         machine=machine,
         deadlock_timeout=deadlock_timeout,
         faults=faults,
-        engine=engine,
         wss=wss,
         kernel_cache_mb=kernel_cache_mb,
         comm=comm,
@@ -203,7 +176,6 @@ def fit_parallel(
     )
     heuristic, nprocs = cfg.heuristic, cfg.nprocs
     machine, faults = cfg.machine, cfg.faults
-    engine = resolve_engine(cfg.engine)
     wss = resolve_wss(cfg.wss)
     cache_bytes = int(cfg.kernel_cache_mb * 1024 * 1024)
     if not isinstance(X, CSRMatrix):
@@ -231,7 +203,7 @@ def fit_parallel(
                 "outer loop produces the warm start itself"
             )
         warm_start_alpha, dc_stats = dc_warm_start(
-            X, y, params, cfg, heur=heur, engine=engine
+            X, y, params, cfg, heur=heur
         )
 
     if warm_start_alpha is not None:
@@ -311,12 +283,10 @@ def fit_parallel(
                 blk.gamma[:] = warm_start_gamma[lo:hi]
                 if warm_start_active is not None:
                     blk.active[:] = warm_start_active[lo:hi]
-                    blk.invalidate_active()
             else:
                 # mark every sample stale: the first reconstruction pass
                 # in solve_rank rebuilds gradients from the seeded alphas
                 blk.active[:] = False
-                blk.invalidate_active()
     elif warm_start_gamma is not None:
         raise ValueError("warm_start_gamma requires warm_start_alpha")
     elif warm_start_active is not None:
@@ -326,7 +296,7 @@ def fit_parallel(
 
     def entry(comm):
         return solve_rank(
-            comm, blocks[comm.rank], part, params, heur, engine,
+            comm, blocks[comm.rank], part, params, heur,
             wss=wss, cache_bytes=cache_bytes, warm_seeded=warm_seeded,
         )
 
@@ -368,7 +338,6 @@ def fit_parallel(
         bytes_sent=spmd.total_bytes_sent,
         messages=spmd.total_messages,
         trace=trace,
-        engine=engine,
         wss=wss,
     )
     return FitResult(

@@ -3,8 +3,9 @@
 One :class:`LocalBlock` holds a rank's contiguous slice of the training
 set and the per-sample data structures the paper co-locates with it
 (§III-A): labels, Lagrange multipliers α, gradients γ and the active
-(non-shrunk) mask.  The active-row CSR sub-block used by the gradient
-hot path is cached and rebuilt only when the active set changes.
+(non-shrunk) mask.  The solver's hot path reads a packed mirror of the
+active samples, :class:`CompactActiveSet`, rebuilt only when the active
+set changes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class LocalBlock:
         self.gamma0 = gamma0.copy()
         self.gamma = gamma0.copy()
         self.active = np.ones(n, dtype=bool)
-        self._active_cache: Optional[Tuple[np.ndarray, CSRMatrix, np.ndarray]] = None
         #: immutable ring-block descriptor keyed by the support set:
         #: (contrib indices, CSR wire blob, contrib norms).  The blob and
         #: norms depend only on *which* samples have α > 0, so repeated
@@ -59,17 +59,6 @@ class LocalBlock:
         self._descriptor_cache: Optional[Tuple[np.ndarray, bytes, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    def invalidate_active(self) -> None:
-        """Drop the cached active sub-block (call after (de)activation)."""
-        self._active_cache = None
-
-    def active_view(self) -> Tuple[np.ndarray, CSRMatrix, np.ndarray]:
-        """``(local_indices, X_active, norms_active)`` of the active set."""
-        if self._active_cache is None:
-            idx = np.flatnonzero(self.active)
-            self._active_cache = (idx, self.X.take_rows(idx), self.norms[idx])
-        return self._active_cache
-
     @property
     def n_active(self) -> int:
         return int(np.count_nonzero(self.active))
@@ -89,17 +78,14 @@ class LocalBlock:
             )
         return g - self.global_start
 
-    def sample_payload(self, local_i: int, copy: bool = True) -> tuple:
-        """The tuple shipped when this rank's sample joins the working set:
-        ``(indices, values, ||x||², y, α)``.
+    def sample_payload(self, local_i: int) -> tuple:
+        """The tuple broadcast when this rank's sample joins the working
+        set: ``(indices, values, ||x||², y, α)``.
 
-        ``copy=False`` returns views into the CSR storage — safe (and
-        cheaper) when the payload is consumed on the owning rank without
-        serialization; keep the default on any send path.
+        ``indices``/``values`` are views into the CSR storage: receivers
+        get copies off the wire, and the owning rank only reads them.
         """
         idx, vals = self.X.row(local_i)
-        if copy:
-            idx, vals = idx.copy(), vals.copy()
         return (
             idx,
             vals,
@@ -128,9 +114,9 @@ class CompactActiveSet:
     candidates (a pending shrink) combine them into new arrays.
 
     Entries keep the block's local-index order, so elementwise scans
-    over the packed arrays visit samples in exactly the order the
-    uncompacted engine's ``active_view`` gathers produce — argmin/argmax
-    tie-breaking, and therefore the iteration sequence, is unchanged.
+    over the packed arrays visit samples in local-index order —
+    argmin/argmax ties break toward the smallest index, and the
+    iteration sequence does not depend on the process count.
     ``epoch`` increments on every rebuild; callers use it to invalidate
     anything derived from the active rows (e.g. cached kernel columns).
     """

@@ -64,28 +64,20 @@ class SVC:
         e.g. ``"seed=7;drop:src=0,dest=1,tag=3,nth=1"``).  A fit that
         completes under injection is bitwise identical to the
         fault-free fit.
-    engine:
-        Iteration engine: ``"packed"`` (fused election Allreduce,
-        compacted active-set state, owner-rooted pair broadcast) or
-        ``"legacy"``; ``None`` defers to the ``REPRO_SVM_ENGINE``
-        environment variable (default ``"packed"``).  Both engines
-        produce bitwise-identical models.
     wss:
         Working-set-selection policy: ``"mvp"`` (default; bitwise
         identical to the historical behaviour), ``"second_order"``
         (LIBSVM-style WSS2) or ``"planning_ahead"`` (second-order plus
-        zero-communication pair reuse); ``None`` defers to the
-        ``REPRO_SVM_WSS`` environment variable.  Non-default policies
-        converge in fewer iterations to a model equal within solver
-        tolerance.
+        zero-communication pair reuse); ``None`` means ``"mvp"``.
+        Non-default policies converge in fewer iterations to a model
+        equal within solver tolerance.
     kernel_cache_mb:
         Per-rank training-side kernel-column cache budget in MiB
         (``0`` disables; see :class:`~repro.kernels.KernelColumnCache`).
     comm:
         Collective suite: ``"flat"`` or ``"hierarchical"`` (topology-
-        aware two-level collectives); ``None`` defers to the
-        ``REPRO_SVM_COMM`` environment variable (default ``"flat"``).
-        Both suites produce bitwise-identical models.
+        aware two-level collectives); ``None`` means ``"flat"``.  Both
+        suites produce bitwise-identical models.
     dc:
         Divide-and-conquer outer loop (:mod:`repro.core.dcsvm`): a
         :class:`~repro.core.dcsvm.DCConfig`, a spec string such as
@@ -95,9 +87,9 @@ class SVC:
         cold.
     config:
         A :class:`~repro.config.RunConfig` bundling the run-time knobs
-        (``nprocs``, ``heuristic``, ``engine``, ``machine``, ``faults``,
-        tracing).  The individual keywords above remain as back-compat
-        shims — when passed explicitly they override the config's fields
+        (``nprocs``, ``heuristic``, ``machine``, ``faults``, tracing).
+        The individual keywords above remain as back-compat shims —
+        when passed explicitly they override the config's fields
         and emit a :class:`DeprecationWarning`.  New call sites should
         pass ``config=`` (build overrides with ``cfg.replace(...)``).
     """
@@ -116,7 +108,6 @@ class SVC:
         shrink_eps_factor: float = 10.0,
         class_weight: Optional[Union[dict, str]] = None,
         faults=None,
-        engine: Optional[str] = None,
         wss: Optional[str] = None,
         kernel_cache_mb: Optional[float] = None,
         comm: Optional[str] = None,
@@ -132,7 +123,6 @@ class SVC:
             nprocs=nprocs,
             machine=machine,
             faults=faults,
-            engine=engine,
             wss=wss,
             kernel_cache_mb=kernel_cache_mb,
             comm=comm,
@@ -150,7 +140,6 @@ class SVC:
         self.shrink_eps_factor = shrink_eps_factor
         self.class_weight = class_weight
         self.faults = cfg.faults
-        self.engine = cfg.engine
         self.wss = cfg.wss
         self.kernel_cache_mb = cfg.kernel_cache_mb
         self.comm = cfg.comm
@@ -220,7 +209,6 @@ class SVC:
             nprocs=self.nprocs,
             machine=self.machine,
             faults=self.faults,
-            engine=self.engine,
             wss=self.wss,
             kernel_cache_mb=self.kernel_cache_mb,
             comm=self.comm,
@@ -315,7 +303,6 @@ class SVC:
             "shrink_eps_factor": self.shrink_eps_factor,
             "class_weight": self.class_weight,
             "faults": self.faults,
-            "engine": self.engine,
             "wss": self.wss,
             "kernel_cache_mb": self.kernel_cache_mb,
             "comm": self.comm,
@@ -379,7 +366,6 @@ class SVC:
                 "max_iter": self.max_iter,
                 "shrink_eps_factor": self.shrink_eps_factor,
                 "class_weight": cw,
-                "engine": self.engine,
                 "dc": str(self.dc) if self.dc is not None else None,
             },
             "model": model_to_jsonable(self.model_),
@@ -405,13 +391,16 @@ class SVC:
                 f"not a repro-svc document (format={doc.get('format')!r})"
             )
         params = dict(doc["params"])
+        # older documents carry params.engine, an iteration-engine
+        # choice that no longer exists: drop it so they still load
+        params.pop("engine", None)
         cw = params.get("class_weight")
         if isinstance(cw, dict):
             params["class_weight"] = {k: v for k, v in cw["pairs"]}
         # run-time knobs travel through RunConfig, not the keyword shims
         run_knobs = {
             k: params.pop(k)
-            for k in ("heuristic", "nprocs", "engine", "dc")
+            for k in ("heuristic", "nprocs", "dc")
             if params.get(k) is not None
         }
         model = model_from_jsonable(doc["model"])

@@ -44,8 +44,8 @@ class RankTrace:
     recon_events: List[ReconEvent] = field(default_factory=list)
     kernel_evals: int = 0
     iter_kernel_evals: int = 0  # kernel evals in the iterative part only
-    #: working-set sample broadcasts this rank took part in (the packed
-    #: engine's resident cache makes this < 2·iterations; identical on
+    #: working-set sample broadcasts this rank took part in (the
+    #: resident-sample cache makes this < 2·iterations; identical on
     #: every rank since the broadcast sequence is collective)
     pair_broadcasts: int = 0
     #: full (two-phase, for second-order policies) violator elections;
@@ -84,8 +84,8 @@ class SolveTrace:
     kernel_evals: int
     iter_kernel_evals: int
     #: per-iteration-loop working-set broadcasts (p-independent: the
-    #: miss sequence of the packed engine's resident cache is fixed by
-    #: the deterministic iteration sequence)
+    #: miss sequence of the resident-sample cache is fixed by the
+    #: deterministic iteration sequence)
     pair_broadcasts: int = 0
     #: full violator elections (= iterations under ``mvp``; fewer under
     #: planning-ahead, whose reuses skip the election entirely)
@@ -93,7 +93,7 @@ class SolveTrace:
     #: planning-ahead zero-communication pair reuses
     wss_reuses: int = 0
     #: training-side kernel-column cache hits/misses summed over ranks
-    #: (0/0 when the engines ran the canonical cache-free path)
+    #: (0/0 when the solver ran the canonical cache-free path)
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -261,5 +261,4 @@ class FitStats:
     bytes_sent: int
     messages: int
     trace: Optional[SolveTrace] = None
-    engine: str = "packed"  # iteration engine the fit ran with
     wss: str = "mvp"  # working-set-selection policy the fit ran with

@@ -73,8 +73,8 @@ def cross_val_score(
     # run-time knobs clone through the RunConfig (the keyword shims on
     # SVC are deprecated); only model hyperparameters travel as kwargs
     run_keys = {
-        "heuristic", "nprocs", "faults", "engine", "wss",
-        "kernel_cache_mb", "comm", "dc",
+        "heuristic", "nprocs", "faults", "wss", "kernel_cache_mb", "comm",
+        "dc",
     }
     hyper = {
         k: v for k, v in clf.get_params().items() if k not in run_keys

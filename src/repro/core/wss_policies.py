@@ -2,7 +2,7 @@
 
 The paper's solver always elects the maximal-violating pair (first-order
 WSS, here ``mvp``).  Two refinements from the WSS literature cut
-iterations-to-convergence substantially and are wired into both engines
+iterations-to-convergence substantially and are wired into the solver
 behind this registry:
 
 ``mvp``
@@ -35,9 +35,8 @@ behind this registry:
     itself almost never violates again until other updates perturb its
     γ — which is precisely what the pool tracks.)
 
-Selection: ``RunConfig.wss`` / ``--wss`` / the ``REPRO_SVM_WSS``
-environment variable; :func:`resolve_wss` applies the usual explicit >
-env > default precedence.
+Selection: ``RunConfig.wss`` / ``--wss``; :func:`resolve_wss` maps
+``None`` to the ``mvp`` default and rejects unknown names.
 
 Every non-``mvp`` selection decision is computed from values that are
 redundantly identical on all ranks (allreduced scalars, broadcast
@@ -50,7 +49,6 @@ tolerance (certified by ``assert_model_equiv`` in the test suite).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -59,9 +57,6 @@ import numpy as np
 
 from .sets import _BOUND_RTOL
 from .wss import NO_INDEX, TAU
-
-#: environment override for the working-set-selection policy
-WSS_ENV = "REPRO_SVM_WSS"
 
 #: cap on consecutive zero-communication reuses (planning_ahead) —
 #: bounds how stale the global β bounds the trace reports can get
@@ -90,7 +85,7 @@ class WSSPolicy:
 
     @property
     def uses_provider(self) -> bool:
-        """Whether the engines route kernel columns through the
+        """Whether the solver routes kernel columns through the
         byte-budgeted column cache (actual-eval accounting) for this
         policy regardless of the cache budget."""
         return self.second_order
@@ -119,9 +114,9 @@ def get_wss_policy(name) -> WSSPolicy:
 
 
 def resolve_wss(wss: Optional[str] = None) -> str:
-    """Pick the WSS policy name: explicit arg > env var > "mvp"."""
+    """The WSS policy name: ``None`` means "mvp"; unknown names raise."""
     if wss is None:
-        wss = os.environ.get(WSS_ENV) or "mvp"
+        wss = "mvp"
     if isinstance(wss, WSSPolicy):
         return wss.name
     if wss not in WSS_POLICIES:
@@ -231,7 +226,7 @@ class ReusePool:
     keeping the first maximum — so every rank elects the same pair.
 
     ``take_new_evals`` drains the count of pair kernels actually
-    produced (memo misses) so the engines can charge them honestly.
+    produced (memo misses) so the solver can charge them honestly.
     """
 
     def __init__(self, kernel, capacity: int = POOL_CAPACITY):

@@ -55,7 +55,6 @@ from .request import Request
 from .runtime import RankStats, SpmdResult, SpmdRuntime, run_spmd
 from .status import Status
 from .topology import (
-    COMM_ENV,
     COMMUNICATORS,
     FlatCollectives,
     HierarchicalCollectives,
@@ -69,7 +68,6 @@ __all__ = [
     "ANY_TAG",
     "BAND",
     "BOR",
-    "COMM_ENV",
     "COMMUNICATORS",
     "ClockStats",
     "Comm",

@@ -35,11 +35,9 @@ Wire format (all integers little-endian)::
 
 :func:`encode` returns ``None`` for objects outside this vocabulary
 (or containing no array/bytes section at all — tiny all-scalar
-payloads such as the legacy engine's ``(value, index)`` election pairs
-stay on the pickle path, whose modeled size
-:data:`repro.perfmodel.costs.PICKLED_PAIR_BYTES` prices).  The sender
-falls back to pickle transparently; the envelope records which
-protocol a message used.
+payloads such as a ``(value, index)`` pair stay on the pickle path,
+where framing would not pay).  The sender falls back to pickle
+transparently; the envelope records which protocol a message used.
 """
 
 from __future__ import annotations

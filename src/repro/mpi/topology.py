@@ -16,9 +16,7 @@ registry maps a name to a suite, mirroring chainermn's
   (gather, scatter, scan, exscan, reduce-scatter, alltoall) delegate
   to the flat algorithms.
 
-Selection: an explicit name beats the ``REPRO_SVM_COMM`` environment
-variable beats ``"flat"`` — the same resolution idiom as
-``REPRO_SVM_ENGINE``.
+Selection: ``RunConfig.comm`` / ``--comm``; ``None`` means ``"flat"``.
 
 Determinism: the hierarchical algorithms combine reduction operands in
 exactly the binomial/recursive-doubling order of the flat suite.  For
@@ -31,14 +29,10 @@ to the flat algorithms outright, so results are trivially identical.
 
 from __future__ import annotations
 
-import os
 from typing import Any, List, Optional, Sequence, Tuple
 
 from . import collectives as _coll
 from .reduceops import MIN, ReduceOp
-
-#: environment override for the collective suite ("flat" / "hierarchical")
-COMM_ENV = "REPRO_SVM_COMM"
 
 
 def node_layout(comm) -> Tuple[List[List[int]], List[int], List[int]]:
@@ -310,9 +304,10 @@ COMMUNICATORS = {
 
 
 def resolve_comm(name: Optional[str] = None) -> str:
-    """Pick the collective suite: explicit arg > env var > "flat"."""
+    """The collective suite name: ``None`` means "flat"; unknown names
+    raise."""
     if name is None:
-        name = os.environ.get(COMM_ENV) or "flat"
+        name = "flat"
     if name not in COMMUNICATORS:
         raise ValueError(
             f"unknown communicator {name!r}; expected one of "
@@ -322,9 +317,6 @@ def resolve_comm(name: Optional[str] = None) -> str:
 
 
 def create_communicator(name: Optional[str] = None):
-    """Instantiate a collective suite by registry name.
-
-    ``None`` defers to the ``REPRO_SVM_COMM`` environment variable and
-    then the flat default, mirroring the iteration-engine idiom.
-    """
+    """Instantiate a collective suite by registry name (``None`` means
+    the flat default)."""
     return COMMUNICATORS[resolve_comm(name)]()

@@ -142,20 +142,15 @@ def sample_bytes(avg_nnz: float) -> float:
     return 16.0 * avg_nnz + 48.0
 
 
-#: wire size of the packed engine's fused violator election — a typed
-#: float64 buffer [β_up, i_up, β_low, i_low] reduced with the
-#: MINLOC_MAXLOC op (one Allreduce replacing the legacy pair of
-#: pickled MINLOC + MAXLOC messages)
+#: wire size of the fused violator election — a typed float64 buffer
+#: [β_up, i_up, β_low, i_low] reduced with the MINLOC_MAXLOC op (one
+#: Allreduce instead of a pickled MINLOC + MAXLOC pair)
 ELECTION_BYTES = 4 * 8.0
 
 #: the same buffer with the shrink survivor-count SUM slot appended —
 #: the δ Allreduce of a shrink event piggybacks on the election that
 #: follows it instead of travelling as its own message
 ELECTION_SHRINK_BYTES = 5 * 8.0
-
-#: modeled wire size of one legacy pickled (value, index) Allreduce
-#: payload (pickle framing dominates the two scalars)
-PICKLED_PAIR_BYTES = 64.0
 
 
 #: wire size of the second-order phase-B combine — a typed float64
@@ -166,7 +161,7 @@ WSS2_PHASE_BYTES = 3 * 8.0
 def election_time(
     m: MachineSpec, p: int, *, with_shrink: bool = False, comm: str = "flat"
 ) -> float:
-    """One fused violator-election Allreduce (packed engine).
+    """One fused violator-election Allreduce.
 
     ``comm`` selects the modeled collective suite: the flat recursive
     doubling or the topology-aware two-level variant (the fused
@@ -181,7 +176,7 @@ def election_time(
 def wss2_election_time(
     m: MachineSpec, p: int, *, with_shrink: bool = False, comm: str = "flat"
 ) -> float:
-    """One full two-phase second-order election (packed engine).
+    """One full two-phase second-order election.
 
     Phase A is the ordinary fused election (optionally carrying a
     shrink δ tail); phase B adds one typed MAXLOC_PAYLOAD Allreduce of

@@ -8,26 +8,14 @@ process count (deterministic tie-breaking — see
 paper's 4096 processes without 4096 host threads.
 
 Per-iteration model (matching §III-B/§IV and the runtime's own virtual
-time).  The ``engine`` argument selects the communication shape:
-
-``"packed"`` (default, matching the runtime's default engine):
+time):
 
 - owner-rooted pair movement: a binomial broadcast of one sample per
   resident-cache miss (the trace records the exact count), rooted at
-  the owning rank — O((l + m·G)·log p), no rank-0 relay hop;
+  the owning rank — O((l + m·G)·log p);
 - one fused typed election Allreduce per iteration — Θ(l·log p); a
   shrink event widens the following election message by one slot
   instead of sending its own δ Allreduce;
-
-``"legacy"``:
-
-- working-set routing: two point-to-point sends to rank 0 plus a
-  binomial broadcast of both samples — O((l + m·G)·log p);
-- two pickled scalar allreduces — Θ(l·log p) — plus a third at every
-  shrink event.
-
-Both engines share the compute terms:
-
 - three pair kernel evaluations plus the γ update over the rank's share
   of the active set — (3 + 2·ceil(A_t/p))·λ;
 - selection scan — O(A_t/p) flops.
@@ -89,7 +77,6 @@ def project(
     *,
     n_scale: float = 1.0,
     iteration_scale: float = 1.0,
-    engine: str = "packed",
     comm: str = "flat",
     wss: str = "mvp",
 ) -> ProjectedTime:
@@ -98,13 +85,10 @@ def project(
     ``n_scale`` multiplies the per-iteration active-set sizes (projecting
     the same trajectory onto a proportionally larger dataset);
     ``iteration_scale`` stretches the iteration axis (the trajectory is
-    resampled, preserving its shape).  ``engine`` selects the modeled
-    per-iteration communication shape (``"packed"`` / ``"legacy"`` —
-    the iteration sequence, and hence the trace, is identical for both).
-    ``comm`` selects the collective suite (``"flat"`` /
-    ``"hierarchical"``): the hierarchical variant prices broadcasts and
-    allreduces with the machine's two-level (intra/inter) parameters,
-    mirroring :mod:`repro.mpi.topology`.  The reconstruction ring is
+    resampled, preserving its shape).  ``comm`` selects the collective
+    suite (``"flat"`` / ``"hierarchical"``): the hierarchical variant
+    prices broadcasts and allreduces with the machine's two-level
+    (intra/inter) parameters, mirroring :mod:`repro.mpi.topology`.  The reconstruction ring is
     neighbor point-to-point traffic, identical under either suite.
 
     ``wss`` names the working-set-selection policy the trace ran with.
@@ -120,8 +104,6 @@ def project(
         raise ValueError(f"p must be >= 1, got {p}")
     if n_scale <= 0 or iteration_scale <= 0:
         raise ValueError("scales must be positive")
-    if engine not in ("packed", "legacy"):
-        raise ValueError(f"unknown engine {engine!r} (packed | legacy)")
     if comm not in ("flat", "hierarchical"):
         raise ValueError(f"unknown comm {comm!r} (flat | hierarchical)")
     if wss not in ("mvp", "second_order", "planning_ahead"):
@@ -151,7 +133,6 @@ def project(
 
     hier = comm == "hierarchical"
     _bcast = costs.hier_bcast_time if hier else costs.bcast_time
-    _allreduce = costs.hier_allreduce_time if hier else costs.allreduce_time
 
     # WSS accounting: phase-B combines and zero-communication reuse
     # iterations scale with the stretched iteration axis.  Under "mvp"
@@ -167,51 +148,27 @@ def project(
         iter_compute += n_phase_b * float(m.time_flops(12.0 * mean_active))
 
     n_shrink_events = len(trace.shrink_iters)
-    if engine == "packed":
-        # owner-rooted binomial broadcasts fire only on resident-cache
-        # misses; the miss sequence is fixed by the (p-independent)
-        # iteration sequence, so the trace records the exact count —
-        # including the phase-B up-sample fetches, which go through the
-        # same stash-aware path.  Traces predating the counter — or from
-        # legacy runs, which move both samples every iteration — fall
-        # back to the 2-per-iteration upper bound.
-        n_bcast = float(trace.pair_broadcasts or 2 * trace.iterations)
-        n_bcast *= scale_i
-        # one fused typed election Allreduce per electing iteration
-        # (reuse iterations elect nothing); a shrink event widens the
-        # following election by the piggybacked δ slot
-        reduces = costs.election_time(m, p, comm=comm)
-        iter_comm = n_bcast * _bcast(m, sbytes, p) + n_elect * reduces
-        # phase-B typed MAXLOC_PAYLOAD combine on top of phase A
-        iter_comm += n_phase_b * (
-            costs.wss2_election_time(m, p, comm=comm) - reduces
-        )
-        iter_comm += n_shrink_events * (
-            costs.election_time(m, p, with_shrink=True, comm=comm)
-            - costs.election_time(m, p, comm=comm)
-        )
-    else:
-        reduces = 2.0 * _allreduce(m, costs.PICKLED_PAIR_BYTES, p)
-        if wss == "mvp":
-            # owners -> rank 0 routing: with probability 1/p the owner
-            # *is* rank 0 and no message is sent (exactly zero at p = 1)
-            route = 2.0 * costs.p2p_time(m, sbytes) * (1.0 - 1.0 / p)
-            bcast = _bcast(m, 2.0 * sbytes, p)
-            iter_comm = iters * (route + bcast) + n_elect * reduces
-        else:
-            # non-mvp legacy moves samples one at a time through the
-            # stash-aware relay; the trace counts actual movements
-            n_bcast = float(trace.pair_broadcasts or 2 * trace.iterations)
-            n_bcast *= scale_i
-            route = costs.p2p_time(m, sbytes) * (1.0 - 1.0 / p)
-            iter_comm = n_bcast * (route + _bcast(m, sbytes, p))
-            iter_comm += n_elect * reduces
-        # phase-B pickled MAXLOC_PAYLOAD allreduce on top of phase A
-        iter_comm += n_phase_b * _allreduce(m, costs.PICKLED_PAIR_BYTES, p)
-        # the δ allreduce at each shrink event
-        iter_comm += n_shrink_events * _allreduce(
-            m, costs.PICKLED_PAIR_BYTES, p
-        )
+    # owner-rooted binomial broadcasts fire only on resident-cache
+    # misses; the miss sequence is fixed by the (p-independent)
+    # iteration sequence, so the trace records the exact count —
+    # including the phase-B up-sample fetches, which go through the
+    # same stash-aware path.  Traces predating the counter fall back to
+    # the 2-per-iteration upper bound.
+    n_bcast = float(trace.pair_broadcasts or 2 * trace.iterations)
+    n_bcast *= scale_i
+    # one fused typed election Allreduce per electing iteration (reuse
+    # iterations elect nothing); a shrink event widens the following
+    # election by the piggybacked δ slot
+    reduces = costs.election_time(m, p, comm=comm)
+    iter_comm = n_bcast * _bcast(m, sbytes, p) + n_elect * reduces
+    # phase-B typed MAXLOC_PAYLOAD combine on top of phase A
+    iter_comm += n_phase_b * (
+        costs.wss2_election_time(m, p, comm=comm) - reduces
+    )
+    iter_comm += n_shrink_events * (
+        costs.election_time(m, p, with_shrink=True, comm=comm)
+        - costs.election_time(m, p, comm=comm)
+    )
 
     # --- reconstruction part -------------------------------------------
     recon_compute = 0.0
@@ -301,7 +258,7 @@ def project_dc_outer(
     :meth:`repro.core.dcsvm.DCStats.to_dict` (each entry carries the
     cluster sizes, per-cluster iteration and kernel-evaluation counts,
     and the changed / cache-miss column counts).  The sub-solve
-    iteration sequence is process-count independent (the engine
+    iteration sequence is process-count independent (the solver
     guarantee the whole projector rests on), so the same recorded
     rounds replay at any ``p``: ranks are grouped ``min(p, k)`` ways,
     each group runs its share of the clusters back to back, and the
@@ -439,7 +396,6 @@ def project_stream(
     n_new: int,
     n_sv: int,
     avg_nnz: float,
-    engine: str = "packed",
     comm: str = "flat",
     wss: str = "mvp",
 ) -> StreamProjection:
@@ -457,7 +413,7 @@ def project_stream(
         raise ValueError(
             f"n_new and n_sv must be >= 0, got ({n_new}, {n_sv})"
         )
-    kwargs = dict(engine=engine, comm=comm, wss=wss)
+    kwargs = dict(comm=comm, wss=wss)
     refit = project(warm_trace, machine, p, **kwargs).total
     cold = project(cold_trace, machine, p, **kwargs).total
     seed = (

@@ -98,7 +98,7 @@ def run_stream_bench(
     """Run the certified drift scenario plus the projection sweep.
 
     ``config`` carries run knobs shared by every solve (machine, comm,
-    engine, ...); the benchmark's fixed ``nprocs`` overrides its field.
+    wss, ...); the benchmark's fixed ``nprocs`` overrides its field.
     """
     base = (config or RunConfig()).replace(nprocs=NPROCS)
     spec = QUICK_SPEC if quick else SPEC

@@ -49,7 +49,6 @@ def _shrunk_blocks(n, p, seed=0, alpha_frac=0.5, shrink_frac=0.6):
         shrunk = rng.random(hi - lo) < shrink_frac
         blk.active[:] = ~shrunk
         blk.gamma[shrunk] = 999.0
-        blk.invalidate_active()
     return blocks
 
 

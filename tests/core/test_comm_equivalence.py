@@ -3,7 +3,8 @@
 The acceptance bar for the hierarchical collectives and the typed-frame
 reconstruction wire: identical bits out.  A fit on the hierarchical
 suite — faulted or fault-free — must reproduce the flat fit's α, β and
-iteration count exactly, across engines, heuristics and kernels; and
+iteration count exactly, across process counts, heuristics and
+kernels; and
 the framed reconstruction ring must reproduce the pickled ring's fit
 while moving measurably fewer bytes.
 """
@@ -11,6 +12,7 @@ while moving measurably fewer bytes.
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core import reconstruction
 from repro.core.reconstruction import _pack_contrib, _verify_chunk
@@ -43,13 +45,15 @@ def problem():
     return make_blobs(n=90, sep=1.2, noise=1.3, seed=3)
 
 
-def _fit(problem, *, comm=None, p=4, engine=None, heuristic="multi5pc",
+def _fit(problem, *, comm=None, p=4, heuristic="multi5pc",
          params=PARAMS, faults=None):
     X, y = problem
     return fit_parallel(
-        X, y, params, heuristic=heuristic, nprocs=p, machine=MACHINE,
-        comm=comm, engine=engine, faults=faults,
-        deadlock_timeout=20.0,
+        X, y, params,
+        config=RunConfig(
+            heuristic=heuristic, nprocs=p, machine=MACHINE, comm=comm,
+            faults=faults, deadlock_timeout=20.0,
+        ),
     )
 
 
@@ -62,11 +66,10 @@ def _assert_same_fit(a, b):
 
 
 class TestCommEquivalence:
-    @pytest.mark.parametrize("engine", ["packed", "legacy"])
     @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_fit_bitwise_identical(self, problem, engine, p):
-        flat = _fit(problem, comm="flat", p=p, engine=engine)
-        hier = _fit(problem, comm="hierarchical", p=p, engine=engine)
+    def test_fit_bitwise_identical(self, problem, p):
+        flat = _fit(problem, comm="flat", p=p)
+        hier = _fit(problem, comm="hierarchical", p=p)
         _assert_same_fit(hier, flat)
 
     @pytest.mark.parametrize("heuristic", ["single2", "multi50pc"])

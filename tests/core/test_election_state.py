@@ -42,7 +42,6 @@ def _compact(n, weights, active_seed):
     box = params.box_for(blk.y)
     if active_seed is not None:
         blk.active[:] = np.random.default_rng(active_seed).random(n) < 0.7
-        blk.invalidate_active()
     return CompactActiveSet(blk, box), blk
 
 
@@ -73,7 +72,6 @@ def test_alpha_writes_keep_masks_current(weights, active_seed, writes):
     # compaction rebuilds them from the flushed block state
     cs.flush()
     blk.active[::3] = False
-    blk.invalidate_active()
     cs.rebuild()
     _assert_masks_current(cs)
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
-from repro.core.parallel import RankSolver
+from repro.core.parallel import PackedRankSolver, _PendingShrink
 from repro.core.reconstruction import (
     TAG_RING,
     _apply_chunk,
@@ -23,6 +23,7 @@ from repro.core.reconstruction import (
     _verify_chunk,
     gradient_reconstruction,
 )
+from repro.core.sets import shrinkable_mask
 from repro.core.shrinking import get_heuristic
 from repro.core.state import LocalBlock
 from repro.core.trace import RankTrace
@@ -222,7 +223,6 @@ class TestRingChunkIntegrity:
             if comm.rank == 0:
                 blk.alpha[:] = 0.5  # all support on rank 0
             blk.active[:] = False  # everything stale -> full reconstruction
-            blk.invalidate_active()
             trace = RankTrace(rank=comm.rank, n_local=blk.n_local)
             gradient_reconstruction(
                 comm, blk, PARAMS.kernel, 0, trace,
@@ -291,42 +291,78 @@ class TestPartitionEdgeCases:
 
 
 class TestShrinkGuards:
-    def _solver_with_all_shrinkable(self, comm, n=8):
+    """The δ guard of a deferred shrink: its elimination waits for the
+    election whose Allreduce sums the surviving global active count."""
+
+    def _solver_with_all_shrinkable(self, comm, n=8, n_kept=0):
         X, y = make_blobs(n=n, seed=6)
         y = np.ones(n)  # all positive, all α=0 => every sample in I1
         blk = LocalBlock(X, y, 0)
+        # every γ above β_low makes the whole of I1 shrinkable (Eq. 9);
+        # set before the solver compacts the block at construction
+        blk.gamma[:] = 1.0
+        blk.gamma[:n_kept] = -1.0  # these stay unshrinkable
         part = BlockPartition(n, 1)
-        solver = RankSolver(
+        solver = PackedRankSolver(
             comm, blk, part, PARAMS, get_heuristic("single5pc")
         )
-        # every γ above β_low makes the whole of I1 shrinkable (Eq. 9)
-        blk.gamma[:] = 1.0
         viol = Violators(
             beta_up=2.0, i_up=0, gamma_up=2.0,
             beta_low=0.0, i_low=1, gamma_low=0.0,
         )
         return solver, blk, viol
 
+    @staticmethod
+    def _fire_and_elect(solver, viol):
+        """Arm the shrink as a fired countdown does, then run the
+        election that settles its δ."""
+        cs = solver.compact
+        mask = shrinkable_mask(
+            cs.alpha, cs.y, cs.gamma, cs.C, viol.beta_up, viol.beta_low
+        )
+        solver.delta_c = 0.0
+        solver._pending = _PendingShrink(
+            mask=mask, n_shrunk=int(np.count_nonzero(mask)),
+            fire_iteration=solver.iterations,
+        )
+        return solver.select()
+
     def test_shrink_to_global_empty_is_skipped(self):
         def entry(comm):
             solver, blk, viol = self._solver_with_all_shrinkable(comm)
-            solver._shrink_pass(viol)
-            return blk.n_active, solver.trace.shrunk_per_event[-1]
+            elected = self._fire_and_elect(solver, viol)
+            return (
+                blk.n_active, solver.compact.n_active,
+                solver.trace.shrunk_per_event, solver.delta_c,
+                max(1.0, solver._initial_threshold), elected,
+            )
 
-        (n_active, shrunk), = run_spmd(entry, 1).results
-        assert n_active == 8  # guard kept the active set
-        assert shrunk == 0
+        (n_active, n_packed, shrunk, delta_c, rearmed, elected), = run_spmd(
+            entry, 1
+        ).results
+        assert n_active == n_packed == 8  # guard kept the active set
+        assert shrunk == [0]  # a 0-shrink event is on record
+        assert delta_c == rearmed  # δ_c re-armed from the threshold
+        # re-elected over the full set: the excluding election found no
+        # up candidate at all, the re-election finds the first of them
+        assert elected.i_up == 0 and elected.beta_up == 1.0
 
     def test_partial_shrink_still_fires(self):
         def entry(comm):
-            solver, blk, viol = self._solver_with_all_shrinkable(comm)
-            blk.gamma[:3] = -1.0  # three samples stay unshrinkable
-            solver._shrink_pass(viol)
-            return blk.n_active, solver.trace.shrunk_per_event[-1]
+            solver, blk, viol = self._solver_with_all_shrinkable(
+                comm, n_kept=3
+            )
+            elected = self._fire_and_elect(solver, viol)
+            return (
+                blk.n_active, solver.compact.n_active,
+                solver.trace.shrunk_per_event[-1], elected,
+            )
 
-        (n_active, shrunk), = run_spmd(entry, 1).results
-        assert n_active == 3
+        (n_active, n_packed, shrunk, elected), = run_spmd(entry, 1).results
+        assert n_active == n_packed == 3
         assert shrunk == 5
+        # elected among the survivors only
+        assert elected.i_up == 0 and elected.beta_up == -1.0
 
     def test_aggressive_threshold_converges(self):
         """A threshold that fires every iteration must still terminate
@@ -356,7 +392,7 @@ class TestFinalBetaGuard:
             X, y = make_blobs(n=4, seed=1)
             blk = LocalBlock(X, np.ones(4), 0)
             part = BlockPartition(4, 1)
-            solver = RankSolver(
+            solver = PackedRankSolver(
                 comm, blk, part, PARAMS, get_heuristic("original")
             )
             viol = Violators(
@@ -375,7 +411,9 @@ class TestFinalBetaGuard:
             blk.alpha[:] = 5.0  # strictly inside (0, C)
             blk.gamma[:] = 2.0
             part = BlockPartition(4, 1)
-            solver = RankSolver(
+            # α/γ are set above, before the solver compacts the block:
+            # _final_beta flushes the packed state over it
+            solver = PackedRankSolver(
                 comm, blk, part, PARAMS, get_heuristic("original")
             )
             viol = Violators(

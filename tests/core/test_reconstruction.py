@@ -34,7 +34,6 @@ def _setup(n=40, p=3, seed=0, shrink_frac=0.5, alpha_frac=0.4):
         blk.active[:] = ~shrunk
         # stale gradients for shrunk samples: garbage values
         blk.gamma[shrunk] = 999.0
-        blk.invalidate_active()
     return blocks, gamma_exact, part
 
 

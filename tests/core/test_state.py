@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.state import LocalBlock, make_blocks
+from repro.core.state import CompactActiveSet, LocalBlock, make_blocks
 from repro.sparse import BlockPartition, CSRMatrix
 
 from ..conftest import make_blobs
@@ -35,19 +35,20 @@ def test_global_local_translation():
         blk.to_local(60)
 
 
-def test_active_view_cache_and_invalidation():
+def test_compact_active_set_follows_rebuild():
     X, y = make_blobs(n=12)
     blk = LocalBlock(X, y, 0)
-    idx1, Xa1, na1 = blk.active_view()
-    assert idx1.size == 12
-    # same object until invalidated
-    assert blk.active_view()[1] is Xa1
+    cs = CompactActiveSet(blk, np.full(12, 10.0))
+    assert cs.n_active == 12 and cs.epoch == 1
+    Xa1 = cs.Xa
+    # the packed rows stay as they are until the set is recompacted
     blk.active[3] = False
-    blk.invalidate_active()
-    idx2, Xa2, na2 = blk.active_view()
-    assert idx2.size == 11
-    assert 3 not in idx2
-    assert np.array_equal(Xa2.to_dense(), X.take_rows(idx2).to_dense())
+    assert cs.Xa is Xa1 and cs.n_active == 12
+    cs.rebuild()
+    assert cs.n_active == 11 and cs.epoch == 2
+    assert 3 not in cs.lidx
+    assert np.array_equal(cs.Xa.to_dense(), X.take_rows(cs.lidx).to_dense())
+    assert np.array_equal(cs.norms, blk.norms[cs.lidx])
 
 
 def test_sample_payload_roundtrip():
@@ -61,9 +62,8 @@ def test_sample_payload_roundtrip():
     assert norm == pytest.approx(float(X.row_norms_sq()[2]))
     assert label == y[2]
     assert alpha == 3.5
-    # payload is a copy: mutating it leaves the block intact
-    vals[:] = 0
-    assert np.array_equal(X.row(2)[1], xv)
+    # views into the CSR storage: the broadcast hands receivers copies
+    assert np.shares_memory(vals, X.data)
 
 
 def test_make_blocks_covers_problem():

@@ -1,22 +1,24 @@
-"""WSS policy layer: registry plumbing, cross-p/engine determinism,
-model equivalence, the planning-ahead reuse pool, and the training-side
+"""WSS policy layer: registry plumbing, cross-p determinism, model
+equivalence, the planning-ahead reuse pool, and the training-side
 kernel-column cache.
 
-The contract (ISSUE-9): the default ``mvp`` policy is bitwise identical
-to the historical solver at every process count on both engines, with
-or without a cache budget; ``second_order`` and ``planning_ahead``
-produce tolerance-equivalent models (``assert_model_equiv``) while
-keeping their *own* iteration sequences p- and engine-independent.
+The contract: the default ``mvp`` policy is bitwise identical to the
+historical solver at every process count, with or without a cache
+budget; ``second_order`` and ``planning_ahead`` produce tolerance-
+equivalent models (``assert_model_equiv``) while keeping their *own*
+iteration sequences p-independent.  The bitwise answers of both
+non-default policies, with and without a cache budget, are held as
+golden data in ``test_engine_equivalence.py``.
 """
 
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core.wss import SolverError
 from repro.core.wss_policies import (
     MAX_CONSECUTIVE_REUSES,
-    WSS_ENV,
     PoolSample,
     ReusePool,
     get_wss_policy,
@@ -56,10 +58,13 @@ def _params(kernel_name, C, sigma_sq):
     )
 
 
-def _fit(X, y, params, p, engine, wss, cache_mb=0.0):
+def _fit(X, y, params, p, wss, cache_mb=0.0):
     return fit_parallel(
-        X, y, params, heuristic="multi5pc", nprocs=p, engine=engine,
-        wss=wss, kernel_cache_mb=cache_mb,
+        X, y, params,
+        config=RunConfig(
+            heuristic="multi5pc", nprocs=p, wss=wss,
+            kernel_cache_mb=cache_mb,
+        ),
     )
 
 
@@ -72,30 +77,23 @@ def test_mvp_default_bitwise_matrix(miniatures, dataset, kernel_name):
     X, y, C, sigma_sq = miniatures[dataset]
     params = _params(kernel_name, C, sigma_sq)
     # the implicit default IS mvp cache-off
-    ref = fit_parallel(X, y, params, heuristic="multi5pc", nprocs=1)
+    ref = fit_parallel(
+        X, y, params, config=RunConfig(heuristic="multi5pc", nprocs=1)
+    )
     assert ref.stats.wss == "mvp"
     for p in PS:
-        per_p = None
-        for engine in ("packed", "legacy"):
-            fr = _fit(X, y, params, p, engine, "mvp")
-            # cross-p: the iteration sequence is p-independent (β's
-            # free-sample mean reduces in p-dependent order, so only
-            # the trajectory is bitwise across p)
-            assert np.array_equal(fr.alpha, ref.alpha)
-            assert fr.iterations == ref.iterations
-            # within a process count the engines agree on everything
-            # (kernel evals are charged per rank — the 3 pair evals
-            # are redundantly computed — so they too are per-p)
-            if per_p is None:
-                per_p = (fr.model.beta, fr.stats.kernel_evals)
-            else:
-                assert (fr.model.beta, fr.stats.kernel_evals) == per_p
-            assert fr.stats.trace.wss_elections == 0
-            assert fr.stats.trace.wss_reuses == 0
+        fr = _fit(X, y, params, p, "mvp")
+        # cross-p: the iteration sequence is p-independent (β's
+        # free-sample mean reduces in p-dependent order, so only the
+        # trajectory is bitwise across p)
+        assert np.array_equal(fr.alpha, ref.alpha)
+        assert fr.iterations == ref.iterations
+        assert fr.stats.trace.wss_elections == 0
+        assert fr.stats.trace.wss_reuses == 0
 
 
 # ----------------------------------------------------------------------
-# non-mvp policies: p/engine-deterministic + model-equivalent to mvp
+# non-mvp policies: p-deterministic + model-equivalent to mvp
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("wss", ["second_order", "planning_ahead"])
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
@@ -103,36 +101,29 @@ def test_mvp_default_bitwise_matrix(miniatures, dataset, kernel_name):
 def test_policy_equivalence_matrix(miniatures, dataset, kernel_name, wss):
     X, y, C, sigma_sq = miniatures[dataset]
     params = _params(kernel_name, C, sigma_sq)
-    mvp = _fit(X, y, params, 1, "packed", "mvp")
+    mvp = _fit(X, y, params, 1, "mvp")
     ref = None
     for p in PS:
-        beta_p = None
-        for engine in ("packed", "legacy"):
-            fr = _fit(X, y, params, p, engine, wss)
-            if ref is None:
-                ref = fr
-                # a different election rule must yield an equivalent
-                # model, certified once per (dataset, kernel, policy)
-                assert_model_equiv(fr, mvp, X, y, params)
-            else:
-                # ... and the policy's own trajectory is bitwise
-                # p- and engine-independent, like mvp's (β's mean
-                # reduces in p-dependent order, so it is per-p)
-                assert np.array_equal(fr.alpha, ref.alpha)
-                assert fr.iterations == ref.iterations
-            if beta_p is None:
-                beta_p = fr.model.beta
-            else:
-                assert fr.model.beta == beta_p
-            assert fr.stats.wss == wss
+        fr = _fit(X, y, params, p, wss)
+        if ref is None:
+            ref = fr
+            # a different election rule must yield an equivalent model,
+            # certified once per (dataset, kernel, policy)
+            assert_model_equiv(fr, mvp, X, y, params)
+        else:
+            # ... and the policy's own trajectory is bitwise
+            # p-independent, like mvp's
+            assert np.array_equal(fr.alpha, ref.alpha)
+            assert fr.iterations == ref.iterations
+        assert fr.stats.wss == wss
 
 
 def test_second_order_elects_and_saves_evals(miniatures):
     """The point of WSS2: fewer iterations and kernel evals on w7a."""
     X, y, C, sigma_sq = miniatures["w7a"]
     params = _params("rbf", C, sigma_sq)
-    mvp = _fit(X, y, params, 2, "packed", "mvp")
-    so = _fit(X, y, params, 2, "packed", "second_order")
+    mvp = _fit(X, y, params, 2, "mvp")
+    so = _fit(X, y, params, 2, "second_order")
     assert so.stats.trace.wss_elections > 0
     assert so.iterations < mvp.iterations
     assert so.stats.kernel_evals < mvp.stats.kernel_evals
@@ -141,7 +132,7 @@ def test_second_order_elects_and_saves_evals(miniatures):
 def test_planning_ahead_reuses(miniatures):
     X, y, C, sigma_sq = miniatures["w7a"]
     params = _params("rbf", C, sigma_sq)
-    fr = _fit(X, y, params, 2, "packed", "planning_ahead")
+    fr = _fit(X, y, params, 2, "planning_ahead")
     tr = fr.stats.trace
     assert tr.wss_reuses > 0
     # every iteration either reused or elected; an election's phase B
@@ -158,8 +149,8 @@ def test_planning_ahead_reuses(miniatures):
 def test_mvp_cache_changes_nothing_but_evals(miniatures, p):
     X, y, C, sigma_sq = miniatures["mushrooms"]
     params = _params("rbf", C, sigma_sq)
-    off = _fit(X, y, params, p, "packed", "mvp", cache_mb=0.0)
-    on = _fit(X, y, params, p, "packed", "mvp", cache_mb=4.0)
+    off = _fit(X, y, params, p, "mvp", cache_mb=0.0)
+    on = _fit(X, y, params, p, "mvp", cache_mb=4.0)
     assert np.array_equal(on.alpha, off.alpha)
     assert on.model.beta == off.model.beta
     assert on.iterations == off.iterations
@@ -171,26 +162,15 @@ def test_mvp_cache_changes_nothing_but_evals(miniatures, p):
     assert 0.0 < on.stats.trace.cache_hit_rate <= 1.0
 
 
-def test_cache_on_legacy_engine_matches_packed(miniatures):
-    X, y, C, sigma_sq = miniatures["mushrooms"]
-    params = _params("rbf", C, sigma_sq)
-    pak = _fit(X, y, params, 2, "packed", "second_order", cache_mb=2.0)
-    leg = _fit(X, y, params, 2, "legacy", "second_order", cache_mb=2.0)
-    assert np.array_equal(pak.alpha, leg.alpha)
-    assert pak.iterations == leg.iterations
-    assert pak.stats.kernel_evals == leg.stats.kernel_evals
-    assert pak.stats.trace.cache_hits == leg.stats.trace.cache_hits
-
-
 # ----------------------------------------------------------------------
 # registry / resolve plumbing
 # ----------------------------------------------------------------------
 def test_wss_toggle_plumbing(miniatures, monkeypatch):
     assert resolve_wss(None) == "mvp"
-    monkeypatch.setenv(WSS_ENV, "second_order")
-    assert resolve_wss(None) == "second_order"
-    assert resolve_wss("planning_ahead") == "planning_ahead"  # arg wins
-    monkeypatch.setenv(WSS_ENV, "")
+    assert resolve_wss("planning_ahead") == "planning_ahead"
+    # the policy comes from RunConfig alone: the environment variable
+    # that once overrode the default is not read
+    monkeypatch.setenv("REPRO_SVM_WSS", "second_order")
     assert resolve_wss(None) == "mvp"
     with pytest.raises(ValueError):
         resolve_wss("newton")
@@ -202,8 +182,10 @@ def test_wss_toggle_plumbing(miniatures, monkeypatch):
 
     X, y, C, sigma_sq = miniatures["mushrooms"]
     params = _params("rbf", C, sigma_sq)
-    monkeypatch.setenv(WSS_ENV, "second_order")
-    fr = fit_parallel(X, y, params, heuristic="multi5pc", nprocs=2)
+    fr = _fit(X, y, params, 2, None)
+    assert fr.stats.wss == "mvp"
+    assert fr.stats.trace.wss_elections == 0
+    fr = _fit(X, y, params, 2, "second_order")
     assert fr.stats.wss == "second_order"
     assert fr.stats.trace.wss_elections > 0
 
@@ -221,8 +203,7 @@ class _PoisonKernel(LinearKernel):
         return out
 
 
-@pytest.mark.parametrize("engine", ["packed", "legacy"])
-def test_nan_gradient_raises_solver_error(engine):
+def test_nan_gradient_raises_solver_error():
     rng = np.random.default_rng(0)
     Xd = rng.normal(size=(24, 3))
     y = np.where(rng.random(24) > 0.5, 1.0, -1.0)
@@ -234,7 +215,7 @@ def test_nan_gradient_raises_solver_error(engine):
     # with its diagnostic (rank + local index) intact
     with pytest.raises(SpmdJobError, match="NaN gradient") as ei:
         fit_parallel(CSRMatrix.from_dense(Xd), y, params,
-                     heuristic="original", nprocs=2, engine=engine)
+                     config=RunConfig(heuristic="original", nprocs=2))
     assert "SolverError" in str(ei.value)
     assert "rank 0" in str(ei.value)
 

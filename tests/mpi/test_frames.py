@@ -112,7 +112,7 @@ class TestVocabulary:
         assert frames.encode(np.array(["s"], dtype=object)) is None
 
     def test_all_scalar_payloads_not_worth_framing(self):
-        # the legacy engine's (value, index) election pairs stay pickled
+        # all-scalar payloads such as (value, index) pairs stay pickled
         assert frames.encode((1.5, 3)) is None
         assert frames.encode(None) is None
         assert frames.encode((1, 2, (3.0, None))) is None

@@ -1,4 +1,4 @@
-"""Hierarchical communicator suite: equality with flat, registry, env."""
+"""Hierarchical communicator suite: equality with flat, registry."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import (
-    COMM_ENV,
     COMMUNICATORS,
     FlatCollectives,
     HierarchicalCollectives,
@@ -79,17 +78,14 @@ class TestRegistry:
             run_spmd(lambda c: None, 1, comm="torus")
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(COMM_ENV, "hierarchical")
-        assert resolve_comm() == "hierarchical"
-        # explicit beats env
-        assert resolve_comm("flat") == "flat"
-        monkeypatch.delenv(COMM_ENV)
+        """There is none: the suite comes from ``RunConfig.comm`` alone,
+        and ``REPRO_SVM_COMM``, which once overrode the flat default, is
+        read neither by the resolver nor by the runtime."""
+        monkeypatch.setenv("REPRO_SVM_COMM", "hierarchical")
         assert resolve_comm() == "flat"
-
-    def test_env_reaches_runtime(self, monkeypatch):
-        monkeypatch.setenv(COMM_ENV, "hierarchical")
+        assert resolve_comm("hierarchical") == "hierarchical"
         out = run_spmd(lambda c: c._suite.name, 2, machine=_multinode(1))
-        assert out.results == ["hierarchical", "hierarchical"]
+        assert out.results == ["flat", "flat"]
 
 
 class TestEquality:

@@ -145,25 +145,23 @@ def test_wss_mvp_matches_historical_model(wss_fits):
     """A zero-counter trace projects identically with or without the
     wss argument — the model reduces to one election per iteration."""
     tr = wss_fits["mvp"].trace
-    for engine in ("packed", "legacy"):
-        a = project(tr, M, 8, engine=engine)
-        b = project(tr, M, 8, engine=engine, wss="mvp")
-        assert a.total == b.total
+    a = project(tr, M, 8)
+    b = project(tr, M, 8, wss="mvp")
+    assert a.total == b.total
 
 
 def test_wss_second_order_prices_phase_b(wss_fits):
-    """Phase-B combines add communication per electing iteration, on
-    both engine shapes — the counters in the trace drive the price."""
+    """Phase-B combines add communication per electing iteration — the
+    counters in the trace drive the price."""
     import dataclasses
 
     tr = wss_fits["second_order"].trace
     assert tr.wss_elections > 0
     stripped = dataclasses.replace(tr, wss_elections=0, wss_reuses=0)
-    for engine in ("packed", "legacy"):
-        plain = project(stripped, M, 8, engine=engine, wss="second_order")
-        wss2 = project(tr, M, 8, engine=engine, wss="second_order")
-        assert wss2.iter_comm > plain.iter_comm
-        assert wss2.iter_compute > plain.iter_compute  # b²/a scoring
+    plain = project(stripped, M, 8, wss="second_order")
+    wss2 = project(tr, M, 8, wss="second_order")
+    assert wss2.iter_comm > plain.iter_comm
+    assert wss2.iter_compute > plain.iter_compute  # b²/a scoring
 
 
 def test_wss_reuse_skips_elections(wss_fits):
@@ -177,20 +175,23 @@ def test_wss_reuse_skips_elections(wss_fits):
     if tr.wss_reuses == 0:
         pytest.skip("no reuse fired on this miniature")
     stripped = dataclasses.replace(tr, wss_reuses=0)
-    pa = project(tr, M, 8, engine="packed", wss="planning_ahead")
-    full = project(stripped, M, 8, engine="packed", wss="planning_ahead")
+    pa = project(tr, M, 8, wss="planning_ahead")
+    full = project(stripped, M, 8, wss="planning_ahead")
     saved = tr.wss_reuses * costs.election_time(M, 8)
     assert pa.iter_comm == pytest.approx(full.iter_comm - saved)
 
 
-def test_wss_legacy_movement_follows_trace(wss_fits):
-    """Non-mvp legacy moves samples one at a time through the
-    stash-aware relay; the trace-counted movement undercuts the mvp
-    two-samples-every-iteration shape."""
+def test_wss_movement_follows_trace(wss_fits):
+    """Samples move only on resident-cache misses; the trace-counted
+    broadcasts undercut the two-samples-every-iteration bound that a
+    trace predating the counter falls back to."""
+    import dataclasses
+
     tr = wss_fits["second_order"].trace
-    assert tr.pair_broadcasts < 2 * tr.iterations
-    two_per_iter = project(tr, M, 8, engine="legacy", wss="mvp")
-    counted = project(tr, M, 8, engine="legacy", wss="second_order")
+    assert 0 < tr.pair_broadcasts < 2 * tr.iterations
+    uncounted = dataclasses.replace(tr, pair_broadcasts=0)
+    two_per_iter = project(uncounted, M, 8, wss="second_order")
+    counted = project(tr, M, 8, wss="second_order")
     assert counted.iter_comm < two_per_iter.iter_comm
 
 
@@ -198,7 +199,7 @@ def test_wss_projection_close_to_simulated_vtime(wss_fits):
     """The wss-aware model lands near the runtime's emergent virtual
     time at the run's own p for every policy."""
     for wss, fr in wss_fits.items():
-        t = project(fr.trace, M, 2, engine="packed", wss=wss)
+        t = project(fr.trace, M, 2, wss=wss)
         assert t.total == pytest.approx(fr.vtime, rel=0.5), wss
 
 

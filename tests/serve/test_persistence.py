@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,35 @@ def test_multiclass_roundtrip(tmp_path):
         assert other.model_.beta == machine.model_.beta
     assert np.array_equal(loaded.predict(X), clf.predict(X))
     assert np.array_equal(loaded.votes(X), clf.votes(X))
+
+
+def test_documents_with_an_engine_key_still_load(tmp_path):
+    """Documents written while ``SVC`` still took ``engine=`` carry
+    ``params.engine``; they load, drop the key, and predict bitwise as
+    they did when written (``parent_format_docs.json``)."""
+    fixture = json.loads(
+        (Path(__file__).parent / "parent_format_docs.json").read_text()
+    )
+    probe = CSRMatrix.from_dense(np.asarray(fixture["probe"]))
+    docs = fixture["documents"]
+    assert docs["svc_engine_null"]["doc"]["params"]["engine"] is None
+    assert docs["svc_engine_legacy"]["doc"]["params"]["engine"] == "legacy"
+    for name in ("svc_engine_null", "svc_engine_legacy"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(docs[name]["doc"]))
+        clf = SVC.load(path)
+        assert clf.predict(probe).tolist() == docs[name]["predict"]
+        assert [
+            float(v).hex() for v in clf.decision_function(probe)
+        ] == docs[name]["decision_hex"]
+        assert "engine" not in clf.get_params()
+        clf.save(path)
+        assert "engine" not in json.loads(path.read_text())["params"]
+    path = tmp_path / "multiclass.json"
+    path.write_text(json.dumps(docs["multiclass"]["doc"]))
+    mc = MultiClassSVC.load(path)
+    assert mc.predict(probe).tolist() == docs["multiclass"]["predict"]
+    assert mc.votes(probe).tolist() == docs["multiclass"]["votes"]
 
 
 def test_class_weight_survives_roundtrip(tmp_path):

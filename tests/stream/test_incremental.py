@@ -28,17 +28,16 @@ def probe():
 
 # ----------------------------------------------------------------------
 # the equivalence matrix: every partial_fit certified against a cold
-# full solve, across process counts, engines and kernels
+# full solve, across process counts and kernels
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("nprocs", [1, 2, 4])
-@pytest.mark.parametrize("engine", ["packed", "legacy"])
 @pytest.mark.parametrize("kernel", ["rbf", "linear"])
-def test_partial_fit_certified_equivalent(nprocs, engine, kernel):
+def test_partial_fit_certified_equivalent(nprocs, kernel):
     clf = IncrementalSVC(
         C=5.0,
         kernel=kernel,
         gamma=0.5 if kernel == "rbf" else None,
-        config=RunConfig(nprocs=nprocs, engine=engine),
+        config=RunConfig(nprocs=nprocs),
         certify=True,  # assert_model_equiv runs inside every refit
     )
     for Xb, yb in stream_batches():

@@ -128,8 +128,8 @@ def test_bad_wss_rejected():
 
 
 RUNCONFIG_FLAGS = (
-    "--nprocs", "--machine", "--heuristic", "--engine", "--comm",
-    "--wss", "--kernel-cache-mb", "--dc", "--faults",
+    "--nprocs", "--machine", "--heuristic", "--comm", "--wss",
+    "--kernel-cache-mb", "--dc", "--faults",
 )
 
 
@@ -143,6 +143,8 @@ def test_runconfig_flags_shared_across_subcommands(cmd, capsys):
     out = capsys.readouterr().out
     for flag in RUNCONFIG_FLAGS:
         assert flag in out
+    # one iteration engine: there is nothing to select
+    assert "--engine" not in out
 
 
 def test_runconfig_from_args_builds_config():
@@ -153,13 +155,12 @@ def test_runconfig_from_args_builds_config():
     p = argparse.ArgumentParser()
     add_runconfig_args(p)
     args = p.parse_args([
-        "--nprocs", "4", "--wss", "second_order", "--engine", "legacy",
+        "--nprocs", "4", "--wss", "second_order",
         "--kernel-cache-mb", "2", "--machine", "multinode:8",
     ])
     cfg = runconfig_from_args(args)
     assert cfg.nprocs == 4
     assert cfg.wss == "second_order"
-    assert cfg.engine == "legacy"
     assert cfg.kernel_cache_mb == 2.0
     assert cfg.machine.ranks_per_node == 8
     assert cfg.heuristic == "multi5pc"  # default preserved

@@ -1,7 +1,7 @@
 """The per-call keyword shims: still functional, now DeprecationWarning.
 
 Run-time knobs travel in one :class:`repro.RunConfig`; the legacy
-per-call keywords (``nprocs=`` / ``heuristic=`` / ``engine=`` ...) keep
+per-call keywords (``nprocs=`` / ``heuristic=`` / ``comm=`` ...) keep
 working but warn, and the warning names the entry point, the offending
 keywords, and the ``config=`` replacement.  The config path itself must
 stay silent — these tests run it under ``error::DeprecationWarning``.
@@ -106,11 +106,13 @@ def test_serve_requests_shim_warns(problem, rbf_params):
 
 def test_warning_spells_out_the_replacement():
     with pytest.warns(DeprecationWarning) as rec:
-        resolve_config(None, _entry="fit_parallel", nprocs=4, engine="legacy")
+        resolve_config(
+            None, _entry="fit_parallel", nprocs=4, comm="hierarchical"
+        )
     (msg,) = {str(w.message) for w in rec}
-    assert "engine, nprocs are deprecated" in msg
+    assert "comm, nprocs are deprecated" in msg
     assert "config=RunConfig(...)" in msg
-    assert "cfg.replace(engine=...)" in msg
+    assert "cfg.replace(comm=...)" in msg
 
 
 def test_none_overrides_do_not_warn():
