@@ -11,7 +11,6 @@ import pytest
 
 from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
-from repro.core.shrinking import HEURISTICS
 from repro.kernels import RBFKernel
 from repro.mpi import SUM, run_spmd
 from repro.sparse import CSRMatrix

@@ -6,6 +6,7 @@ Run:  python examples/advanced_features.py
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import (
     SVC,
     MultiClassSVC,
@@ -40,7 +41,9 @@ def multiclass_demo() -> None:
     X = np.vstack([rng.normal(c, 0.7, (50, 2)) for c in centers])
     y = np.repeat(["north", "east", "south", "west"], 50)
 
-    clf = MultiClassSVC(C=10.0, gamma=0.5, heuristic="multi5pc", nprocs=2)
+    clf = MultiClassSVC(
+        C=10.0, gamma=0.5, config=RunConfig(heuristic="multi5pc", nprocs=2)
+    )
     clf.fit(X, y)
     print(f"  4 classes -> {clf.n_machines_} pairwise machines, "
           f"{clf.total_iterations_} total iterations, "
@@ -54,11 +57,15 @@ def parallel_prediction_demo() -> None:
     X = np.vstack([rng.normal(1.5, 1.0, (100, 4)), rng.normal(-1.5, 1.0, (100, 4))])
     y = np.r_[np.ones(100), -np.ones(100)]
     params = SVMParams(C=10.0, kernel=RBFKernel(0.5))
-    model = fit_parallel(CSRMatrix.from_dense(X), y, params, nprocs=2).model
+    model = fit_parallel(
+        CSRMatrix.from_dense(X), y, params, config=RunConfig(nprocs=2)
+    ).model
 
     X_big = rng.normal(0, 1.5, (5000, 4))
     for p in (1, 4, 16):
-        out = decision_function_parallel(model, X_big, nprocs=p)
+        out = decision_function_parallel(
+            model, X_big, config=RunConfig(nprocs=p)
+        )
         print(f"  p={p:>2}: modeled prediction time "
               f"{out.vtime * 1e3:7.2f} ms for {X_big.shape[0]} samples")
     print()
@@ -72,9 +79,11 @@ def unsafe_demo() -> None:
     Xs = CSRMatrix.from_dense(X)
     params = SVMParams(C=10.0, kernel=RBFKernel(0.5))
 
-    safe = fit_parallel(Xs, y, params, heuristic="multi5pc", nprocs=2)
+    cfg = RunConfig(heuristic="multi5pc", nprocs=2)
+    safe = fit_parallel(Xs, y, params, config=cfg)
     unsafe = fit_parallel(
-        Xs, y, params, heuristic=unsafe_variant("multi5pc"), nprocs=2
+        Xs, y, params,
+        config=cfg.replace(heuristic=unsafe_variant("multi5pc")),
     )
     d_alpha = np.abs(safe.alpha - unsafe.alpha).max()
     print(f"  safe:   {safe.trace.kernel_evals:>8} kernel evals, "

@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
+from repro import RunConfig
 from repro.bench.report import convergence_curve
 from repro.core import SVMParams, fit_parallel
 from repro.data import get_entry, load_dataset
 from repro.kernels import RBFKernel
-from repro.mpi import run_spmd
 from repro.perfmodel import validate_projector, validation_report
 
 
@@ -28,7 +28,8 @@ def main(dataset: str = "forest") -> None:
         C=entry.C, kernel=RBFKernel(entry.gamma), eps=1e-3, max_iter=2_000_000
     )
     fr = fit_parallel(
-        ds.X_train, ds.y_train, params, heuristic="multi5pc", nprocs=4
+        ds.X_train, ds.y_train, params,
+        config=RunConfig(heuristic="multi5pc", nprocs=4),
     )
     tr = fr.trace
 

@@ -12,6 +12,7 @@ Run:  python examples/figure1.py
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import SVC
 from repro.data import two_gaussians
 
@@ -43,7 +44,9 @@ def main() -> None:
     ds = two_gaussians(n=260, overlap=0.45, seed=12)
     Xd = ds.X_train.to_dense()
 
-    clf = SVC(C=10.0, gamma=0.8, heuristic="multi5pc", nprocs=4)
+    clf = SVC(
+        C=10.0, gamma=0.8, config=RunConfig(heuristic="multi5pc", nprocs=4)
+    )
     clf.fit(ds.X_train, ds.y_train)
 
     print(render(Xd, ds.y_train, clf.support_))

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import HEURISTICS, SVMParams, fit_parallel
 from repro.data import get_entry, load_dataset
 from repro.kernels import RBFKernel
@@ -27,9 +28,8 @@ def main(dataset: str = "mnist") -> None:
         C=entry.C, kernel=RBFKernel(entry.gamma), eps=1e-3, max_iter=2_000_000
     )
 
-    reference = fit_parallel(
-        ds.X_train, ds.y_train, params, heuristic="original", nprocs=4
-    )
+    cfg = RunConfig(heuristic="original", nprocs=4)
+    reference = fit_parallel(ds.X_train, ds.y_train, params, config=cfg)
 
     header = (
         f"{'heuristic':>12} {'class':>13} {'iters':>7} {'shrunk':>7} "
@@ -42,7 +42,8 @@ def main(dataset: str = "mnist") -> None:
             reference
             if name == "original"
             else fit_parallel(
-                ds.X_train, ds.y_train, params, heuristic=name, nprocs=4
+                ds.X_train, ds.y_train, params,
+                config=cfg.replace(heuristic=name),
             )
         )
         same = np.allclose(fr.alpha, reference.alpha, atol=0.01 * entry.C)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import SVC, grid_search
 from repro.core.model import SVMModel
 from repro.data import MinMaxScaler, two_gaussians
@@ -45,17 +46,17 @@ def main() -> None:
         Cs=[1.0, 10.0, 32.0],
         sigma_sqs=[1.0, 4.0, 25.0],
         k=5,
-        base_params={"heuristic": "multi5pc", "nprocs": 2},
+        base_params={"config": RunConfig(heuristic="multi5pc", nprocs=2)},
     )
-    print(f"grid search winner: {search.best_params} "
+    best = search.best_params
+    print(f"grid search winner: C={best['C']}, sigma^2={best['sigma_sq']} "
           f"(cv accuracy {search.best_score:.3f})")
 
     # 5. final distributed training with the selected hyperparameters
     clf = SVC(
-        C=search.best_params["C"],
-        sigma_sq=search.best_params["sigma_sq"],
-        heuristic="multi5pc",
-        nprocs=8,
+        C=best["C"],
+        sigma_sq=best["sigma_sq"],
+        config=RunConfig(heuristic="multi5pc", nprocs=8),
     ).fit(X_train, y_train)
     print(f"test accuracy: {clf.score(X_test, y_test):.3f} "
           f"({clf.n_support_} SVs, {clf.n_iter_} iterations)")

@@ -5,6 +5,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import SVC
 from repro.data import two_gaussians
 
@@ -18,7 +19,9 @@ def main() -> None:
     # 2. train with the paper's best heuristic (Multi5pc: multiple
     #    gradient reconstructions, initial threshold 5% of N) on eight
     #    simulated MPI ranks
-    clf = SVC(C=10.0, gamma=0.5, heuristic="multi5pc", nprocs=8)
+    clf = SVC(
+        C=10.0, gamma=0.5, config=RunConfig(heuristic="multi5pc", nprocs=8)
+    )
     clf.fit(ds.X_train, ds.y_train)
 
     # 3. evaluate

@@ -11,6 +11,7 @@ Run:  python examples/regression.py
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import SVR
 
 
@@ -22,7 +23,7 @@ def main() -> None:
     for heuristic in ("original", "multi5pc"):
         svr = SVR(
             C=10.0, gamma=2.0, epsilon=0.08,
-            heuristic=heuristic, nprocs=4,
+            config=RunConfig(heuristic=heuristic, nprocs=4),
         ).fit(X, y)
         tr = svr.fit_result_.trace
         print(
@@ -33,7 +34,10 @@ def main() -> None:
             f"vtime={svr.fit_result_.vtime * 1e3:.2f} ms"
         )
 
-    svr = SVR(C=10.0, gamma=2.0, epsilon=0.08, heuristic="multi5pc", nprocs=4)
+    svr = SVR(
+        C=10.0, gamma=2.0, epsilon=0.08,
+        config=RunConfig(heuristic="multi5pc", nprocs=4),
+    )
     svr.fit(X, y)
     grid = np.linspace(-3, 3, 9)[:, None]
     pred = svr.predict(grid)

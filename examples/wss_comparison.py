@@ -23,6 +23,7 @@ The same comparison from the command line::
 
 import numpy as np
 
+from repro import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.data import DATASETS, load_dataset
 from repro.kernels import RBFKernel
@@ -56,8 +57,11 @@ def main() -> None:
     base_evals = None
     for wss, cache_mb in sweep:
         fr = fit_parallel(
-            ds.X_train, y, params, heuristic="multi5pc", nprocs=2,
-            wss=wss, kernel_cache_mb=cache_mb,
+            ds.X_train, y, params,
+            config=RunConfig(
+                heuristic="multi5pc", nprocs=2,
+                wss=wss, kernel_cache_mb=cache_mb,
+            ),
         )
         tr = fr.stats.trace
         if base_evals is None:

@@ -22,14 +22,14 @@ Persistence: :func:`save_model` / :func:`load_model` (bare models) and
 :func:`serve_requests` with :class:`BatchPolicy` (see :mod:`repro.serve`).
 Streaming: :class:`IncrementalSVC` (``partial_fit`` / ``forget``),
 :class:`StreamScenario` and :func:`run_stream` (see :mod:`repro.stream`).
-Run-time knobs travel in one :class:`RunConfig`; the per-call keyword
-shims still work but emit :class:`DeprecationWarning`.
+Run-time knobs travel in one :class:`RunConfig`, passed as ``config=``
+— the only way to set one.
 
 Deep imports (``repro.core.svc.SVC`` etc.) keep working — the facade
 re-exports, it does not move anything.
 """
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 from . import mpi  # noqa: F401  (re-exported subsystem)
 from .config import RunConfig
@@ -39,7 +39,6 @@ from .core import (
     MultiClassSVC,
     SVMModel,
     decision_function_parallel,
-    fit_dc,
     fit_parallel,
     load_model,
     predict_parallel,
@@ -80,7 +79,6 @@ __all__ = [
     "TenantQuota",
     "__version__",
     "decision_function_parallel",
-    "fit_dc",
     "fit_parallel",
     "load_model",
     "mpi",

@@ -8,7 +8,7 @@ Shrinking(worst) bars, printed next to the paper-reported values.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .harness import ExperimentResult
 

@@ -29,8 +29,6 @@ import sys
 import time
 from typing import List, Optional
 
-import numpy as np
-
 from .config import RunConfig
 from .core import HEURISTICS, SVC
 from .core.model import load_model, save_model

@@ -1,11 +1,13 @@
-"""Unified run configuration for the simulated cluster.
+"""One run configuration for the simulated cluster.
 
-Every entry point that launches a simulated job — :func:`repro.core.fit_parallel`,
-:class:`repro.core.SVC`, :func:`repro.core.decision_function_parallel`, the
-serving subsystem (:mod:`repro.serve`) and the CLI — historically grew its own
-copy of the same knobs: process count, shrinking heuristic, machine model,
-fault plan, tracing.  :class:`RunConfig` consolidates them into
-one value that can be built once and passed everywhere::
+The paper keeps a run's SVM hyperparameters (C, σ², ε) apart from its
+run-time choices: the process count p, the Table II shrinking heuristic
+and the machine's l/G/λ.  Every run-time choice is a :class:`RunConfig`
+field, and ``config=`` is the only way to pass one — to
+:func:`repro.core.fit_parallel`, :class:`repro.core.SVC`,
+:func:`repro.core.decision_function_parallel`, the serving and
+streaming subsystems (:mod:`repro.serve`, :mod:`repro.stream`) and the
+CLI alike.  Build it once and pass it everywhere::
 
     from repro import RunConfig, SVC
 
@@ -14,17 +16,13 @@ one value that can be built once and passed everywhere::
     clf = SVC(C=10.0, sigma_sq=4.0, config=cfg).fit(X, y)
     scores = repro.serve.serve_requests(clf.model_, X_req, config=cfg)
 
-The individual keyword arguments keep working everywhere (back-compat shims):
-an explicitly passed keyword overrides the corresponding ``RunConfig`` field.
-The sprawling per-call keywords are **deprecated in favour of RunConfig** —
-they are kept for compatibility and there is no removal planned, but new
-call sites should pass ``config=``.
+Vary one knob with ``cfg.replace(nprocs=2)``; omitting ``config=``
+means ``RunConfig()``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from .perfmodel.machine import MachineSpec
@@ -37,39 +35,60 @@ class RunConfig:
     Parameters
     ----------
     nprocs:
-        Simulated MPI process count.
+        Simulated MPI process count.  A training run may use more ranks
+        than samples: surplus ranks own zero rows and take part only in
+        collectives and the reconstruction ring, as an over-provisioned
+        MPI job does.
     heuristic:
-        Table II shrinking heuristic name (or a
-        :class:`~repro.core.shrinking.Heuristic`); only consulted by the
+        Table II shrinking heuristic: a name (``"original"``,
+        ``"single5pc"``, ..., ``"multi50pc"``) or a
+        :class:`~repro.core.shrinking.Heuristic`.  Only consulted by the
         training entry points.
     wss:
-        Working-set-selection policy (``"mvp"`` / ``"second_order"`` /
-        ``"planning_ahead"``); ``None`` means ``"mvp"``.  Only consulted
-        by the training entry points.
+        Working-set-selection policy: ``"mvp"`` (Keerthi et al. maximal
+        violating pair), ``"second_order"`` (LIBSVM's WSS2 curvature-
+        scored i_low via a two-phase election) or ``"planning_ahead"``
+        (second-order plus zero-communication reuse of the previous
+        pair); ``None`` means ``"mvp"``.  The non-default policies trade
+        extra per-iteration work for fewer iterations and kernel
+        evaluations; their models agree with ``mvp`` within solver
+        tolerance.  Only consulted by the training entry points.
     kernel_cache_mb:
-        Per-rank byte budget (MiB) for the training-side kernel-column
-        cache; ``0`` disables it (second-order policies still keep the
-        few in-flight columns in a pinned workspace).  Only consulted by
-        the training entry points.
+        Per-rank byte budget (MiB) for an LRU cache of training-side
+        kernel columns, invalidated at every shrink and reconstruction
+        (:class:`~repro.kernels.KernelColumnCache`).  A positive budget
+        — or any non-``mvp`` policy, which needs the elected column
+        twice and so keeps the few in-flight columns even at ``0`` —
+        routes columns through the cache and charges only actual
+        production; ``mvp`` at ``0`` keeps the cache-free accounting.
+        Only consulted by the training entry points.
     comm:
-        Collective suite (``"flat"`` / ``"hierarchical"``); ``None``
-        means ``"flat"``.
+        Collective suite: ``"flat"`` (single-level textbook algorithms)
+        or ``"hierarchical"`` (topology-aware two-level variants, see
+        :mod:`repro.mpi.topology`); ``None`` means ``"flat"``.  Both
+        give bitwise-identical models; only the modeled communication
+        cost differs.
     machine:
         :class:`~repro.perfmodel.machine.MachineSpec` for virtual-time
         accounting (``None`` = the paper's Cascade testbed).
     faults:
-        Deterministic fault-injection plan for the simulated runtime
-        (a :class:`~repro.mpi.faults.FaultPlan`, its spec string, or
-        ``None`` for a fault-free run).
+        Deterministic fault-injection plan for the simulated runtime:
+        a :class:`~repro.mpi.faults.FaultPlan`, its spec string (e.g.
+        ``"seed=7;drop:src=0,dest=1,tag=3,nth=1"``), or ``None`` for a
+        fault-free run.  A fit that completes under injection is
+        bitwise identical to the fault-free fit.
     deadlock_timeout:
         Host-seconds watchdog for the simulated job.
     trace:
         Record a :class:`~repro.mpi.tracing.Tracer` event log on the job.
     dc:
-        Divide-and-conquer outer loop for training (a
+        Divide-and-conquer outer loop for training
+        (:mod:`repro.core.dcsvm`): a
         :class:`~repro.core.dcsvm.DCConfig`, a spec string such as
         ``"clusters=4,levels=2,seed=7"``, an int cluster count, or
-        ``None`` for the plain cold start).  Only consulted by the
+        ``None`` for the plain cold start.  The sub-problem duals
+        warm-start the exact solve, so DC changes where the solve
+        starts, never where it converges.  Only consulted by the
         training entry points.
     replicas:
         Replicated shard-group count for the serving fleet
@@ -113,27 +132,6 @@ class RunConfig:
         """A copy with the given fields replaced."""
         return replace(self, **overrides)
 
-    def merged(self, **overrides: Any) -> "RunConfig":
-        """A copy where explicitly-given (non-``None``) overrides win.
-
-        This is the back-compat shim behind every entry point that still
-        accepts the individual keywords: ``None`` means "not passed, use
-        the config value".  ``trace`` merges on ``True`` (the keyword can
-        only turn tracing on, never silently off).
-        """
-        known = {f.name for f in fields(self)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise TypeError(f"unknown RunConfig fields {sorted(unknown)}")
-        updates = {}
-        for name, value in overrides.items():
-            if name == "trace":
-                if value:
-                    updates[name] = True
-            elif value is not None:
-                updates[name] = value
-        return replace(self, **updates) if updates else self
-
     def to_dict(self) -> dict:
         """Plain-data summary (for reports; machine/faults stringified)."""
         return {
@@ -156,44 +154,3 @@ class RunConfig:
                 str(self.tenant_quota) if self.tenant_quota is not None else None
             ),
         }
-
-
-def resolve_config(
-    config: Optional[RunConfig],
-    *,
-    _entry: Optional[str] = None,
-    **overrides: Any,
-) -> RunConfig:
-    """The effective :class:`RunConfig` for one call.
-
-    ``config=None`` starts from the defaults; explicitly passed keywords
-    (non-``None``) override the config's fields.  This is the single
-    resolution rule shared by ``fit_parallel``, ``SVC``,
-    ``decision_function_parallel``, ``serve_requests`` and the CLI.
-
-    ``_entry`` names the public entry point doing the resolving.  When
-    set and any legacy per-call keyword is in effect, a
-    :class:`DeprecationWarning` points the caller at the consolidated
-    path — ``config=RunConfig(...)`` or ``config.replace(**overrides)``.
-    The shims keep working (the warning is the whole migration cost);
-    internal call sites pass a ready-made config and never warn.
-    """
-    base = config if config is not None else RunConfig()
-    if _entry is not None:
-        effective = sorted(
-            name
-            for name, value in overrides.items()
-            if (bool(value) if name == "trace" else value is not None)
-        )
-        if effective:
-            warnings.warn(
-                f"{_entry}: the per-call keyword shim"
-                f"{'s' if len(effective) > 1 else ''} "
-                f"{', '.join(effective)} "
-                f"{'are' if len(effective) > 1 else 'is'} deprecated; "
-                f"pass config=RunConfig(...) or "
-                f"config=cfg.replace({effective[0]}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    return base.merged(**overrides)

@@ -13,7 +13,7 @@ Layers, bottom-up:
 """
 
 from ..config import RunConfig
-from .dcsvm import DCConfig, DCStats, fit_dc, partition_samples, project_feasible
+from .dcsvm import DCConfig, DCStats, partition_samples, project_feasible
 from .equiv import (
     assert_model_equiv,
     check_kkt,
@@ -81,7 +81,6 @@ __all__ = [
     "cross_val_score",
     "dense_kernel_matrix",
     "decision_function_parallel",
-    "fit_dc",
     "fit_parallel",
     "fit_svr_parallel",
     "partition_samples",

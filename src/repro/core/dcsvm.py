@@ -828,17 +828,3 @@ def dc_warm_start(
         warm_alpha=warm,
     )
     return warm, stats
-
-
-def fit_dc(X, y, params: SVMParams, *, dc: Any = None, config=None, **kwargs):
-    """Convenience wrapper: a DC-warm-started exact fit.
-
-    Equivalent to ``fit_parallel(X, y, params, config=..., dc=dc)``;
-    the returned :class:`~repro.core.solver.FitResult` carries the
-    outer-loop summary in ``.dc``.
-    """
-    from ..config import resolve_config
-    from .solver import fit_parallel
-
-    cfg = resolve_config(config, dc=dc or DCConfig())
-    return fit_parallel(X, y, params, config=cfg, **kwargs)

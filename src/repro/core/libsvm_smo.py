@@ -22,8 +22,8 @@ single-core ("libsvm-sequential") and 16-core OpenMP
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -10,7 +10,7 @@ the class appearing first (libsvm's convention).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 

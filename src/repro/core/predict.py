@@ -16,9 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
-from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
 from .model import SVMModel, _as_csr
@@ -45,27 +44,17 @@ def decision_function_parallel(
     X: Union[CSRMatrix, np.ndarray],
     *,
     config: Optional[RunConfig] = None,
-    nprocs: Optional[int] = None,
-    machine: Optional[MachineSpec] = None,
 ) -> ParallelPrediction:
-    """Evaluate ``model.decision_function`` over ``X`` on ``nprocs``
-    simulated ranks (block-row partition of the test set).
-
-    Prefer passing one :class:`~repro.config.RunConfig` via ``config=``;
-    the ``nprocs``/``machine`` keywords remain as back-compat shims,
-    override the config when given explicitly, and emit a
-    :class:`DeprecationWarning`.
+    """Evaluate ``model.decision_function`` over ``X`` on
+    ``config.nprocs`` simulated ranks (block-row partition of the test
+    set; ``None`` means ``RunConfig()``).
     """
-    cfg = resolve_config(
-        config, _entry="decision_function_parallel",
-        nprocs=nprocs, machine=machine,
-    )
-    nprocs, machine = cfg.nprocs, cfg.machine
+    cfg = config if config is not None else RunConfig()
     X = _as_csr(X, model.sv_X.shape[1])
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty prediction input")
-    nprocs = min(nprocs, n)
+    nprocs = min(cfg.nprocs, n)
     part = BlockPartition(n, nprocs)
     # zero-copy contiguous views — shard setup no longer copies the
     # test set once per rank
@@ -82,7 +71,7 @@ def decision_function_parallel(
         return None
 
     spmd = run_spmd(
-        entry, nprocs, machine=machine, trace=cfg.trace,
+        entry, nprocs, machine=cfg.machine, trace=cfg.trace,
         deadlock_timeout=cfg.deadlock_timeout, faults=cfg.faults,
         comm=cfg.comm,
     )
@@ -94,10 +83,6 @@ def predict_parallel(
     X: Union[CSRMatrix, np.ndarray],
     *,
     config: Optional[RunConfig] = None,
-    nprocs: Optional[int] = None,
-    machine: Optional[MachineSpec] = None,
 ) -> np.ndarray:
     """±1 labels via :func:`decision_function_parallel`."""
-    return decision_function_parallel(
-        model, X, config=config, nprocs=nprocs, machine=machine
-    ).labels
+    return decision_function_parallel(model, X, config=config).labels

@@ -16,16 +16,15 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
-from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
 from .dcsvm import DCStats, dc_warm_start, project_feasible
 from .model import SVMModel
 from .parallel import RankResult, solve_rank
 from .params import SVMParams
-from .shrinking import Heuristic, get_heuristic
+from .shrinking import get_heuristic
 from .state import make_blocks
 from .trace import FitStats, SolveTrace
 from .wss_policies import resolve_wss
@@ -71,38 +70,24 @@ def fit_parallel(
     params: SVMParams,
     *,
     config: Optional[RunConfig] = None,
-    heuristic: Optional[Union[str, Heuristic]] = None,
-    nprocs: Optional[int] = None,
-    machine: Optional[MachineSpec] = None,
-    deadlock_timeout: Optional[float] = None,
     warm_start_alpha: Optional[np.ndarray] = None,
     warm_start_gamma: Optional[np.ndarray] = None,
     warm_start_active: Optional[np.ndarray] = None,
-    faults=None,
-    wss: Optional[str] = None,
-    kernel_cache_mb: Optional[float] = None,
-    comm: Optional[str] = None,
-    dc=None,
 ) -> FitResult:
-    """Train with the distributed solver on ``nprocs`` simulated ranks.
+    """Train with the distributed solver on ``config.nprocs`` simulated ranks.
 
-    Run-time knobs (``nprocs``, ``heuristic``, ``machine``, ``faults``,
-    ``deadlock_timeout``, ``wss``, ``kernel_cache_mb``, ``comm``,
-    ``dc``) are preferably passed as one
-    :class:`~repro.config.RunConfig` via ``config=``; the individual
-    keywords remain as back-compat shims and, when given explicitly,
-    override the config's fields (see :func:`repro.config.resolve_config`).
-
-    ``nprocs`` may exceed the sample count: surplus ranks own zero rows
-    and participate only in collectives and the reconstruction ring,
-    matching what a real over-provisioned MPI job does.
+    The run-time knobs — process count, Table II heuristic, WSS policy,
+    kernel-column cache, collective suite, machine model, fault plan,
+    tracing and the divide-and-conquer outer loop — ride in one
+    :class:`~repro.config.RunConfig` (``None`` means ``RunConfig()``).
 
     ``warm_start_alpha`` seeds the solve from a previous dual solution
     (same samples and kernel — e.g. re-fitting after a small C change,
     or the next step of a regularization path).  The initial gradients
     are rebuilt from the seed with one gradient-reconstruction ring, so
     warm starting costs O(|{α>0}|·N/p) once instead of re-running the
-    full iteration history.
+    full iteration history.  Mutually exclusive with ``config.dc``,
+    whose outer loop produces the warm start itself.
 
     ``warm_start_gamma`` (requires ``warm_start_alpha``) additionally
     seeds the gradient vector γ = K(αy) − y, skipping that
@@ -114,43 +99,6 @@ def fit_parallel(
     appended samples.  The streaming subsystem (:mod:`repro.stream`)
     is the intended caller.
 
-    ``faults`` injects a deterministic adversarial delivery schedule
-    into the simulated runtime (a
-    :class:`~repro.mpi.faults.FaultPlan`, spec string, or fault
-    sequence).  A fit that completes under injection returns a model
-    bitwise identical to the fault-free fit.
-
-    ``wss`` selects the working-set-selection policy: ``"mvp"``
-    (default; Keerthi et al. maximal violating pair, bitwise identical
-    to the historical behaviour), ``"second_order"`` (LIBSVM's WSS2
-    curvature-scored i_low via a two-phase election), or
-    ``"planning_ahead"`` (second-order plus zero-communication reuse of
-    the previous pair).  The non-default policies trade extra per-
-    iteration work/communication for substantially fewer iterations and
-    kernel evaluations; their models agree with ``mvp`` within solver
-    tolerance.  ``None`` means ``"mvp"``.
-
-    ``kernel_cache_mb`` gives each rank a byte-budgeted LRU cache of
-    training-side kernel columns (invalidated at every shrink/
-    reconstruction).  ``0`` (default) keeps the canonical cache-free
-    accounting; any positive budget — or a second-order policy, which
-    needs the elected column twice — routes columns through the cache
-    and charges only actual production.
-
-    ``comm`` selects the collective suite: ``"flat"`` (the single-level
-    textbook algorithms) or ``"hierarchical"`` (topology-aware two-level
-    variants; see :mod:`repro.mpi.topology`).  Both produce bitwise
-    identical models and iteration sequences; only the simulated
-    communication cost differs.  ``None`` means ``"flat"``.
-
-    ``dc`` enables the divide-and-conquer outer loop
-    (:mod:`repro.core.dcsvm`): cluster the samples, solve the
-    subproblems concurrently on carved sub-communicators, and seed this
-    exact solve from the feasibility-projected concatenation of the
-    sub-duals.  The final model still comes from the exact solver — DC
-    changes where the solve *starts*, never where it converges.
-    Mutually exclusive with an explicit ``warm_start_alpha``.
-
     ``warm_start_active`` (requires ``warm_start_gamma``) additionally
     seeds the *active set*: a boolean mask of the samples the first
     solve phase iterates over (typically the previous support vectors
@@ -161,21 +109,7 @@ def fit_parallel(
     modes) accept the seed — the solve still converges on the full
     problem, it just pays narrow iterations first.
     """
-    cfg = resolve_config(
-        config,
-        _entry="fit_parallel",
-        heuristic=heuristic,
-        nprocs=nprocs,
-        machine=machine,
-        deadlock_timeout=deadlock_timeout,
-        faults=faults,
-        wss=wss,
-        kernel_cache_mb=kernel_cache_mb,
-        comm=comm,
-        dc=dc,
-    )
-    heuristic, nprocs = cfg.heuristic, cfg.nprocs
-    machine, faults = cfg.machine, cfg.faults
+    cfg = config if config is not None else RunConfig()
     wss = resolve_wss(cfg.wss)
     cache_bytes = int(cfg.kernel_cache_mb * 1024 * 1024)
     if not isinstance(X, CSRMatrix):
@@ -188,11 +122,9 @@ def fit_parallel(
         raise ValueError("empty training set")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1/-1 (use repro.core.SVC for raw labels)")
-    if nprocs < 1:
-        raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-    heur = get_heuristic(heuristic)
+    heur = get_heuristic(cfg.heuristic)
 
-    part = BlockPartition(n, nprocs)
+    part = BlockPartition(n, cfg.nprocs)
     blocks = make_blocks(X, y, part)
 
     dc_stats: Optional[DCStats] = None
@@ -302,8 +234,8 @@ def fit_parallel(
 
     t0 = time.perf_counter()
     spmd = run_spmd(
-        entry, nprocs, machine=machine, trace=cfg.trace,
-        deadlock_timeout=cfg.deadlock_timeout, faults=faults,
+        entry, cfg.nprocs, machine=cfg.machine, trace=cfg.trace,
+        deadlock_timeout=cfg.deadlock_timeout, faults=cfg.faults,
         comm=cfg.comm,
     )
     wall = time.perf_counter() - t0
@@ -328,7 +260,7 @@ def fit_parallel(
         r.alpha = r.gamma = r.trace = None
     stats = FitStats(
         heuristic=heur.name,
-        nprocs=nprocs,
+        nprocs=cfg.nprocs,
         iterations=results[0].iterations,
         n_sv=int(sv_idx.size),
         beta=beta,

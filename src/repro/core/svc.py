@@ -4,9 +4,10 @@ Wraps the distributed solver with label mapping, kernel construction
 from scalar hyperparameters and the familiar ``fit``/``predict``/
 ``score`` interface::
 
-    from repro.core import SVC
+    from repro import RunConfig, SVC
 
-    clf = SVC(C=10.0, sigma_sq=4.0, heuristic="multi5pc", nprocs=8)
+    clf = SVC(C=10.0, sigma_sq=4.0,
+              config=RunConfig(heuristic="multi5pc", nprocs=8))
     clf.fit(X_train, y_train)
     acc = clf.score(X_test, y_test)
 """
@@ -17,12 +18,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..kernels import Kernel, RBFKernel, make_kernel
-from ..perfmodel.machine import MachineSpec
-from ..sparse.csr import CSRMatrix
 from .params import SVMParams
-from .shrinking import Heuristic, get_heuristic
 from .solver import FitResult, fit_parallel
 
 
@@ -44,54 +42,18 @@ class SVC:
         RBF width — give either γ directly or the paper's σ² (γ = 1/σ²).
     eps:
         SMO stopping tolerance ε (Eq. 5).
-    heuristic:
-        A Table II heuristic name (``"original"``, ``"single5pc"``, ...,
-        ``"multi50pc"``) or a :class:`~repro.core.shrinking.Heuristic`.
-    nprocs:
-        Simulated MPI process count.
-    machine:
-        Machine model for virtual-time accounting (default: the paper's
-        Cascade testbed).
     max_iter:
         Iteration safety bound.
+    shrink_eps_factor:
+        Scale of the Eq. (9) shrinking threshold relative to ``eps``.
     class_weight:
         ``None`` (unweighted), a ``{label: weight}`` dict in the
         original label space, or ``"balanced"`` (weights inversely
         proportional to class frequencies, as in sklearn/libsvm).
-    faults:
-        Deterministic fault-injection plan for the simulated runtime
-        (a :class:`~repro.mpi.faults.FaultPlan` or its spec string,
-        e.g. ``"seed=7;drop:src=0,dest=1,tag=3,nth=1"``).  A fit that
-        completes under injection is bitwise identical to the
-        fault-free fit.
-    wss:
-        Working-set-selection policy: ``"mvp"`` (default; bitwise
-        identical to the historical behaviour), ``"second_order"``
-        (LIBSVM-style WSS2) or ``"planning_ahead"`` (second-order plus
-        zero-communication pair reuse); ``None`` means ``"mvp"``.
-        Non-default policies converge in fewer iterations to a model
-        equal within solver tolerance.
-    kernel_cache_mb:
-        Per-rank training-side kernel-column cache budget in MiB
-        (``0`` disables; see :class:`~repro.kernels.KernelColumnCache`).
-    comm:
-        Collective suite: ``"flat"`` or ``"hierarchical"`` (topology-
-        aware two-level collectives); ``None`` means ``"flat"``.  Both
-        suites produce bitwise-identical models.
-    dc:
-        Divide-and-conquer outer loop (:mod:`repro.core.dcsvm`): a
-        :class:`~repro.core.dcsvm.DCConfig`, a spec string such as
-        ``"clusters=4,levels=2"``, or an int cluster count.  The
-        subproblem duals warm-start the exact solve, so the final model
-        is still tolerance-certified exact.  ``None`` (default) trains
-        cold.
     config:
-        A :class:`~repro.config.RunConfig` bundling the run-time knobs
-        (``nprocs``, ``heuristic``, ``machine``, ``faults``, tracing).
-        The individual keywords above remain as back-compat shims —
-        when passed explicitly they override the config's fields
-        and emit a :class:`DeprecationWarning`.  New call sites should
-        pass ``config=`` (build overrides with ``cfg.replace(...)``).
+        The run-time knobs — process count, Table II heuristic, machine
+        model, ... — as one :class:`~repro.config.RunConfig` (``None``
+        means ``RunConfig()``).
     """
 
     def __init__(
@@ -101,50 +63,22 @@ class SVC:
         gamma: Optional[float] = None,
         sigma_sq: Optional[float] = None,
         eps: float = 1e-3,
-        heuristic: Optional[Union[str, Heuristic]] = None,
-        nprocs: Optional[int] = None,
-        machine: Optional[MachineSpec] = None,
         max_iter: int = 10_000_000,
         shrink_eps_factor: float = 10.0,
         class_weight: Optional[Union[dict, str]] = None,
-        faults=None,
-        wss: Optional[str] = None,
-        kernel_cache_mb: Optional[float] = None,
-        comm: Optional[str] = None,
-        dc=None,
         config: Optional[RunConfig] = None,
     ) -> None:
         if gamma is not None and sigma_sq is not None:
             raise ValueError("give either gamma or sigma_sq, not both")
-        cfg = resolve_config(
-            config,
-            _entry="SVC",
-            heuristic=heuristic,
-            nprocs=nprocs,
-            machine=machine,
-            faults=faults,
-            wss=wss,
-            kernel_cache_mb=kernel_cache_mb,
-            comm=comm,
-            dc=dc,
-        )
         self.C = C
         self.kernel = kernel
         self.gamma = gamma
         self.sigma_sq = sigma_sq
         self.eps = eps
-        self.heuristic = cfg.heuristic
-        self.nprocs = cfg.nprocs
-        self.machine = cfg.machine
         self.max_iter = max_iter
         self.shrink_eps_factor = shrink_eps_factor
         self.class_weight = class_weight
-        self.faults = cfg.faults
-        self.wss = cfg.wss
-        self.kernel_cache_mb = cfg.kernel_cache_mb
-        self.comm = cfg.comm
-        self.dc = cfg.dc
-        self.config = cfg
+        self.config = config if config is not None else RunConfig()
 
         self.model_ = None
         self.fit_result_: Optional[FitResult] = None
@@ -202,19 +136,6 @@ class SVC:
             weight_neg=weight_neg,
         )
 
-    def _run_config(self) -> RunConfig:
-        """The effective RunConfig, folding in any ``set_params`` edits."""
-        return self.config.replace(
-            heuristic=self.heuristic,
-            nprocs=self.nprocs,
-            machine=self.machine,
-            faults=self.faults,
-            wss=self.wss,
-            kernel_cache_mb=self.kernel_cache_mb,
-            comm=self.comm,
-            dc=self.dc,
-        )
-
     # ------------------------------------------------------------------
     def fit(self, X, y) -> "SVC":
         """Train on ``(X, y)``; y may use any two label values."""
@@ -232,9 +153,7 @@ class SVC:
             X,
             y_signed,
             self._params(weight_neg, weight_pos),
-            config=self._run_config().replace(
-                heuristic=get_heuristic(self.heuristic)
-            ),
+            config=self.config,
         )
         self.model_ = self.fit_result_.model
         return self
@@ -289,24 +208,14 @@ class SVC:
     def get_params(self) -> dict:
         return {
             "C": self.C,
-            "kernel": self.kernel if isinstance(self.kernel, str) else self.kernel.name,
+            "kernel": self.kernel,
             "gamma": self.gamma,
             "sigma_sq": self.sigma_sq,
             "eps": self.eps,
-            "heuristic": (
-                self.heuristic
-                if isinstance(self.heuristic, str)
-                else self.heuristic.name
-            ),
-            "nprocs": self.nprocs,
             "max_iter": self.max_iter,
             "shrink_eps_factor": self.shrink_eps_factor,
             "class_weight": self.class_weight,
-            "faults": self.faults,
-            "wss": self.wss,
-            "kernel_cache_mb": self.kernel_cache_mb,
-            "comm": self.comm,
-            "dc": self.dc,
+            "config": self.config,
         }
 
     def set_params(self, **kwargs) -> "SVC":
@@ -326,9 +235,9 @@ class SVC:
         format this records the original label space (``classes_`` with
         dtype) and the scalar hyperparameters, so :meth:`load` returns a
         classifier whose ``predict`` output is bitwise identical in the
-        original labels.  Run-time-only knobs (``machine``, ``faults``)
-        are not persisted — they describe the simulated cluster, not the
-        model.
+        original labels.  Of the run-time knobs only ``heuristic``,
+        ``nprocs`` and ``dc`` are recorded; the rest (``machine``,
+        ``faults``, ...) describe the simulated cluster, not the model.
         """
         import json
         from pathlib import Path
@@ -345,6 +254,7 @@ class SVC:
         if isinstance(cw, dict):
             # JSON stringifies dict keys; a pair list keeps label types
             cw = {"pairs": [[k, float(v)] for k, v in cw.items()]}
+        run = self.config.to_dict()
         return {
             "format": "repro-svc",
             "version": 1,
@@ -357,16 +267,12 @@ class SVC:
                 "gamma": self.gamma,
                 "sigma_sq": self.sigma_sq,
                 "eps": self.eps,
-                "heuristic": (
-                    self.heuristic
-                    if isinstance(self.heuristic, str)
-                    else self.heuristic.name
-                ),
-                "nprocs": self.nprocs,
+                "heuristic": run["heuristic"],
+                "nprocs": run["nprocs"],
                 "max_iter": self.max_iter,
                 "shrink_eps_factor": self.shrink_eps_factor,
                 "class_weight": cw,
-                "dc": str(self.dc) if self.dc is not None else None,
+                "dc": run["dc"],
             },
             "model": model_to_jsonable(self.model_),
         }
@@ -397,18 +303,11 @@ class SVC:
         cw = params.get("class_weight")
         if isinstance(cw, dict):
             params["class_weight"] = {k: v for k, v in cw["pairs"]}
-        # run-time knobs travel through RunConfig, not the keyword shims
-        run_knobs = {
-            k: params.pop(k)
-            for k in ("heuristic", "nprocs", "dc")
-            if params.get(k) is not None
-        }
+        # the recorded run-time knobs are read into a RunConfig
+        knobs = {k: params.pop(k, None) for k in ("heuristic", "nprocs", "dc")}
+        config = RunConfig(**{k: v for k, v in knobs.items() if v is not None})
         model = model_from_jsonable(doc["model"])
-        clf = cls(
-            kernel=model.kernel,
-            config=RunConfig().merged(**run_knobs),
-            **params,
-        )
+        clf = cls(kernel=model.kernel, config=config, **params)
         clf.model_ = model
         clf.classes_ = np.asarray(
             doc["classes"]["values"], dtype=np.dtype(doc["classes"]["dtype"])

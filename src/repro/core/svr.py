@@ -30,16 +30,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..kernels import Kernel, RBFKernel, make_kernel
 from ..mpi import SpmdResult, run_spmd
-from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
-from .model import SVMModel, _as_csr
+from .model import SVMModel
 from .params import SVMParams
 from .parallel import solve_rank
-from .shrinking import Heuristic, get_heuristic
+from .shrinking import get_heuristic
 from .state import make_blocks
 from .svc import NotFittedError
 from .trace import SolveTrace
@@ -70,25 +69,15 @@ def fit_svr_parallel(
     *,
     epsilon: float = 0.1,
     config: Optional[RunConfig] = None,
-    heuristic: Optional[Union[str, Heuristic]] = None,
-    nprocs: Optional[int] = None,
-    machine: Optional[MachineSpec] = None,
-    comm: Optional[str] = None,
 ) -> SVRFitResult:
     """Train ε-SVR with the distributed shrinking solver.
 
     ``params.eps`` is the SMO optimality tolerance; ``epsilon`` is the
     regression tube half-width.  Run-time knobs ride in one
-    :class:`~repro.config.RunConfig` via ``config=``; the individual
-    keywords remain as deprecated back-compat shims that override the
-    config when given explicitly.
+    :class:`~repro.config.RunConfig` (``None`` means ``RunConfig()``).
     """
-    cfg = resolve_config(
-        config, _entry="fit_svr_parallel",
-        heuristic=heuristic, nprocs=nprocs, machine=machine, comm=comm,
-    )
-    heuristic, nprocs = cfg.heuristic, cfg.nprocs
-    machine, comm = cfg.machine, cfg.comm
+    cfg = config if config is not None else RunConfig()
+    nprocs = cfg.nprocs
     if epsilon < 0:
         raise ValueError(f"epsilon (tube width) must be >= 0, got {epsilon}")
     if params.weighted:
@@ -106,7 +95,7 @@ def fit_svr_parallel(
         raise ValueError("empty training set")
     if nprocs < 1 or nprocs > 2 * n:
         raise ValueError(f"nprocs must be in [1, {2 * n}], got {nprocs}")
-    heur = get_heuristic(heuristic)
+    heur = get_heuristic(cfg.heuristic)
 
     # the doubled problem: (α block with λ=+1, α* block with λ=−1)
     X2 = CSRMatrix.vstack([X, X])
@@ -119,7 +108,7 @@ def fit_svr_parallel(
     def entry(comm):
         return solve_rank(comm, blocks[comm.rank], part, params, heur)
 
-    spmd = run_spmd(entry, nprocs, machine=machine, comm=comm)
+    spmd = run_spmd(entry, nprocs, machine=cfg.machine, comm=cfg.comm)
     results = spmd.results
 
     alpha_ext = np.concatenate([r.alpha for r in results])
@@ -152,8 +141,9 @@ def fit_svr_parallel(
 class SVR:
     """ε-SVR facade with the familiar fit/predict/score interface.
 
-    Parameters mirror :class:`~repro.core.svc.SVC`, plus ``epsilon`` —
-    the regression tube half-width (errors within ±ε are free).
+    Parameters mirror :class:`~repro.core.svc.SVC` (run-time knobs ride
+    in ``config``), plus ``epsilon`` — the regression tube half-width
+    (errors within ±ε are free).
     ``score`` returns the coefficient of determination R².
     """
 
@@ -165,29 +155,19 @@ class SVR:
         sigma_sq: Optional[float] = None,
         eps: float = 1e-3,
         epsilon: float = 0.1,
-        heuristic: Optional[Union[str, Heuristic]] = None,
-        nprocs: Optional[int] = None,
-        machine: Optional[MachineSpec] = None,
         max_iter: int = 10_000_000,
         config: Optional[RunConfig] = None,
     ) -> None:
         if gamma is not None and sigma_sq is not None:
             raise ValueError("give either gamma or sigma_sq, not both")
-        cfg = resolve_config(
-            config, _entry="SVR",
-            heuristic=heuristic, nprocs=nprocs, machine=machine,
-        )
         self.C = C
         self.kernel = kernel
         self.gamma = gamma
         self.sigma_sq = sigma_sq
         self.eps = eps
         self.epsilon = epsilon
-        self.heuristic = cfg.heuristic
-        self.nprocs = cfg.nprocs
-        self.machine = cfg.machine
         self.max_iter = max_iter
-        self.config = cfg
+        self.config = config if config is not None else RunConfig()
         self.model_: Optional[SVMModel] = None
         self.fit_result_: Optional[SVRFitResult] = None
 
@@ -214,11 +194,7 @@ class SVR:
         self.fit_result_ = fit_svr_parallel(
             X, y, params,
             epsilon=self.epsilon,
-            config=self.config.replace(
-                heuristic=self.heuristic,
-                nprocs=self.nprocs,
-                machine=self.machine,
-            ),
+            config=self.config,
         )
         self.model_ = self.fit_result_.model
         return self

@@ -70,18 +70,10 @@ def cross_val_score(
         if stratified
         else kfold_indices(y.shape[0], k, seed=seed)
     )
-    # run-time knobs clone through the RunConfig (the keyword shims on
-    # SVC are deprecated); only model hyperparameters travel as kwargs
-    run_keys = {
-        "heuristic", "nprocs", "faults", "wss", "kernel_cache_mb", "comm",
-        "dc",
-    }
-    hyper = {
-        k: v for k, v in clf.get_params().items() if k not in run_keys
-    }
+    params = clf.get_params()
     scores = []
     for train, test in splitter:
-        fold_clf = SVC(config=clf._run_config(), **hyper)
+        fold_clf = SVC(**params)
         fold_clf.fit(_take(X, train), y[train])
         scores.append(fold_clf.score(_take(X, test), y[test]))
     return np.asarray(scores)

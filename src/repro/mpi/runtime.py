@@ -26,7 +26,7 @@ result carries the engine's fault report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..perfmodel.machine import MachineSpec

@@ -78,7 +78,6 @@ def project(
     n_scale: float = 1.0,
     iteration_scale: float = 1.0,
     comm: str = "flat",
-    wss: str = "mvp",
 ) -> ProjectedTime:
     """Evaluate the time model at ``p`` processes.
 
@@ -91,9 +90,9 @@ def project(
     (intra/inter) parameters, mirroring :mod:`repro.mpi.topology`.  The reconstruction ring is
     neighbor point-to-point traffic, identical under either suite.
 
-    ``wss`` names the working-set-selection policy the trace ran with.
-    The per-iteration communication then follows the trace's own
-    counters: ``wss_elections`` iterations paid the second-order
+    The per-iteration communication follows the trace's own
+    working-set-selection counters, whatever policy the trace ran
+    with: ``wss_elections`` iterations paid the second-order
     phase-B combine (:func:`~repro.perfmodel.costs.wss2_election_time`)
     on top of the phase-A election, and ``wss_reuses`` iterations
     elected nothing at all (planning-ahead zero-communication reuse).
@@ -106,10 +105,6 @@ def project(
         raise ValueError("scales must be positive")
     if comm not in ("flat", "hierarchical"):
         raise ValueError(f"unknown comm {comm!r} (flat | hierarchical)")
-    if wss not in ("mvp", "second_order", "planning_ahead"):
-        raise ValueError(
-            f"unknown wss {wss!r} (mvp | second_order | planning_ahead)"
-        )
 
     active = trace.active_counts.astype(np.float64) * n_scale
     iters = trace.iterations
@@ -397,7 +392,6 @@ def project_stream(
     n_sv: int,
     avg_nnz: float,
     comm: str = "flat",
-    wss: str = "mvp",
 ) -> StreamProjection:
     """Price one incremental stream step against its cold baseline.
 
@@ -413,9 +407,8 @@ def project_stream(
         raise ValueError(
             f"n_new and n_sv must be >= 0, got ({n_new}, {n_sv})"
         )
-    kwargs = dict(comm=comm, wss=wss)
-    refit = project(warm_trace, machine, p, **kwargs).total
-    cold = project(cold_trace, machine, p, **kwargs).total
+    refit = project(warm_trace, machine, p, comm=comm).total
+    cold = project(cold_trace, machine, p, comm=comm).total
     seed = (
         costs.stream_seed_time(machine, n_new, n_sv, avg_nnz, p)
         if n_new and n_sv

@@ -18,10 +18,10 @@ trained :class:`~repro.core.model.SVMModel` on the simulated runtime:
 - :mod:`stats` — latency percentiles / throughput / cache report;
 - :mod:`loadgen` — seeded arrival streams and request sampling.
 
-Scores from the default ``reduction="slab"`` path are bitwise identical
-to ``SVMModel.decision_function`` for every batch policy, arrival
-order, shard count, replica count, failover and hot-swap history —
-serving is an optimization, never a numerics change.
+Served scores are bitwise identical to ``SVMModel.decision_function``
+for every batch policy, arrival order, shard count, replica count,
+failover and hot-swap history — serving is an optimization, never a
+numerics change.
 """
 
 from .batching import (

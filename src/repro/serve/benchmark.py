@@ -275,7 +275,7 @@ def run_fleet_bench(
     """Kill-mid-traffic recovery sweep + hot-swap-under-load scenario."""
     from .fleet import KillReplica, SwapModel
     from .loadgen import uniform_arrivals
-    from .registry import ModelRegistry, model_fingerprint
+    from .registry import ModelRegistry
     from ..perfmodel import MachineSpec, project_fleet
 
     base = config or RunConfig()

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..core.model import SVMModel, _as_csr
 from ..mpi.errors import InjectedFault, SpmdJobError
 from ..mpi.faults import Fault, FaultPlan, as_plan
@@ -271,11 +271,6 @@ def serve_fleet(
     tenants: Optional[np.ndarray] = None,
     policy: Optional[BatchPolicy] = None,
     config: Optional[RunConfig] = None,
-    nprocs: Optional[int] = None,
-    machine: Optional[MachineSpec] = None,
-    faults=None,
-    replicas: Optional[int] = None,
-    tenant_quota=None,
     per_tenant_quotas: Optional[Dict[int, object]] = None,
     cache_entries: int = 0,
     cache: Optional[ResultCache] = None,
@@ -288,22 +283,19 @@ def serve_fleet(
     multi-version sessions with hot-swap) or a bare
     :class:`~repro.core.model.SVMModel` (auto-published as version 1).
     ``tenants`` assigns each request an integer tenant id (default: one
-    tenant); ``tenant_quota`` (a :class:`~repro.serve.router.TenantQuota`
-    or spec string, also settable via ``RunConfig.tenant_quota``) is the
-    default admission quota, overridable per tenant through
-    ``per_tenant_quotas``.  ``events`` schedules :class:`KillReplica` /
-    :class:`SwapModel` happenings on the simulated clock.
+    tenant); ``config.tenant_quota`` is the default admission quota,
+    overridable per tenant through ``per_tenant_quotas``.  ``events``
+    schedules :class:`KillReplica` / :class:`SwapModel` happenings on
+    the simulated clock.  Run-time knobs — shard ranks, replica count,
+    machine, fault plan — ride in one :class:`~repro.config.RunConfig`
+    (``None`` means ``RunConfig()``).
 
     Every scored request is bitwise equal to
     ``registry.load(version).decision_function(row)`` for the version
     recorded in ``FleetResult.versions`` — the slab-reduction guarantee
     survives failover and hot-swap.
     """
-    cfg = resolve_config(
-        config, _entry="serve_fleet",
-        nprocs=nprocs, machine=machine, faults=faults,
-        replicas=replicas, tenant_quota=tenant_quota,
-    )
+    cfg = config if config is not None else RunConfig()
     policy = policy or BatchPolicy()
     n_replicas = cfg.replicas
     if isinstance(source, ModelRegistry):

@@ -9,8 +9,6 @@ dataset.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
 from ..sparse.csr import CSRMatrix

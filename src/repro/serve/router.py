@@ -38,7 +38,7 @@ first — never double-scored, never dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 #: replica lifecycle states

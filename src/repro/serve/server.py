@@ -12,25 +12,18 @@ full-width slab before the weighted row reduction.
 
 Bitwise determinism
 -------------------
-The default ``reduction="slab"`` gathers the per-shard *weighted kernel
-sub-slabs* and concatenates them in rank order before a single
-full-width ``np.add.reduce`` on rank 0.  Kernel entries are elementwise
-functions of per-row dot products (column-blocking the SV side of
-``dot_csr_t`` is bitwise-stable), so the assembled slab is bitwise
-identical to the one ``SVMModel.decision_function`` builds — and the
-reduction then runs over the identical array.  Scores are therefore
-bitwise equal to direct scoring for ANY nprocs, batch size, arrival
-order, or cache state.
-
-``reduction="sums"`` instead reduces per-shard partial row sums (the
-classic allreduce pattern, nprocs× less traffic).  Floating-point
-addition does not associate across shard boundaries, so this mode is
-only ``allclose`` to direct scoring — it exists to measure what the
-bandwidth-optimal reduction would cost, not to serve exact answers.
+Each dispatch gathers the per-shard *weighted kernel sub-slabs* and
+concatenates them in rank order before a single full-width
+``np.add.reduce`` on rank 0.  Kernel entries are elementwise functions
+of per-row dot products (column-blocking the SV side of ``dot_csr_t``
+is bitwise-stable), so the assembled slab is bitwise identical to the
+one ``SVMModel.decision_function`` builds — and the reduction then runs
+over the identical array.  Scores are therefore bitwise equal to direct
+scoring for ANY nprocs, batch size, arrival order, or cache state.
 
 Fault injection rides for free: the slab broadcast/gather use the same
-mailbox delivery path as training, so a ``faults=`` plan (or the CLI's
-``--faults``) exercises recovery on the serving path too.
+mailbox delivery path as training, so a ``RunConfig.faults`` plan (or
+the CLI's ``--faults``) exercises recovery on the serving path too.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
 from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix
@@ -86,12 +79,8 @@ def serve_requests(
     *,
     policy: Optional[BatchPolicy] = None,
     config: Optional[RunConfig] = None,
-    nprocs: Optional[int] = None,
-    machine: Optional[MachineSpec] = None,
-    faults=None,
     cache_entries: int = 0,
     cache: Optional[ResultCache] = None,
-    reduction: str = "slab",
 ) -> ServeResult:
     """Serve one stream of single-row score requests against ``model``.
 
@@ -103,19 +92,12 @@ def serve_requests(
     are namespaced by the model's persistence-v2 fingerprint, so a
     session serving a different model can never hit another model's
     cached scores.  Run-time knobs (``nprocs``, ``machine``,
-    ``faults``…) ride in one :class:`~repro.config.RunConfig` via
-    ``config=``, with the keywords as overriding shims, exactly like the
-    fit/predict entry points.
+    ``faults``…) ride in one :class:`~repro.config.RunConfig`
+    (``None`` means ``RunConfig()``), exactly like the fit/predict
+    entry points.
     """
-    cfg = resolve_config(
-        config, _entry="serve_requests",
-        nprocs=nprocs, machine=machine, faults=faults,
-    )
+    cfg = config if config is not None else RunConfig()
     policy = policy or BatchPolicy()
-    if reduction not in ("slab", "sums"):
-        raise ValueError(
-            f"reduction must be 'slab' or 'sums', got {reduction!r}"
-        )
     if cfg.nprocs > model.n_sv:
         raise ValueError(
             f"nprocs={cfg.nprocs} exceeds n_sv={model.n_sv}: "
@@ -173,17 +155,12 @@ def serve_requests(
             row_norms = norms[ids]
             comm.bcast((rows, row_norms), root=0)
             own = partial_slab(comm, rows, row_norms)
-            if reduction == "slab":
-                parts = comm.gather(own, root=0)
-                slab = np.hstack(parts)
-                # full-width weighted row sum — identical array, identical
-                # reduction order as SVMModel.decision_function
-                values = np.add.reduce(slab, axis=1) - model.beta
-                comm.advance(machine_eff.time_flops(slab.size))
-            else:
-                partial = np.add.reduce(own, axis=1)
-                comm.advance(machine_eff.time_flops(own.size))
-                values = comm.reduce(partial, root=0) - model.beta
+            parts = comm.gather(own, root=0)
+            slab = np.hstack(parts)
+            # full-width weighted row sum — identical array, identical
+            # reduction order as SVMModel.decision_function
+            values = np.add.reduce(slab, axis=1) - model.beta
+            comm.advance(machine_eff.time_flops(slab.size))
             scores[ids] = values
             for i, v in zip(ids, values):
                 cache.put(request_key(X, int(i)), float(v), namespace)
@@ -200,13 +177,7 @@ def serve_requests(
             if msg is None:
                 return
             rows, row_norms = msg
-            own = partial_slab(comm, rows, row_norms)
-            if reduction == "slab":
-                comm.gather(own, root=0)
-            else:
-                partial = np.add.reduce(own, axis=1)
-                comm.advance(machine_eff.time_flops(own.size))
-                comm.reduce(partial, root=0)
+            comm.gather(partial_slab(comm, rows, row_norms), root=0)
 
     def entry(comm):
         if comm.rank == 0:

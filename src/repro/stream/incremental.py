@@ -46,7 +46,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..core.dcsvm import project_feasible
 from ..core.equiv import assert_model_equiv
 from ..core.params import SVMParams
@@ -115,9 +115,8 @@ class IncrementalSVC:
     """Two-class SVM with sklearn-style ``partial_fit``/``forget``.
 
     Hyperparameters mirror :class:`~repro.core.SVC`; run-time knobs
-    come exclusively through ``config=`` (a
-    :class:`~repro.config.RunConfig`) — this class postdates the
-    per-call keyword shims and never grew them.
+    come through ``config=`` (a :class:`~repro.config.RunConfig`), as
+    on every other entry point.
 
     ``certify=True`` runs a cold full solve next to every warm refit
     and asserts tolerance-equivalence
@@ -145,7 +144,7 @@ class IncrementalSVC:
     ) -> None:
         if gamma is not None and sigma_sq is not None:
             raise ValueError("give either gamma or sigma_sq, not both")
-        cfg = resolve_config(config)
+        cfg = config if config is not None else RunConfig()
         if cfg.dc is not None:
             raise ValueError(
                 "IncrementalSVC produces its own warm starts; config.dc "

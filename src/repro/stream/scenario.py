@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..data.synthetic import DriftStreamSpec, drift_stream
 from ..perfmodel import costs
 from ..perfmodel.machine import MachineSpec
@@ -169,7 +169,7 @@ def run_stream(
     registry is empty) and every policy-triggered refresh goes through
     the registry's atomic :meth:`~repro.serve.ModelRegistry.hot_swap`.
     """
-    cfg = resolve_config(scenario.config)
+    cfg = scenario.config if scenario.config is not None else RunConfig()
     machine = cfg.machine if cfg.machine is not None else MachineSpec.cascade()
     registry = registry if registry is not None else ModelRegistry()
     clf = IncrementalSVC(

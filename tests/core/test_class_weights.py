@@ -8,8 +8,6 @@ from repro.core import SVC, SVMParams, fit_parallel, solve_sequential
 from repro.kernels import RBFKernel
 from repro.sparse import CSRMatrix
 
-from ..conftest import check_kkt, make_blobs
-
 
 def imbalanced(seed=0, n_pos=15, n_neg=120):
     rng = np.random.default_rng(seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.reconstruction import gradient_reconstruction
-from repro.core.state import LocalBlock, make_blocks
+from repro.core.state import make_blocks
 from repro.core.trace import RankTrace
 from repro.kernels import RBFKernel
 from repro.mpi import run_spmd

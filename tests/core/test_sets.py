@@ -1,7 +1,6 @@
 """Index-set classification (Eq. 4) and the shrinking condition (Eq. 9)."""
 
 import numpy as np
-import pytest
 
 from repro.core.sets import (
     I0,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.core import SVC, NotFittedError
-from repro.kernels import LinearKernel, RBFKernel
+from repro.kernels import LinearKernel
 
 from ..conftest import make_blobs
 
@@ -95,13 +95,16 @@ def test_decision_function_consistent_with_predict(data):
 
 
 def test_get_set_params(data):
-    clf = SVC(C=2.0, config=RunConfig(heuristic="multi10pc", nprocs=4))
+    cfg = RunConfig(heuristic="multi10pc", nprocs=4)
+    clf = SVC(C=2.0, config=cfg)
     p = clf.get_params()
-    assert p["C"] == 2.0 and p["heuristic"] == "multi10pc" and p["nprocs"] == 4
-    clf.set_params(C=5.0)
-    assert clf.C == 5.0
+    assert p["C"] == 2.0 and p["config"] is cfg
+    clf.set_params(C=5.0, config=cfg.replace(nprocs=2))
+    assert clf.C == 5.0 and clf.config.nprocs == 2
     with pytest.raises(ValueError):
         clf.set_params(bogus=1)
+    with pytest.raises(ValueError):
+        clf.set_params(nprocs=2)  # a run-time knob lives in config
 
 
 def test_fitted_attributes(data):

@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import RunConfig
 from repro.core import (
-    HEURISTICS,
     SVMParams,
     fit_parallel,
     solve_sequential,

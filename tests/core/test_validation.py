@@ -11,6 +11,7 @@ from repro.core import (
     kfold_indices,
     stratified_kfold_indices,
 )
+from repro.kernels import RBFKernel
 
 from ..conftest import make_blobs
 
@@ -64,6 +65,20 @@ def test_cross_val_does_not_mutate_clf():
     clf = SVC(C=10.0, gamma=0.5)
     cross_val_score(clf, X, y, k=2)
     assert clf.model_ is None  # the original was never fitted
+
+
+def test_cross_val_clones_a_kernel_instance(tmp_path):
+    """A Kernel instance clones with its own parameters: both spellings
+    of γ=0.05, and a saved-and-loaded classifier (whose kernel is the
+    model's instance), score bitwise-equal folds."""
+    X, y = make_blobs(n=80, sep=1.2, noise=1.3, seed=3)
+    via_gamma = cross_val_score(SVC(C=10.0, gamma=0.05), X, y, k=4)
+    instance = SVC(C=10.0, kernel=RBFKernel(0.05))
+    assert np.array_equal(cross_val_score(instance, X, y, k=4), via_gamma)
+    path = tmp_path / "svc.json"
+    instance.fit(X, y).save(path)
+    loaded = SVC.load(path)
+    assert np.array_equal(cross_val_score(loaded, X, y, k=4), via_gamma)
 
 
 def test_grid_search_prefers_sane_region():

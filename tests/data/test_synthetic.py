@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import Dataset, SyntheticSpec, generate, two_gaussians
+from repro.data import SyntheticSpec, generate, two_gaussians
 
 
 def spec(**kw):

@@ -2,8 +2,6 @@
 
 import threading
 
-import pytest
-
 from repro.mpi.errors import SpmdAborted
 from repro.mpi.mailbox import Mailbox
 from repro.mpi.message import Envelope

@@ -1,7 +1,5 @@
 """λ measurement and projector cross-validation."""
 
-import pytest
-
 from repro.perfmodel import (
     MachineSpec,
     measure_lambda,

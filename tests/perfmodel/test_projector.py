@@ -1,6 +1,5 @@
 """Trace-driven projection: consistency with the runtime's virtual time."""
 
-import numpy as np
 import pytest
 
 from repro.config import RunConfig
@@ -141,15 +140,6 @@ def wss_fits():
     return out
 
 
-def test_wss_mvp_matches_historical_model(wss_fits):
-    """A zero-counter trace projects identically with or without the
-    wss argument — the model reduces to one election per iteration."""
-    tr = wss_fits["mvp"].trace
-    a = project(tr, M, 8)
-    b = project(tr, M, 8, wss="mvp")
-    assert a.total == b.total
-
-
 def test_wss_second_order_prices_phase_b(wss_fits):
     """Phase-B combines add communication per electing iteration — the
     counters in the trace drive the price."""
@@ -158,8 +148,8 @@ def test_wss_second_order_prices_phase_b(wss_fits):
     tr = wss_fits["second_order"].trace
     assert tr.wss_elections > 0
     stripped = dataclasses.replace(tr, wss_elections=0, wss_reuses=0)
-    plain = project(stripped, M, 8, wss="second_order")
-    wss2 = project(tr, M, 8, wss="second_order")
+    plain = project(stripped, M, 8)
+    wss2 = project(tr, M, 8)
     assert wss2.iter_comm > plain.iter_comm
     assert wss2.iter_compute > plain.iter_compute  # b²/a scoring
 
@@ -175,8 +165,8 @@ def test_wss_reuse_skips_elections(wss_fits):
     if tr.wss_reuses == 0:
         pytest.skip("no reuse fired on this miniature")
     stripped = dataclasses.replace(tr, wss_reuses=0)
-    pa = project(tr, M, 8, wss="planning_ahead")
-    full = project(stripped, M, 8, wss="planning_ahead")
+    pa = project(tr, M, 8)
+    full = project(stripped, M, 8)
     saved = tr.wss_reuses * costs.election_time(M, 8)
     assert pa.iter_comm == pytest.approx(full.iter_comm - saved)
 
@@ -190,8 +180,8 @@ def test_wss_movement_follows_trace(wss_fits):
     tr = wss_fits["second_order"].trace
     assert 0 < tr.pair_broadcasts < 2 * tr.iterations
     uncounted = dataclasses.replace(tr, pair_broadcasts=0)
-    two_per_iter = project(uncounted, M, 8, wss="second_order")
-    counted = project(tr, M, 8, wss="second_order")
+    two_per_iter = project(uncounted, M, 8)
+    counted = project(tr, M, 8)
     assert counted.iter_comm < two_per_iter.iter_comm
 
 
@@ -199,10 +189,6 @@ def test_wss_projection_close_to_simulated_vtime(wss_fits):
     """The wss-aware model lands near the runtime's emergent virtual
     time at the run's own p for every policy."""
     for wss, fr in wss_fits.items():
-        t = project(fr.trace, M, 2, wss=wss)
+        t = project(fr.trace, M, 2)
         assert t.total == pytest.approx(fr.vtime, rel=0.5), wss
 
-
-def test_wss_invalid_rejected(wss_fits):
-    with pytest.raises(ValueError):
-        project(wss_fits["mvp"].trace, M, 4, wss="newton")

@@ -3,7 +3,6 @@ across the serve test modules (training is the slow part)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import SVC

@@ -1,4 +1,4 @@
-"""The public facade: top-level re-exports and the RunConfig shims."""
+"""The public facade: top-level re-exports and the RunConfig."""
 
 from __future__ import annotations
 
@@ -47,15 +47,19 @@ def test_train_dispatches_on_class_count():
 
 
 def test_runconfig_validation_and_merge():
+    """Overrides merge into a config through ``replace``: the named
+    fields change, the rest carry over, unknown names are rejected."""
     cfg = repro.RunConfig(nprocs=4, heuristic="single5pc")
-    assert cfg.merged(nprocs=2).nprocs == 2
-    assert cfg.merged(nprocs=None).nprocs == 4  # None = unset
-    assert cfg.merged().heuristic == "single5pc"
+    assert cfg.replace(nprocs=2).nprocs == 2
+    assert cfg.replace(nprocs=2).heuristic == "single5pc"
     assert cfg.replace(trace=True).trace is True
+    assert cfg.nprocs == 4  # frozen: replace returns a copy
     with pytest.raises(ValueError):
         repro.RunConfig(nprocs=0)
+    with pytest.raises(ValueError):
+        cfg.replace(nprocs=0)  # a replaced copy is validated again
     with pytest.raises(TypeError):
-        cfg.merged(bogus=1)
+        cfg.replace(bogus=1)
 
 
 def test_runconfig_threads_through_functional_api():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.core import SVC, MultiClassSVC, load_model, save_model
 from repro.sparse import CSRMatrix
 from tests.conftest import make_blobs
@@ -154,6 +155,27 @@ def test_documents_with_an_engine_key_still_load(tmp_path):
     mc = MultiClassSVC.load(path)
     assert mc.predict(probe).tolist() == docs["multiclass"]["predict"]
     assert mc.votes(probe).tolist() == docs["multiclass"]["votes"]
+
+
+def test_svc_document_keeps_its_keys(tmp_path):
+    """A saved ``repro-svc`` document has the keys of the parent-written
+    ones (less the retired ``params.engine``); its recorded run-time
+    knobs load back into the classifier's RunConfig."""
+    fixture = json.loads(
+        (Path(__file__).parent / "parent_format_docs.json").read_text()
+    )
+    parent = fixture["documents"]["svc_engine_null"]["doc"]
+    X, y = make_blobs(n=60, seed=4)
+    cfg = RunConfig(heuristic="single5pc", nprocs=2)
+    path = tmp_path / "svc.json"
+    SVC(C=5.0, sigma_sq=2.0, config=cfg).fit(X, y).save(path)
+    doc = json.loads(path.read_text())
+    assert set(doc) == set(parent)
+    assert set(doc["params"]) == set(parent["params"]) - {"engine"}
+    assert (doc["params"]["heuristic"], doc["params"]["nprocs"]) == (
+        "single5pc", 2,
+    )
+    assert SVC.load(path).config == cfg
 
 
 def test_class_weight_survives_roundtrip(tmp_path):

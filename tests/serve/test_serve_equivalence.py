@@ -70,17 +70,6 @@ def test_cached_scores_bitwise_equal(served_model, requests_60):
     assert res.stats.n_cache_hits > 0
 
 
-def test_sums_reduction_close_not_guaranteed_bitwise(served_model, requests_60):
-    model, _ = served_model
-    direct = model.decision_function(requests_60)
-    res = serve_requests(
-        model, requests_60, None,
-        policy=BatchPolicy(max_batch=16),
-        config=RunConfig(nprocs=4), reduction="sums",
-    )
-    assert np.allclose(res.scores, direct, rtol=1e-12, atol=1e-12)
-
-
 def _serve_faulted(served_model, requests_60, faults):
     model, _ = served_model
     direct = model.decision_function(requests_60)

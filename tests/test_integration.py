@@ -2,7 +2,6 @@
 prediction → serialization, across engines and process counts."""
 
 import numpy as np
-import pytest
 
 from repro.config import RunConfig
 from repro.core import (
