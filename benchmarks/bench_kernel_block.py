@@ -1,7 +1,8 @@
 """Microbenchmark: blocked kernel-evaluation engine vs per-sample loops.
 
-Two wall-clock comparisons, both bitwise-equivalent code paths (see
-``tests/core/test_blocked_equivalence.py`` for the equivalence proofs):
+Three wall-clock comparisons, each between bitwise-equivalent code
+paths (see ``tests/core/test_blocked_equivalence.py`` and
+``tests/sparse/test_dot_csr_t.py`` for the equivalence proofs):
 
 1. **Reconstruction fold** — Algorithm 3's inner fold on p=4 simulated
    ranks with ≥1000 contributing samples, run once with the paper's
@@ -9,16 +10,25 @@ Two wall-clock comparisons, both bitwise-equivalent code paths (see
    CSR×CSRᵀ slab engine (``fold="blocked"``).
 2. **Prediction** — ``SVMModel.decision_function`` (blocked slabs) vs a
    row-at-a-time loop over ``Kernel.row_against_block``.
+3. **Serving slab** — one ``dot_csr_t`` of a slab of 1/3/16/64 rows of
+   the real-sim stand-in against a 272-row support-vector shard (one
+   rank's half of the repository benchmark's 544-SV serving model):
+   the dense-tile path vs the shard's ``ColumnIndex``, in µs per call,
+   asserted bitwise equal; plus the one-off cost of indexing the shard.
 
 Results land in ``BENCH_kernel_block.json`` at the repo root
 (machine-readable problem sizes + speedup factors).  Run either way::
 
-    python benchmarks/bench_kernel_block.py
+    python benchmarks/bench_kernel_block.py [--quick] [--out PATH]
     pytest benchmarks/bench_kernel_block.py --benchmark-only
+
+``--quick`` times every row once, on fewer calls, and keeps every
+equality assertion.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
 from pathlib import Path
@@ -28,8 +38,10 @@ import numpy as np
 from repro.core.model import SVMModel
 from repro.core.reconstruction import _apply_chunk, _pack_contrib
 from repro.core.state import make_blocks
+from repro.data import load_dataset
 from repro.kernels import RBFKernel
 from repro.sparse import BlockPartition, CSRMatrix
+from repro.sparse.csr import ColumnIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_kernel_block.json"
@@ -48,6 +60,13 @@ SHRINK_FRAC = 0.25
 PRED_N_TEST = 2000
 PRED_N_SV = 600
 PRED_D = 48
+
+# serving-slab problem: perfbench's serve model is 544 SVs of the
+# real-sim stand-in at this scale, 272 a rank at p=2
+SLAB_DATASET, SLAB_SCALE = "real-sim", 0.03
+SLAB_SHARD_ROWS = 272
+SLAB_ROWS = (1, 3, 16, 64)
+SLAB_CALLS = 50
 
 
 def _sparse_blobs(n: int, d: int, seed: int, density: float = 0.25):
@@ -100,15 +119,15 @@ def _run_folds(ranks, chunks, fold: str) -> np.ndarray:
     return np.concatenate(accums)
 
 
-def _time_reconstruction() -> dict:
-    """Best-of-REPEATS wall-clock for the fold phase, both modes."""
+def _time_reconstruction(repeats: int) -> dict:
+    """Best-of-``repeats`` wall-clock for the fold phase, both modes."""
     ranks, chunks, contributing, shrunk = _fold_workload()
     times = {}
     results = {}
     for fold in ("rowwise", "blocked"):
         _run_folds(ranks, chunks, fold)  # warm allocator + caches
         best = np.inf
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             results[fold] = _run_folds(ranks, chunks, fold)
             best = min(best, time.perf_counter() - t0)
@@ -156,12 +175,12 @@ def _predict_rowwise(model: SVMModel, X: CSRMatrix) -> np.ndarray:
     return out
 
 
-def _time_prediction():
+def _time_prediction(repeats: int):
     model, X_test = _prediction_setup()
     model.decision_function(X_test)  # warm allocator + caches
     _predict_rowwise(model, X_test)
     t_block = t_row = np.inf
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         f_blocked = model.decision_function(X_test)
         t_block = min(t_block, time.perf_counter() - t0)
@@ -173,10 +192,60 @@ def _time_prediction():
     return t_row, t_block
 
 
-def run_bench() -> dict:
-    p_row, p_block = _time_prediction()
+def _per_call_us(fn, calls: int, repeats: int) -> float:
+    """Best-of-``repeats`` mean µs of ``calls`` back-to-back calls."""
+    fn()  # warm allocator + caches
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best * 1e6
+
+
+def _time_serving_slab(calls: int, repeats: int) -> dict:
+    """One serving rank's slab product: dense tile vs indexed shard."""
+    X = load_dataset(SLAB_DATASET, scale=SLAB_SCALE).X_train
+    shard = X.row_slice(0, SLAB_SHARD_ROWS)
+    t0 = time.perf_counter()
+    index = ColumnIndex(shard)
+    index_us = (time.perf_counter() - t0) * 1e6
+    rows = []
+    lo = SLAB_SHARD_ROWS
+    for r in SLAB_ROWS:
+        slab = X.row_slice(lo, lo + r)
+        lo += r
+        tiled, indexed = slab.dot_csr_t(shard), slab.dot_csr_t(index)
+        if tiled.tobytes() != indexed.tobytes():
+            raise AssertionError(f"indexed slab product of {r} rows differs")
+        tile_us = _per_call_us(lambda: slab.dot_csr_t(shard), calls, repeats)
+        index_call_us = _per_call_us(lambda: slab.dot_csr_t(index), calls, repeats)
+        rows.append({
+            "slab_rows": r,
+            "slab_nnz": slab.nnz,
+            "tile_us": tile_us,
+            "indexed_us": index_call_us,
+            "speedup": tile_us / index_call_us,
+        })
+    return {
+        "dataset": SLAB_DATASET,
+        "scale": SLAB_SCALE,
+        "n_features": X.shape[1],
+        "shard_rows": SLAB_SHARD_ROWS,
+        "shard_nnz": shard.nnz,
+        "index_build_us": index_us,
+        "bitwise_identical": True,
+        "slabs": rows,
+    }
+
+
+def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
+    repeats = 1 if quick else REPEATS
+    p_row, p_block = _time_prediction(repeats)
     report = {
-        "reconstruction_fold": _time_reconstruction(),
+        "quick": quick,
+        "reconstruction_fold": _time_reconstruction(repeats),
         "prediction": {
             "n_test": PRED_N_TEST,
             "n_sv": PRED_N_SV,
@@ -185,8 +254,11 @@ def run_bench() -> dict:
             "blocked_seconds": p_block,
             "speedup": p_row / p_block,
         },
+        "serving_slab": _time_serving_slab(
+            SLAB_CALLS // 10 if quick else SLAB_CALLS, repeats
+        ),
     }
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
@@ -206,8 +278,16 @@ def test_blocked_engine_speedup(results_dir):
     )
 
 
-def main() -> None:
-    report = run_bench()
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="time every row once, on fewer calls")
+    ap.add_argument("--out", default=str(OUT_PATH),
+                    help="report path (default: repo root)")
+    args = ap.parse_args()
+
+    out = Path(args.out)
+    report = run_bench(quick=args.quick, out=out)
     print(json.dumps(report, indent=2))
     recon = report["reconstruction_fold"]
     print(
@@ -224,8 +304,21 @@ def main() -> None:
         f"{pred['blocked_seconds']*1e3:.1f} ms, "
         f"{pred['n_test']} rows x {pred['n_sv']} SVs)"
     )
-    print(f"\nwrote {OUT_PATH}")
+    slab = report["serving_slab"]
+    print(
+        f"serving slab vs a {slab['shard_rows']}-row shard of "
+        f"{slab['n_features']} features (indexing it once: "
+        f"{slab['index_build_us']:.0f} us), bitwise identical:"
+    )
+    for row in slab["slabs"]:
+        print(
+            f"  {row['slab_rows']:>3} rows: tile {row['tile_us']:7.1f} us"
+            f" -> indexed {row['indexed_us']:7.1f} us"
+            f" ({row['speedup']:.2f}x)"
+        )
+    print(f"\nwrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -21,7 +21,11 @@ from repro.sparse import load_libsvm, save_libsvm
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-libsvm-"))
+    with tempfile.TemporaryDirectory(prefix="repro-libsvm-") as tmp:
+        run(Path(tmp))
+
+
+def run(workdir: Path) -> None:
     train_path = workdir / "train.libsvm"
     test_path = workdir / "test.libsvm"
 

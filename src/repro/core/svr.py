@@ -42,6 +42,7 @@ from .shrinking import get_heuristic
 from .state import make_blocks
 from .svc import NotFittedError
 from .trace import SolveTrace
+from .wss_policies import resolve_wss
 
 #: drop combined coefficients below this fraction of C when collecting SVs
 _COEF_TOL = 1e-12
@@ -74,10 +75,19 @@ def fit_svr_parallel(
 
     ``params.eps`` is the SMO optimality tolerance; ``epsilon`` is the
     regression tube half-width.  Run-time knobs ride in one
-    :class:`~repro.config.RunConfig` (``None`` means ``RunConfig()``).
+    :class:`~repro.config.RunConfig` (``None`` means ``RunConfig()``),
+    honoured as :func:`~repro.core.solver.fit_parallel` honours them;
+    ``dc`` is rejected, since the divide-and-conquer outer loop
+    partitions by class label.
     """
     cfg = config if config is not None else RunConfig()
     nprocs = cfg.nprocs
+    if cfg.dc is not None:
+        raise ValueError(
+            "dc (divide-and-conquer training) is classification-only; "
+            "fit_svr_parallel takes RunConfig(dc=None)"
+        )
+    wss = resolve_wss(cfg.wss)
     if epsilon < 0:
         raise ValueError(f"epsilon (tube width) must be >= 0, got {epsilon}")
     if params.weighted:
@@ -106,9 +116,16 @@ def fit_svr_parallel(
     blocks = make_blocks(X2, lam, part, gamma0=gamma0)
 
     def entry(comm):
-        return solve_rank(comm, blocks[comm.rank], part, params, heur)
+        return solve_rank(
+            comm, blocks[comm.rank], part, params, heur, wss=wss,
+            cache_bytes=int(cfg.kernel_cache_mb * 1024 * 1024),
+        )
 
-    spmd = run_spmd(entry, nprocs, machine=cfg.machine, comm=cfg.comm)
+    spmd = run_spmd(
+        entry, nprocs, machine=cfg.machine, trace=cfg.trace,
+        deadlock_timeout=cfg.deadlock_timeout, faults=cfg.faults,
+        comm=cfg.comm,
+    )
     results = spmd.results
 
     alpha_ext = np.concatenate([r.alpha for r in results])

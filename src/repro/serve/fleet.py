@@ -12,8 +12,11 @@ Execution model
 The frontend is a deterministic discrete-event loop over the simulated
 clock (the :mod:`repro.serve.batching` trigger rules, generalized from
 one scorer to N).  Each dispatched slab runs as its own small SPMD job
-(:meth:`ShardGroup.score_slab`): broadcast the request rows, evaluate
-per-rank weighted kernel sub-slabs, gather in rank order, one full-width
+(:meth:`ShardGroup.score_slab`): broadcast the request rows, then the
+same :class:`~repro.serve.server.ShardScorer` slab body as
+``serve_requests`` — per-rank weighted kernel sub-slabs against shards
+prepared (indexed, when wide) once per shard-group, gathered in rank
+order, one full-width
 ``np.add.reduce``.  That is byte-for-byte the computation
 ``SVMModel.decision_function`` performs, so **every scored request is
 bitwise equal to direct scoring by the model version that served it** —
@@ -73,7 +76,11 @@ from .batching import (
 from .cache import ResultCache, request_key
 from .registry import ModelRegistry
 from .router import AdmissionController, FailoverEvent, Router, as_quota
-from .server import DISPATCH_OVERHEAD_FLOPS, REQUEST_OVERHEAD_FLOPS
+from .server import (
+    DISPATCH_OVERHEAD_FLOPS,
+    REQUEST_OVERHEAD_FLOPS,
+    ShardScorer,
+)
 from .stats import ServeStats, build_stats, jsonable_float
 
 #: modeled failure-detection latency (seconds of simulated time between
@@ -139,8 +146,12 @@ class ShardGroup:
         self.machine = machine if machine is not None else MachineSpec.cascade()
         self.comm = comm
         self.deadlock_timeout = deadlock_timeout
-        self.part = BlockPartition(model.n_sv, nprocs)
-        self.avg_nnz = model.sv_X.avg_row_nnz or 1.0
+        part = BlockPartition(model.n_sv, nprocs)
+        # every rank's shard is prepared once, for all the group's slabs
+        self.scorers = [
+            ShardScorer(model, *part.bounds(r), self.machine)
+            for r in range(nprocs)
+        ]
 
     def score_slab(
         self,
@@ -157,26 +168,13 @@ class ShardGroup:
         job; any other rank failure propagates as
         :class:`~repro.mpi.errors.SpmdJobError`.
         """
-        model, part, avg_nnz = self.model, self.part, self.avg_nnz
         out: Dict[str, object] = {}
 
         def entry(comm):
             payload = (rows, row_norms) if comm.rank == 0 else None
-            slab_rows, slab_norms = comm.bcast(payload, root=0)
-            lo, hi = part.bounds(comm.rank)
-            sub = model.kernel.block(
-                slab_rows, slab_norms, model.sv_X.row_slice(lo, hi),
-                model._sv_norms[lo:hi],
-            )
-            sub *= model.sv_coef[lo:hi]
-            comm.charge_kernel_evals(slab_rows.shape[0] * (hi - lo), avg_nnz)
-            parts = comm.gather(sub, root=0)
+            slab = comm.bcast(payload, root=0)
+            values = self.scorers[comm.rank].score(comm, *slab)
             if comm.rank == 0:
-                slab = np.hstack(parts)
-                # full-width weighted row sum — identical array, identical
-                # reduction order as SVMModel.decision_function
-                values = np.add.reduce(slab, axis=1) - model.beta
-                comm.advance(self.machine.time_flops(slab.size))
                 out["values"] = values
                 out["vtime"] = comm.vtime
 
@@ -353,7 +351,8 @@ def serve_fleet(
         slot.sharded_version = active
 
     reshard_seconds = costs.fleet_reshard_time(
-        machine_eff, first_model.n_sv, groups[0].avg_nnz, cfg.nprocs
+        machine_eff, first_model.n_sv, first_model.sv_X.avg_row_nnz or 1.0,
+        cfg.nprocs,
     )
 
     kills: List[KillReplica] = sorted(

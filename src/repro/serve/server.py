@@ -10,14 +10,23 @@ partitioned across the communicator, each rank evaluates its kernel
 sub-slab against the broadcast request rows, and rank 0 assembles the
 full-width slab before the weighted row reduction.
 
+Each rank scores through one :class:`ShardScorer`, built once per
+session (and once per fleet shard-group).  A wide shard is held as a
+:class:`~repro.sparse.csr.ColumnIndex`, so a dispatch gathers only the
+shard entries in the slab's distinct feature columns and costs
+O(shard rows × slab nnz), instead of re-scattering the whole shard into
+a dense ``256 × n_features`` tile for every slab; a shard whose tile is
+small stays plain CSR (:func:`~repro.sparse.csr.repeated_operand`).
+
 Bitwise determinism
 -------------------
 Each dispatch gathers the per-shard *weighted kernel sub-slabs* and
 concatenates them in rank order before a single full-width
 ``np.add.reduce`` on rank 0.  Kernel entries are elementwise functions
 of per-row dot products (column-blocking the SV side of ``dot_csr_t``
-is bitwise-stable), so the assembled slab is bitwise identical to the
-one ``SVMModel.decision_function`` builds — and the reduction then runs
+is bitwise-stable, and its column-indexed operand is bitwise equal to
+the plain one), so the assembled slab is bitwise identical to the one
+``SVMModel.decision_function`` builds — and the reduction then runs
 over the identical array.  Scores are therefore bitwise equal to direct
 scoring for ANY nprocs, batch size, arrival order, or cache state.
 
@@ -37,7 +46,7 @@ import numpy as np
 from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
 from ..perfmodel.machine import MachineSpec
-from ..sparse.csr import CSRMatrix
+from ..sparse.csr import CSRMatrix, repeated_operand
 from ..sparse.partition import BlockPartition
 from ..core.model import SVMModel, _as_csr
 from .batching import BatchPolicy, Schedule, run_schedule
@@ -53,6 +62,52 @@ DISPATCH_OVERHEAD_FLOPS = 1_200_000.0
 #: modeled frontend cost per *request* inside a slab (flops): admission
 #: bookkeeping, cache probe, per-response serialization (~1.25 us)
 REQUEST_OVERHEAD_FLOPS = 5_000.0
+
+
+class ShardScorer:
+    """One rank's support-vector shard ``[lo, hi)`` of ``model``,
+    indexed once, scoring one broadcast slab after another.
+
+    Holds the shard as the right operand
+    :func:`~repro.sparse.csr.repeated_operand` picks for it (a
+    :class:`~repro.sparse.csr.ColumnIndex` when it is wide), and its
+    squared norms, coefficients and bounds.  :meth:`score` is the slab
+    body every serving path runs: this rank's weighted kernel sub-slab,
+    gathered in rank order, and on rank 0 the full-width reduction.
+    """
+
+    def __init__(
+        self, model: SVMModel, lo: int, hi: int, machine: MachineSpec
+    ) -> None:
+        self.model = model
+        self.machine = machine
+        self.lo, self.hi = lo, hi
+        self.shard = repeated_operand(model.sv_X.row_slice(lo, hi))
+        self.norms = model._sv_norms[lo:hi]
+        self.coef = model.sv_coef[lo:hi]
+        self.avg_nnz = model.sv_X.avg_row_nnz or 1.0
+
+    def score(
+        self, comm, rows: CSRMatrix, row_norms: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Score one slab whose rows every rank already holds.
+
+        Returns the decision values on rank 0 and ``None`` elsewhere.
+        """
+        sub = self.model.kernel.block(rows, row_norms, self.shard, self.norms)
+        sub *= self.coef
+        comm.charge_kernel_evals(
+            rows.shape[0] * (self.hi - self.lo), self.avg_nnz
+        )
+        parts = comm.gather(sub, root=0)
+        if comm.rank != 0:
+            return None
+        slab = np.hstack(parts)
+        # full-width weighted row sum — identical array, identical
+        # reduction order as SVMModel.decision_function
+        values = np.add.reduce(slab, axis=1) - self.model.beta
+        comm.advance(self.machine.time_flops(slab.size))
+        return values
 
 
 @dataclass
@@ -117,7 +172,6 @@ def serve_requests(
     machine_eff = cfg.machine if cfg.machine is not None else MachineSpec.cascade()
     norms = X.row_norms_sq()
     part = BlockPartition(model.n_sv, cfg.nprocs)
-    avg_nnz = model.sv_X.avg_row_nnz or 1.0
     cache = cache if cache is not None else ResultCache(cache_entries)
     # cache entries are keyed under the model's exact-round-trip
     # fingerprint: a shared cache can never serve another model's scores
@@ -125,18 +179,7 @@ def serve_requests(
     scores = np.full(n, np.nan)
     schedule_box = {}
 
-    def partial_slab(comm, rows: CSRMatrix, row_norms: np.ndarray) -> np.ndarray:
-        """This rank's weighted kernel sub-slab against its SV shard."""
-        lo, hi = part.bounds(comm.rank)
-        sub = model.kernel.block(
-            rows, row_norms, model.sv_X.row_slice(lo, hi),
-            model._sv_norms[lo:hi],
-        )
-        sub *= model.sv_coef[lo:hi]
-        comm.charge_kernel_evals(rows.shape[0] * (hi - lo), avg_nnz)
-        return sub
-
-    def frontend(comm) -> None:
+    def frontend(comm, scorer: ShardScorer) -> None:
         def admit(i: int, t: float) -> bool:
             value = cache.get(request_key(X, i), namespace)
             if value is None:
@@ -154,13 +197,7 @@ def serve_requests(
             rows = X.take_rows(ids)
             row_norms = norms[ids]
             comm.bcast((rows, row_norms), root=0)
-            own = partial_slab(comm, rows, row_norms)
-            parts = comm.gather(own, root=0)
-            slab = np.hstack(parts)
-            # full-width weighted row sum — identical array, identical
-            # reduction order as SVMModel.decision_function
-            values = np.add.reduce(slab, axis=1) - model.beta
-            comm.advance(machine_eff.time_flops(slab.size))
+            values = scorer.score(comm, rows, row_norms)
             scores[ids] = values
             for i, v in zip(ids, values):
                 cache.put(request_key(X, int(i)), float(v), namespace)
@@ -171,19 +208,20 @@ def serve_requests(
         )
         comm.bcast(None, root=0)  # sentinel: session over
 
-    def worker(comm) -> None:
+    def worker(comm, scorer: ShardScorer) -> None:
         while True:
             msg = comm.bcast(None, root=0)
             if msg is None:
                 return
-            rows, row_norms = msg
-            comm.gather(partial_slab(comm, rows, row_norms), root=0)
+            scorer.score(comm, *msg)
 
     def entry(comm):
+        # each rank prepares its own shard once, for the whole session
+        scorer = ShardScorer(model, *part.bounds(comm.rank), machine_eff)
         if comm.rank == 0:
-            frontend(comm)
+            frontend(comm, scorer)
         else:
-            worker(comm)
+            worker(comm, scorer)
 
     t0 = time.perf_counter()
     spmd = run_spmd(

@@ -24,6 +24,16 @@ def make_blobs(n=80, d=3, sep=3.0, noise=1.0, seed=0, density=1.0):
     return CSRMatrix.from_dense(Xd[perm]), y[perm]
 
 
+def same_bits(a, b) -> bool:
+    """Bitwise float64 equality: unlike ``np.array_equal`` it tells
+    -0.0 from +0.0 (and compares NaNs by payload)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
 @pytest.fixture
 def blobs():
     return make_blobs()

@@ -82,6 +82,58 @@ class TestFitSVRParallel:
             fit_svr_parallel(X, y, weighted)
 
 
+class TestSVRRunConfig:
+    """Every run-time knob of the RunConfig reaches the SVR solve."""
+
+    def test_faults_and_trace_reach_the_solve(self):
+        X, y = sine_problem(seed=11)
+        clean = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
+        svr = SVR(
+            C=PARAMS.C, kernel=PARAMS.kernel, eps=PARAMS.eps,
+            max_iter=PARAMS.max_iter,
+            config=RunConfig(
+                nprocs=2, trace=True, faults="seed=3;drop:prob=0.2"
+            ),
+        ).fit(X, y)
+        faulted = svr.fit_result_
+        assert faulted.spmd.tracer.enabled
+        assert faulted.spmd.fault_stats["stats"]["dropped"] > 0
+        # recovery restores every message: the solve is bitwise the same
+        assert faulted.beta_coef.tobytes() == clean.beta_coef.tobytes()
+        assert faulted.model.beta == clean.model.beta
+        assert faulted.vtime == clean.vtime
+
+    def test_kernel_cache_keeps_the_answer_and_saves_evals(self):
+        X, y = sine_problem(seed=12)
+        plain = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
+        cached = fit_svr_parallel(
+            X, y, PARAMS, config=RunConfig(nprocs=2, kernel_cache_mb=1.0)
+        )
+        assert cached.beta_coef.tobytes() == plain.beta_coef.tobytes()
+        assert cached.trace.kernel_evals < plain.trace.kernel_evals
+
+    @pytest.mark.parametrize("wss", ["second_order", "planning_ahead"])
+    def test_wss_policy_reaches_the_solve(self, wss):
+        X, y = sine_problem(seed=13)
+        mvp = fit_svr_parallel(X, y, PARAMS, config=RunConfig(nprocs=2))
+        other = fit_svr_parallel(
+            X, y, PARAMS, config=RunConfig(nprocs=2, wss=wss)
+        )
+        # a different election order: fewer iterations, same optimum
+        # to within the solver tolerance
+        assert other.iterations < mvp.iterations
+        assert abs(other.beta_coef.sum()) < 1e-8
+        diff = other.model.decision_function(X) - mvp.model.decision_function(X)
+        assert np.abs(diff).max() < 0.02
+
+    def test_dc_rejected(self):
+        X, y = sine_problem()
+        with pytest.raises(ValueError, match="classification-only"):
+            fit_svr_parallel(
+                X, y, PARAMS, config=RunConfig(nprocs=2, dc="clusters=3")
+            )
+
+
 class TestSVRFacade:
     def test_linear_recovery(self):
         rng = np.random.default_rng(6)

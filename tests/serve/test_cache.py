@@ -170,7 +170,7 @@ def test_stale_model_hit_regression(served_model, requests_60):
     model's scores for the other.  Before the namespace fix the second
     session hit on row content alone and served version-1 values."""
     from repro.core import SVC
-    from tests.conftest import make_blobs
+    from tests.conftest import make_blobs, same_bits
 
     model1, pool = served_model
     X, y = make_blobs(n=120, sep=1.2, noise=1.3, seed=3)
@@ -182,7 +182,7 @@ def test_stale_model_hit_regression(served_model, requests_60):
         policy=BatchPolicy(max_batch=16), config=RunConfig(nprocs=1),
         cache=shared,
     )
-    assert np.array_equal(first.scores, model1.decision_function(requests_60))
+    assert same_bits(first.scores, model1.decision_function(requests_60))
 
     second = serve_requests(
         model2, requests_60, None,
@@ -192,7 +192,7 @@ def test_stale_model_hit_regression(served_model, requests_60):
     # every row was already cached under model1's namespace; a stale hit
     # would replay model1's values
     assert second.stats.n_cache_hits == 0
-    assert np.array_equal(second.scores, model2.decision_function(requests_60))
+    assert same_bits(second.scores, model2.decision_function(requests_60))
     assert not np.array_equal(second.scores, first.scores)
 
     # control: re-serving model1 against the warm shared cache hits fully
@@ -202,4 +202,4 @@ def test_stale_model_hit_regression(served_model, requests_60):
         cache=shared,
     )
     assert again.stats.n_cache_hits == 60
-    assert np.array_equal(again.scores, first.scores)
+    assert same_bits(again.scores, first.scores)

@@ -24,6 +24,7 @@ from repro.serve import (
     TenantQuota,
     serve_fleet,
 )
+from tests.conftest import same_bits
 
 POLICY = BatchPolicy(max_batch=8, max_delay=200e-6)
 
@@ -59,7 +60,7 @@ def _audit_exactness(res, X_req):
         direct = res.registry.load(int(version)).decision_function(
             X_req.take_rows(idx)
         )
-        assert np.array_equal(res.scores[sel], direct), (
+        assert same_bits(res.scores[sel], direct), (
             f"scores diverge from the version {version} that served them"
         )
 
@@ -174,9 +175,7 @@ def test_hot_swap_cache_cannot_replay_old_version(served_model):
     # is v2's, bitwise.  (Hits between duplicate rows WITHIN wave 2 are
     # fine: they replay a v2 score.)
     assert np.all(res.versions[16:] == v2)
-    assert np.array_equal(
-        res.scores[16:], model2.decision_function(wave)
-    )
+    assert same_bits(res.scores[16:], model2.decision_function(wave))
     hits2 = res.status[16:] == CACHE_HIT
     assert int(hits2.sum()) < 16  # pre-fix: all 16 replayed stale v1 scores
 
@@ -227,7 +226,7 @@ def test_single_replica_matches_direct(served_model, fleet_requests):
         model, X_req, arrivals, policy=POLICY, config=RunConfig(nprocs=2),
     )
     assert np.all(res.status == SCORED)
-    assert np.array_equal(res.scores, model.decision_function(X_req))
+    assert same_bits(res.scores, model.decision_function(X_req))
     assert res.fleet.n_failovers == 0 and res.fleet.n_swaps == 0
 
 
@@ -265,3 +264,20 @@ def test_event_validation(served_model, fleet_requests):
                     events=[SwapModel(time=0.0, version=7)])
     with pytest.raises(ValueError, match="replicas"):
         RunConfig(replicas=0)
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+@pytest.mark.parametrize("max_batch", [1, 64])
+def test_wide_sparse_shard_bitwise(sparse_model, nprocs, max_batch):
+    """Shard-groups score against shards indexed once per group; on a
+    wide sparse SV set every score is bitwise ``decision_function``'s,
+    empty and SV-disjoint request rows included."""
+    model, requests = sparse_model
+    n = requests.shape[0]
+    res = serve_fleet(
+        model, requests, np.zeros(n),
+        policy=BatchPolicy(max_batch=max_batch, max_delay=0.0),
+        config=RunConfig(nprocs=nprocs, replicas=2),
+    )
+    assert np.all(res.status == SCORED)
+    assert same_bits(res.scores, model.decision_function(requests))

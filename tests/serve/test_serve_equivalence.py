@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import RunConfig
+from repro.perfmodel.machine import MachineSpec
 from repro.serve import (
     BatchPolicy,
     SCORED,
@@ -14,6 +15,10 @@ from repro.serve import (
     poisson_arrivals,
     serve_requests,
 )
+from repro.serve.server import ShardScorer
+from repro.sparse import BlockPartition, CSRMatrix
+from repro.sparse.csr import ColumnIndex
+from tests.conftest import same_bits
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 4])
@@ -28,7 +33,7 @@ def test_bitwise_identity_across_batch_and_shards(
         policy=BatchPolicy(max_batch=max_batch, max_delay=0.0),
         config=RunConfig(nprocs=nprocs),
     )
-    assert np.array_equal(res.scores, direct)
+    assert same_bits(res.scores, direct)
     assert np.all(res.status == SCORED)
 
 
@@ -48,7 +53,7 @@ def test_bitwise_identity_across_arrival_orders(served_model, requests_60):
             policy=BatchPolicy(max_batch=16, max_delay=300e-6),
             config=RunConfig(nprocs=2),
         )
-        assert np.array_equal(res.scores, direct)
+        assert same_bits(res.scores, direct)
         geometries.add(tuple(s.size for s in res.schedule.slabs))
     # the check is only meaningful if the streams actually batched
     # differently
@@ -57,8 +62,6 @@ def test_bitwise_identity_across_arrival_orders(served_model, requests_60):
 
 def test_cached_scores_bitwise_equal(served_model, requests_60):
     model, _ = served_model
-    from repro.sparse import CSRMatrix
-
     X2 = CSRMatrix.vstack([requests_60, requests_60])
     arrivals = np.concatenate([np.zeros(60), np.full(60, 10.0)])
     res = serve_requests(
@@ -66,7 +69,7 @@ def test_cached_scores_bitwise_equal(served_model, requests_60):
         policy=BatchPolicy(max_batch=16, max_delay=0.0),
         config=RunConfig(nprocs=2), cache_entries=256,
     )
-    assert np.array_equal(res.scores, model.decision_function(X2))
+    assert same_bits(res.scores, model.decision_function(X2))
     assert res.stats.n_cache_hits > 0
 
 
@@ -78,7 +81,7 @@ def _serve_faulted(served_model, requests_60, faults):
         policy=BatchPolicy(max_batch=8, max_delay=0.0),
         config=RunConfig(nprocs=2, faults=faults),
     )
-    assert np.array_equal(res.scores, direct)
+    assert same_bits(res.scores, direct)
     assert 0 < res.spmd.fault_stats["stats"]["dropped"]
 
 
@@ -106,7 +109,7 @@ def test_backpressure_under_overload(served_model, requests_60):
     assert np.all(np.isnan(res.scores[rejected]))
     assert np.all(np.isnan(res.latencies[rejected]))
     scored = res.status == SCORED
-    assert np.array_equal(res.scores[scored], direct[scored])
+    assert same_bits(res.scores[scored], direct[scored])
 
 
 def test_stats_report_consistency(served_model, requests_60):
@@ -153,3 +156,36 @@ def test_modeled_batching_speedup(served_model, requests_60):
         return res.stats.throughput
 
     assert throughput(60) >= 3.0 * throughput(1)
+
+
+def test_only_wide_shards_are_indexed(served_model, sparse_model):
+    """The wide sparse model's shards (at every nprocs the bitwise tests
+    below use) are column-indexed; the 3-feature blobs shard stays CSR."""
+    machine = MachineSpec.cascade()
+    narrow, _ = served_model
+    assert isinstance(
+        ShardScorer(narrow, 0, narrow.n_sv, machine).shard, CSRMatrix
+    )
+    wide, _ = sparse_model
+    for nprocs in (1, 2, 3):
+        part = BlockPartition(wide.n_sv, nprocs)
+        for rank in range(nprocs):
+            scorer = ShardScorer(wide, *part.bounds(rank), machine)
+            assert isinstance(scorer.shard, ColumnIndex)
+
+
+@pytest.mark.parametrize("nprocs", [1, 2, 3])
+@pytest.mark.parametrize("max_batch", [1, 64])
+def test_wide_sparse_shard_bitwise(sparse_model, nprocs, max_batch):
+    """Each rank scores slabs against its column-indexed shard of a wide
+    sparse SV set; scores stay bitwise those of ``decision_function``
+    (the plain-tile path), empty and SV-disjoint request rows included."""
+    model, requests = sparse_model
+    n = requests.shape[0]
+    res = serve_requests(
+        model, requests, burst_arrivals(n),
+        policy=BatchPolicy(max_batch=max_batch, max_delay=0.0),
+        config=RunConfig(nprocs=nprocs),
+    )
+    assert np.all(res.status == SCORED)
+    assert same_bits(res.scores, model.decision_function(requests))
