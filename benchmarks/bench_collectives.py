@@ -1,24 +1,13 @@
-"""Typed-frame wire savings + flat-vs-hierarchical collective scaling.
+"""Flat-vs-hierarchical collective scaling (``BENCH_collectives.json``).
 
-Two measurements, one report (``BENCH_collectives.json``):
-
-**Part A — typed frames (simulated, p=4).**  The same fit run with the
-reconstruction ring on the typed-frame wire (default) and on the legacy
-pickled wire.  Both must produce bitwise-identical α/β/iterations; the
-framed ring must move strictly fewer bytes (the frame carries raw
-CSR+coef buffers with an 8-byte header and a handful of tag bytes,
-where pickle adds its own opcode framing per object).  Exact wire byte
-counts come from the virtual clock, not estimates.
-
-**Part B — hierarchical collectives (modeled, p=16..4096).**  The
-trace-driven projector prices one solve trace at cluster scale on a
+The trace-driven projector prices one solve trace at cluster scale on a
 multi-node machine (16 ranks/node, Cascade-like inter-node link, ~2×
 faster intra-node link), under the flat suite and under the two-level
 hierarchical suite.  Reported per scale: modeled per-epoch (per-
 iteration) collective time, whole-solve iteration-phase communication,
 election-allreduce message counts, and exact per-epoch election wire
-bytes.  The hierarchical suite must win at p ≥ 256; at 16 ranks
-(one node) the two-level plan collapses into flat and the times tie.
+bytes.  The hierarchical suite must win at p ≥ 256; at 16 ranks (one
+node) the two-level plan collapses into flat and the times tie.
 
 Run either way::
 
@@ -36,7 +25,6 @@ import numpy as np
 
 from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
-from repro.core import reconstruction
 from repro.kernels import RBFKernel
 from repro.perfmodel import MachineSpec
 from repro.perfmodel import costs
@@ -73,69 +61,11 @@ def _problem(seed: int = 3):
     return CSRMatrix.from_dense(dense[order]), y[order]
 
 
-def _fit(X, y, *, machine=None, comm=None):
-    return fit_parallel(
-        X, y, PARAMS,
-        config=RunConfig(heuristic="multi5pc", nprocs=NPROCS,
-                         machine=machine, comm=comm),
-    )
-
-
-# ----------------------------------------------------------------------
-# Part A: typed-frame reconstruction wire, exact bytes at p=4
-# ----------------------------------------------------------------------
-
-def run_wire_bench() -> dict:
-    X, y = _problem()
-    saved = reconstruction.DEFAULT_WIRE
-    try:
-        reconstruction.DEFAULT_WIRE = "frames"
-        framed = _fit(X, y)
-        reconstruction.DEFAULT_WIRE = "pickle"
-        pickled = _fit(X, y)
-    finally:
-        reconstruction.DEFAULT_WIRE = saved
-
-    identical = (
-        np.array_equal(framed.alpha, pickled.alpha)
-        and framed.model.beta == pickled.model.beta
-        and framed.iterations == pickled.iterations
-    )
-    if not identical:
-        raise AssertionError(
-            "frames vs pickle reconstruction wire changed the solution"
-        )
-
-    recon_framed = sum(e.bytes_sent for e in framed.trace.recon_events)
-    recon_pickled = sum(e.bytes_sent for e in pickled.trace.recon_events)
-    if not 0 < recon_framed < recon_pickled:
-        raise AssertionError(
-            f"typed reconstruction must move fewer bytes: "
-            f"frames={recon_framed} pickle={recon_pickled}"
-        )
-    return {
-        "nprocs": NPROCS,
-        "n_samples": N,
-        "iterations": framed.iterations,
-        "reconstructions": framed.trace.n_reconstructions(),
-        "bitwise_identical": True,
-        "recon_bytes_frames": int(recon_framed),
-        "recon_bytes_pickle": int(recon_pickled),
-        "recon_bytes_saved_pct": round(
-            100.0 * (1.0 - recon_framed / recon_pickled), 2
-        ),
-        "total_bytes_frames": int(framed.spmd.total_bytes_sent),
-        "total_bytes_pickle": int(pickled.spmd.total_bytes_sent),
-    }
-
-
-# ----------------------------------------------------------------------
-# Part B: flat vs hierarchical scaling sweep (trace-driven projector)
-# ----------------------------------------------------------------------
-
 def run_scaling_sweep(ps) -> dict:
     X, y = _problem()
-    trace = _fit(X, y).trace
+    trace = fit_parallel(
+        X, y, PARAMS, config=RunConfig(heuristic="multi5pc", nprocs=NPROCS)
+    ).trace
     machine = MachineSpec.multinode(ranks_per_node=RANKS_PER_NODE)
 
     rows = []
@@ -203,20 +133,12 @@ def build_report(quick: bool = False) -> dict:
     return {
         "bench": "collectives",
         "quick": quick,
-        "wire": run_wire_bench(),
         "scaling": run_scaling_sweep(ps),
     }
 
 
 def format_report(report: dict) -> str:
-    wire = report["wire"]
     lines = [
-        "typed-frame reconstruction wire (simulated, "
-        f"p={wire['nprocs']}, {wire['reconstructions']} rings):",
-        f"  ring bytes: frames={wire['recon_bytes_frames']:,} "
-        f"pickle={wire['recon_bytes_pickle']:,} "
-        f"({wire['recon_bytes_saved_pct']:.1f}% saved), bitwise identical",
-        "",
         "flat vs hierarchical collectives (modeled, "
         f"{report['scaling']['ranks_per_node']} ranks/node):",
         f"  {'p':>5} {'nodes':>5} {'epoch flat':>12} {'epoch hier':>12} "
@@ -237,7 +159,6 @@ def format_report(report: dict) -> str:
 def test_collectives_bench_quick():
     """Pytest entry: the smoke-scale bench must hold its assertions."""
     report = build_report(quick=True)
-    assert report["wire"]["bitwise_identical"]
     last = report["scaling"]["sweep"][-1]
     assert last["epoch_comm_hier"] < last["epoch_comm_flat"]
 

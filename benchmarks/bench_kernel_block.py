@@ -6,8 +6,8 @@ paths (see ``tests/core/test_blocked_equivalence.py`` and
 
 1. **Reconstruction fold** — Algorithm 3's inner fold on p=4 simulated
    ranks with ≥1000 contributing samples, run once with the paper's
-   literal per-sample loop (``fold="rowwise"``) and once with the
-   CSR×CSRᵀ slab engine (``fold="blocked"``).
+   literal per-sample loop (kept here, as the prediction row keeps its
+   own) and once with the ring's CSR×CSRᵀ slab fold.
 2. **Prediction** — ``SVMModel.decision_function`` (blocked slabs) vs a
    row-at-a-time loop over ``Kernel.row_against_block``.
 3. **Serving slab** — one ``dot_csr_t`` of a slab of 1/3/16/64 rows of
@@ -108,32 +108,47 @@ def _fold_workload():
     return ranks, chunks, contributing, shrunk
 
 
-def _run_folds(ranks, chunks, fold: str) -> np.ndarray:
+def _fold_rowwise(kernel, X_shr, norms_shr, accum, chunk) -> None:
+    """The paper's literal fold: one kernel column per visiting sample."""
+    blob, coefs, norms = chunk
+    Xc = CSRMatrix.from_bytes(blob)
+    for j in range(Xc.shape[0]):
+        ji, jv = Xc.row(j)
+        accum += coefs[j] * kernel.row_against_block(
+            X_shr, norms_shr, ji, jv, float(norms[j])
+        )
+
+
+#: the per-sample loop vs the ring's fold (one kernel slab per tile)
+FOLDS = {"rowwise": _fold_rowwise, "blocked": _apply_chunk}
+
+
+def _run_folds(ranks, chunks, fold) -> np.ndarray:
     """Every rank's buffered rank-order fold; returns the accumulators."""
     accums = []
     for X_shr, norms_shr, n_shr in ranks:
         accum = np.zeros(n_shr)
         for chunk in chunks:
-            _apply_chunk(KERNEL, X_shr, norms_shr, accum, chunk, fold)
+            fold(KERNEL, X_shr, norms_shr, accum, chunk)
         accums.append(accum)
     return np.concatenate(accums)
 
 
 def _time_reconstruction(repeats: int) -> dict:
-    """Best-of-``repeats`` wall-clock for the fold phase, both modes."""
+    """Best-of-``repeats`` wall-clock for the fold phase, both folds."""
     ranks, chunks, contributing, shrunk = _fold_workload()
     times = {}
     results = {}
-    for fold in ("rowwise", "blocked"):
+    for name, fold in FOLDS.items():
         _run_folds(ranks, chunks, fold)  # warm allocator + caches
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            results[fold] = _run_folds(ranks, chunks, fold)
+            results[name] = _run_folds(ranks, chunks, fold)
             best = min(best, time.perf_counter() - t0)
-        times[fold] = best
+        times[name] = best
     if not np.array_equal(results["rowwise"], results["blocked"]):
-        raise AssertionError("fold modes disagree")
+        raise AssertionError("blocked and per-sample folds disagree")
     return {
         "n": RECON_N,
         "d": RECON_D,

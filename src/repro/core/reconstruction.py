@@ -7,9 +7,14 @@ bound SVs that are themselves currently shrunk.
 
 Each rank packs its α>0 samples (CSR block + coefficients α_j·y_j) and
 the blocks circulate around a ring of p steps (``Isend``/``Irecv``/
-``Waitall`` in the paper; eager nonblocking sends here).  At each step a
-rank folds the visiting block's contribution into the gradients of its
-own shrunk samples.  After the ring, γ_i = Σ_j α_j y_j Φ(x_j, x_i) − y_i
+``Waitall`` in the paper; eager nonblocking sends here).  Each block
+travels as a typed frame, whose CRC32 protects it in transit.  Every
+rank buffers the p visiting blocks and folds them into the gradients of
+its own shrunk samples in *global rank order*, so the floating-point
+summation order — and therefore the reconstructed γ, bitwise — is
+independent of the process count.  The buffer costs Θ(|{α>0}|) memory
+per rank (the support set), where the paper's ring streams one visiting
+block at a time.  After the ring, γ_i = Σ_j α_j y_j Φ(x_j, x_i) − y_i
 exactly, all samples are re-activated, and fresh β_up/β_low are
 computed by the caller.
 
@@ -21,13 +26,12 @@ The fold itself runs through the blocked kernel-evaluation engine: each
 visiting block is consumed as a handful of CSR×CSRᵀ kernel slabs
 (``Kernel.block``) and weighted row sums instead of one Python iteration
 per contributing sample, bit-for-bit equivalent to the per-sample
-formulation (see ``_fold_blocked``).
+formulation (see ``_apply_chunk``).
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -53,40 +57,14 @@ RING_MAX_RETRIES = 3
 #: slab at FOLD_TILE_ROWS × |local shrunk set| doubles
 FOLD_TILE_ROWS = 512
 
-#: module default for the fold implementation.  ``"blocked"`` evaluates
-#: one kernel slab (SpGEMM) per tile of the visiting block; ``"rowwise"``
-#: is the paper's literal per-sample loop.  The two are bit-for-bit
-#: equivalent (see ``_fold_blocked``); tests flip this to prove it.
-DEFAULT_FOLD = "blocked"
 
-#: module default for the ring wire protocol.  ``"frames"`` moves each
-#: chunk as a typed frame (header + indptr + indices + data sections;
-#: the frame's CRC32 replaces the chunk-level checksum), ``"pickle"`` is
-#: the legacy pickled 4-tuple carrying its own CRC.  Both feed the same
-#: corrupt-chunk re-request protocol; tests and benchmarks flip this to
-#: compare exact wire bytes.
-DEFAULT_WIRE = "frames"
-
-
-def _chunk_crc(blob: bytes, coefs: np.ndarray, norms: np.ndarray) -> int:
-    """CRC32 over the chunk's three payload fields."""
-    crc = zlib.crc32(blob)
-    crc = zlib.crc32(np.ascontiguousarray(coefs).tobytes(), crc)
-    crc = zlib.crc32(np.ascontiguousarray(norms).tobytes(), crc)
-    return crc & 0xFFFFFFFF
-
-
-def _pack_contrib(blk: LocalBlock, wire: Optional[str] = None) -> Tuple:
+def _pack_contrib(blk: LocalBlock) -> Tuple[bytes, np.ndarray, np.ndarray]:
     """This rank's ring payload: CSR bytes, coefs α·y, row norms.
 
     The CSR blob and the norm vector depend only on the support set
     {α > 0}, so they are cached on the block and reused while the set
     is unchanged; the coefficients are recomputed every time (α values
     move between reconstructions even when the set does not).
-
-    On the ``"frames"`` wire the chunk is the bare 3-tuple — the typed
-    frame's own CRC32 protects it in transit.  On the ``"pickle"`` wire
-    a chunk-level CRC travels as a fourth field (the historical format).
     """
     contrib = np.flatnonzero(blk.alpha > 0)
     cached = blk._descriptor_cache
@@ -96,30 +74,16 @@ def _pack_contrib(blk: LocalBlock, wire: Optional[str] = None) -> Tuple:
         blob = blk.X.take_rows(contrib).to_bytes()
         norms = blk.norms[contrib]
         blk._descriptor_cache = (contrib.copy(), blob, norms)
-    coefs = blk.alpha[contrib] * blk.y[contrib]
-    if (wire or DEFAULT_WIRE) == "frames":
-        return blob, coefs, norms
-    return blob, coefs, norms, _chunk_crc(blob, coefs, norms)
+    return blob, blk.alpha[contrib] * blk.y[contrib], norms
 
 
 def _verify_chunk(chunk, source: int) -> None:
-    """Integrity-check one visiting chunk.
-
-    A framed chunk (3-tuple) was already CRC-verified by the frame
-    decoder; a pickled chunk (4-tuple) is checked against its carried
-    chunk-level CRC.  Anything else is malformed.
-    """
-    if isinstance(chunk, tuple) and len(chunk) == 3:
-        return
-    if not (isinstance(chunk, tuple) and len(chunk) == 4):
+    """Structure-check one visiting chunk (the frame decoder has already
+    verified its CRC32): anything but a 3-tuple is malformed."""
+    if not (isinstance(chunk, tuple) and len(chunk) == 3):
         raise CorruptMessageError(
             f"ring chunk from rank {source} has malformed structure "
             f"({type(chunk).__name__})"
-        )
-    blob, coefs, norms, crc = chunk
-    if _chunk_crc(blob, coefs, norms) != crc:
-        raise CorruptMessageError(
-            f"ring chunk from rank {source} failed CRC32 verification"
         )
 
 
@@ -154,50 +118,33 @@ def _ring_recv(comm, recv_req, source: int, tag: int, step: int):
             ) from exc
 
 
-def _fold_rowwise(
+def _apply_chunk(
     kernel: Kernel,
     X_shrunk: CSRMatrix,
     norms_shrunk: np.ndarray,
     accum: np.ndarray,
-    Xc: CSRMatrix,
-    coefs: np.ndarray,
-    norms: np.ndarray,
+    chunk: Tuple[bytes, np.ndarray, np.ndarray],
 ) -> int:
-    """The paper's literal fold: one kernel column per visiting sample."""
-    evals = 0
-    for j in range(Xc.shape[0]):
-        ji, jv = Xc.row(j)
-        kcol = kernel.row_against_block(
-            X_shrunk, norms_shrunk, ji, jv, float(norms[j])
-        )
-        accum += coefs[j] * kcol
-        evals += kcol.size
-    return evals
+    """Fold one visiting block into the partial gradients; returns #evals.
 
-
-def _fold_blocked(
-    kernel: Kernel,
-    X_shrunk: CSRMatrix,
-    norms_shrunk: np.ndarray,
-    accum: np.ndarray,
-    Xc: CSRMatrix,
-    coefs: np.ndarray,
-    norms: np.ndarray,
-    tile_rows: int = FOLD_TILE_ROWS,
-) -> int:
-    """Blocked fold: one kernel slab + one weighted sum per tile.
-
-    Bit-for-bit equivalent to ``_fold_rowwise``: each slab column is
-    bitwise identical to the corresponding ``row_against_block`` call
-    (see :meth:`Kernel.block`), and ``np.add.accumulate`` with the
-    running partial as carry-in performs exactly the left-to-right
-    additions of the per-sample loop — floating-point summation order,
-    and therefore the deterministic engine's iteration sequence, is
-    preserved.
+    One kernel slab + one weighted sum per tile of
+    :data:`FOLD_TILE_ROWS` visiting rows.  Bit-for-bit equivalent to the
+    paper's per-sample fold (``accum += coefs[j] * kcol_j`` with one
+    ``Kernel.row_against_block`` column per visiting row ``j``, in
+    order): each slab column is bitwise identical to the corresponding
+    ``row_against_block`` call (see :meth:`Kernel.block`), and
+    ``np.add.accumulate`` with the running partial as carry-in performs
+    exactly the left-to-right additions of the per-sample loop —
+    floating-point summation order, and therefore the deterministic
+    engine's iteration sequence, is preserved.
     """
+    blob, coefs, norms = chunk
+    if accum.size == 0 or coefs.size == 0:
+        return 0
+    Xc = CSRMatrix.from_bytes(blob)
     evals = 0
-    for lo in range(0, Xc.shape[0], tile_rows):
-        hi = min(lo + tile_rows, Xc.shape[0])
+    for lo in range(0, Xc.shape[0], FOLD_TILE_ROWS):
+        hi = min(lo + FOLD_TILE_ROWS, Xc.shape[0])
         slab = kernel.block(
             X_shrunk, norms_shrunk, Xc.row_slice(lo, hi), norms[lo:hi]
         )
@@ -209,101 +156,43 @@ def _fold_blocked(
     return evals
 
 
-def _apply_chunk(
-    kernel: Kernel,
-    X_shrunk: CSRMatrix,
-    norms_shrunk: np.ndarray,
-    accum: np.ndarray,
-    chunk: Tuple,
-    fold: Optional[str] = None,
-) -> int:
-    """Fold one visiting block into the partial gradients; returns #evals."""
-    blob, coefs, norms = chunk[0], chunk[1], chunk[2]
-    if accum.size == 0 or coefs.size == 0:
-        return 0
-    Xc = CSRMatrix.from_bytes(blob)
-    fold = DEFAULT_FOLD if fold is None else fold
-    if fold == "blocked":
-        return _fold_blocked(
-            kernel, X_shrunk, norms_shrunk, accum, Xc, coefs, norms
-        )
-    if fold == "rowwise":
-        return _fold_rowwise(
-            kernel, X_shrunk, norms_shrunk, accum, Xc, coefs, norms
-        )
-    raise ValueError(f"unknown fold mode {fold!r}")
-
-
 def gradient_reconstruction(
     comm,
     blk: LocalBlock,
     kernel: Kernel,
     iteration: int,
     trace: RankTrace,
-    *,
-    deterministic: bool = True,
-    fold: Optional[str] = None,
-    wire: Optional[str] = None,
 ) -> None:
     """Run Algorithm 3 on this rank; on return every sample is active
-    and every gradient is exact.
-
-    With ``deterministic=True`` (default) the visiting blocks are
-    buffered and folded into the gradients in *global rank order*, so
-    the floating-point summation order — and therefore the reconstructed
-    γ, bitwise — is independent of the process count.  This costs
-    Θ(|{α>0}|) buffer memory per rank (the support set).  The paper's
-    pure streaming ring (one visiting block in memory at a time,
-    accumulation in ring-arrival order) is ``deterministic=False``; it
-    reconstructs the same values up to rounding.
-
-    ``fold`` selects the fold implementation (``"blocked"``, the batched
-    SpGEMM engine, or ``"rowwise"``, the per-sample loop); ``None``
-    follows :data:`DEFAULT_FOLD`.  Both folds produce bitwise-identical
-    gradients and identical kernel-evaluation counts.
-
-    ``wire`` selects the ring payload protocol (``"frames"`` or
-    ``"pickle"``; ``None`` follows :data:`DEFAULT_WIRE`).  The decoded
-    chunks are identical byte-for-byte on either wire, so γ is bitwise
-    independent of the choice; only the wire size (the reported
-    ``bytes_sent``) differs.
-    """
+    and every gradient is exact (bitwise independent of the process
+    count: the visiting blocks fold in global rank order)."""
     p = comm.size
-    wire = DEFAULT_WIRE if wire is None else wire
-    if wire not in ("frames", "pickle"):
-        raise ValueError(f"unknown wire mode {wire!r}")
     shrunk_idx = np.flatnonzero(~blk.active)
     X_shr = blk.X.take_rows(shrunk_idx)
     norms_shr = blk.norms[shrunk_idx]
     accum = np.zeros(shrunk_idx.size)
 
-    chunk = _pack_contrib(blk, wire)
+    chunk = _pack_contrib(blk)
     n_contrib_local = int(chunk[1].size)
     b0 = comm.clock.stats.bytes_sent
-    evals = 0
 
     right = (comm.rank + 1) % p
     left = (comm.rank - 1) % p
-    buffered = [None] * p if deterministic else None
+    buffered = [None] * p
     for step in range(p):
-        if deterministic:
-            buffered[(comm.rank - step) % p] = chunk
-        else:
-            evals += _apply_chunk(kernel, X_shr, norms_shr, accum, chunk, fold)
+        buffered[(comm.rank - step) % p] = chunk
         if step < p - 1:
             tag = TAG_RING + step
             recv_req = comm.irecv(source=left, tag=tag)
-            send_req = comm.isend(chunk, right, tag=tag, wire=wire)
+            send_req = comm.isend(chunk, right, tag=tag)
             chunk = _ring_recv(comm, recv_req, left, tag, step)
             send_req.wait()
     # exact wire bytes this rank pushed into the ring (clock delta: the
     # ring is the only sender between the two snapshots)
     bytes_sent = comm.clock.stats.bytes_sent - b0
-    if deterministic:
-        for src in range(p):
-            evals += _apply_chunk(
-                kernel, X_shr, norms_shr, accum, buffered[src], fold
-            )
+    evals = 0
+    for visiting in buffered:  # global rank order
+        evals += _apply_chunk(kernel, X_shr, norms_shr, accum, visiting)
 
     # γ_i = Σ_j α_j y_j Φ(x_j, x_i) + γ0_i  (Alg. 3 line 6; γ0 = −y for
     # classification, the ε-SVR linear term otherwise)

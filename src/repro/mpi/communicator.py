@@ -1,6 +1,7 @@
 """The communicator: point-to-point primitives plus collective entry points.
 
-API shape mirrors mpi4py: lower-case methods move pickled Python objects,
+API shape mirrors mpi4py: lower-case methods move Python objects (as
+typed frames when the frame protocol covers them, pickled otherwise),
 upper-case methods move numpy buffers in place.  All communication is
 matched through per-rank mailboxes owned by the :class:`SpmdRuntime`;
 virtual time advances according to the runtime's :class:`MachineSpec`.
@@ -135,30 +136,17 @@ class Comm:
             self._rank, "send", "Send", dest, env.nbytes, t0, self._clock.now
         )
 
-    def _post_send_object(
-        self, obj: Any, dest: int, tag: int, wire: Optional[str] = None
-    ) -> None:
-        """Send a Python object, framing it when the typed-frame protocol
-        covers it.
-
-        ``wire`` selects the payload protocol: ``None`` (default) frames
-        when possible and falls back to pickle; ``"frames"`` requires a
-        frameable object (raises :class:`CommError` otherwise);
-        ``"pickle"`` forces the legacy pickled path.
-        """
+    def _post_send_object(self, obj: Any, dest: int, tag: int) -> None:
+        """Send a Python object: as a typed frame when the frame
+        protocol covers it, pickled otherwise."""
         self._before_send()
         t0 = self._clock.now
         self._clock.advance(self._machine.send_overhead, kind="comm")
-        blob = None if wire == "pickle" else frames.encode(obj)
+        blob = frames.encode(obj)
         if blob is not None:
             env = Envelope.from_frame(
                 self._rank, self._global(dest), tag, self._context,
                 blob, self._clock.now,
-            )
-        elif wire == "frames":
-            raise CommError(
-                f"wire='frames' requires a frameable payload; "
-                f"{type(obj).__name__} is outside the frame vocabulary"
             )
         else:
             env = Envelope.from_object(
@@ -261,14 +249,12 @@ class Comm:
         req.wait(status)
 
     # ------------------------------------------------------------------
-    # point-to-point: pickled objects
+    # point-to-point: Python objects (framed or pickled)
     # ------------------------------------------------------------------
-    def send(
-        self, obj: Any, dest: int, tag: int = 0, wire: Optional[str] = None
-    ) -> None:
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest)
         check_tag(tag)
-        self._post_send_object(obj, dest, tag, wire=wire)
+        self._post_send_object(obj, dest, tag)
 
     def recv(
         self,
@@ -286,10 +272,8 @@ class Comm:
             status.count = status.nbytes = env.nbytes
         return obj
 
-    def isend(
-        self, obj: Any, dest: int, tag: int = 0, wire: Optional[str] = None
-    ) -> Request:
-        self.send(obj, dest, tag, wire=wire)
+    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
+        self.send(obj, dest, tag)
         return SendRequest()
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:

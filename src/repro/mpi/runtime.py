@@ -33,7 +33,7 @@ from ..perfmodel.machine import MachineSpec
 from .clock import ClockStats, VirtualClock
 from .communicator import Comm
 from .errors import DeadlockError, SpmdAborted, SpmdJobError
-from .faults import FaultEngine, RetryPolicy, as_plan
+from .faults import FaultEngine, as_plan
 from .mailbox import Mailbox
 from .message import Envelope
 from .topology import create_communicator
@@ -100,7 +100,6 @@ class SpmdRuntime:
         machine: Optional[MachineSpec] = None,
         trace: bool = False,
         faults=None,
-        retry: Optional[RetryPolicy] = None,
         comm: Optional[str] = None,
         on_kill=None,
     ) -> None:
@@ -114,8 +113,6 @@ class SpmdRuntime:
         self.abort_event = threading.Event()
         self.tracer = Tracer(enabled=trace)
         plan = as_plan(faults)
-        if plan is not None and retry is not None:
-            plan = type(plan)(faults=plan.faults, seed=plan.seed, retry=retry)
         self.faults: Optional[FaultEngine] = (
             FaultEngine(plan, nprocs, tracer=self.tracer, on_kill=on_kill)
             if plan is not None
@@ -187,7 +184,6 @@ def run_spmd(
     kwargs: Optional[dict] = None,
     deadlock_timeout: float = 60.0,
     faults=None,
-    retry: Optional[RetryPolicy] = None,
     comm: Optional[str] = None,
     on_kill=None,
 ) -> SpmdResult:
@@ -199,8 +195,8 @@ def run_spmd(
     ``faults`` enables deterministic fault injection: a
     :class:`~repro.mpi.faults.FaultPlan`, a spec string (see
     :meth:`FaultPlan.parse`), or a sequence of
-    :class:`~repro.mpi.faults.Fault`.  ``retry`` overrides the plan's
-    receive retry/backoff policy.  ``on_kill(rank, ordinal)`` is invoked
+    :class:`~repro.mpi.faults.Fault`; the plan carries its own receive
+    retry/backoff policy.  ``on_kill(rank, ordinal)`` is invoked
     when a ``kill`` fault fires, before the job aborts — the
     notification hook the serving router uses to drive failover.  A job
     that completes under injection is bitwise identical to the
@@ -212,8 +208,8 @@ def run_spmd(
     """
     kwargs = kwargs or {}
     runtime = SpmdRuntime(
-        nprocs, machine=machine, trace=trace, faults=faults, retry=retry,
-        comm=comm, on_kill=on_kill,
+        nprocs, machine=machine, trace=trace, faults=faults, comm=comm,
+        on_kill=on_kill,
     )
     results: List[Any] = [None] * nprocs
     failures: Dict[int, BaseException] = {}

@@ -274,8 +274,24 @@ def dc_project_time(m: MachineSpec, n: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# serving fleet (repro.serve.fleet)
+# serving (repro.serve): the simulator charges these constants and the
+# projector prices with them, so the two cannot drift apart
 # ----------------------------------------------------------------------
+#: modeled frontend cost per *dispatch* (flops): request framing, batch
+#: assembly, scorer hand-off and response fan-out — the fixed RPC-ish
+#: overhead that microbatching amortizes (~300 us at cascade's 4 GF/s)
+DISPATCH_OVERHEAD_FLOPS = 1_200_000.0
+
+#: modeled frontend cost per *request* inside a slab (flops): admission
+#: bookkeeping, cache probe, per-response serialization (~1.25 us)
+REQUEST_OVERHEAD_FLOPS = 5_000.0
+
+#: modeled failure-detection latency (seconds of simulated time between
+#: a fleet replica dying mid-slab and the router acting on the kill
+#: notification): the health-check / RPC-timeout interval of the fleet
+DETECT_SECONDS = 1e-3
+
+
 def fleet_reshard_time(
     m: MachineSpec, n_sv: int, avg_nnz: float, p: int
 ) -> float:
@@ -317,14 +333,7 @@ def stream_seed_time(
 
 
 def fleet_slab_time(
-    m: MachineSpec,
-    slab_rows: int,
-    n_sv: int,
-    avg_nnz: float,
-    p: int,
-    *,
-    dispatch_flops: float = 1_200_000.0,
-    request_flops: float = 5_000.0,
+    m: MachineSpec, slab_rows: int, n_sv: int, avg_nnz: float, p: int
 ) -> float:
     """One microbatched slab end-to-end on a p-rank shard-group.
 
@@ -335,7 +344,9 @@ def fleet_slab_time(
     time the simulated fleet actually charges per slab.
     """
     shard = math.ceil(n_sv / p)
-    t = m.time_flops(dispatch_flops + request_flops * slab_rows)
+    t = m.time_flops(
+        DISPATCH_OVERHEAD_FLOPS + REQUEST_OVERHEAD_FLOPS * slab_rows
+    )
     if p > 1:
         t += bcast_time(m, slab_rows * sample_bytes(avg_nnz), p)
     t += m.time_kernel_evals(float(slab_rows) * shard, avg_nnz)

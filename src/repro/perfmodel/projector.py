@@ -432,7 +432,6 @@ def project_fleet(
     p: int,
     replicas: int,
     slab_rows: int = 64,
-    detect_seconds: float = 1e-3,
 ) -> FleetProjection:
     """Price a replicated serving fleet analytically.
 
@@ -441,7 +440,8 @@ def project_fleet(
     projection extrapolates the measured single-replica behaviour to
     replica counts no host could thread: fleet throughput scales
     linearly in ``replicas`` (shard-groups share nothing but the
-    router), while one failover costs ``detect_seconds`` plus the
+    router), while one failover costs the fleet's failure-detection
+    latency (:data:`repro.perfmodel.costs.DETECT_SECONDS`) plus the
     re-shard of the saved model onto ``p`` ranks.
     """
     if p < 1 or replicas < 1 or slab_rows < 1:
@@ -452,7 +452,7 @@ def project_fleet(
     slab_time = costs.fleet_slab_time(machine, slab_rows, n_sv, avg_nnz, p)
     throughput = replicas * slab_rows / slab_time if slab_time > 0 else 0.0
     reshard = costs.fleet_reshard_time(machine, n_sv, avg_nnz, p)
-    recovery = detect_seconds + reshard
+    recovery = costs.DETECT_SECONDS + reshard
     at_risk = slab_rows + throughput * recovery / max(replicas, 1)
     return FleetProjection(
         p=p,

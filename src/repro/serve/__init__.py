@@ -24,6 +24,11 @@ failover and hot-swap history — serving is an optimization, never a
 numerics change.
 """
 
+from ..perfmodel.costs import (
+    DETECT_SECONDS,
+    DISPATCH_OVERHEAD_FLOPS,
+    REQUEST_OVERHEAD_FLOPS,
+)
 from .batching import (
     CACHE_HIT,
     REJECTED,
@@ -36,7 +41,6 @@ from .batching import (
 )
 from .cache import DEFAULT_NAMESPACE, ResultCache, request_key
 from .fleet import (
-    DETECT_SECONDS,
     FleetResult,
     FleetStats,
     KillReplica,
@@ -59,12 +63,7 @@ from .router import (
     TenantQuota,
     as_quota,
 )
-from .server import (
-    DISPATCH_OVERHEAD_FLOPS,
-    REQUEST_OVERHEAD_FLOPS,
-    ServeResult,
-    serve_requests,
-)
+from .server import ServeResult, serve_requests
 from .stats import ServeStats, build_stats, jsonable_float
 
 __all__ = [

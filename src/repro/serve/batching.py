@@ -97,6 +97,33 @@ class Schedule:
         return self.completion - arrivals
 
 
+def validate_arrivals(
+    arrivals, n_requests: Optional[int] = None
+) -> np.ndarray:
+    """One request stream's arrival times as a float64 vector.
+
+    Raises ``ValueError`` unless they are a vector (of ``n_requests``
+    times, when given) that is non-empty, nondecreasing and >= 0.  Every
+    serving entry point calls this before it starts any work.
+    """
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    if arrivals.ndim != 1:
+        raise ValueError(
+            f"arrival times must be a vector, got shape {arrivals.shape}"
+        )
+    if n_requests is not None and arrivals.size != n_requests:
+        raise ValueError(
+            f"{arrivals.size} arrival times for {n_requests} request rows"
+        )
+    if arrivals.size == 0:
+        raise ValueError("empty arrival stream")
+    if np.any(np.diff(arrivals) < 0):
+        raise ValueError("arrival times must be nondecreasing")
+    if arrivals[0] < 0:
+        raise ValueError("arrival times must be >= 0")
+    return arrivals
+
+
 def run_schedule(
     arrivals: np.ndarray,
     policy: BatchPolicy,
@@ -111,15 +138,8 @@ def run_schedule(
     ``admit(request_id, t_arrival)`` may resolve a request immediately
     (cache hit): return True and the request never queues.
     """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
+    arrivals = validate_arrivals(arrivals)
     n = arrivals.shape[0]
-    if n == 0:
-        raise ValueError("empty arrival stream")
-    if np.any(np.diff(arrivals) < 0):
-        raise ValueError("arrival times must be nondecreasing")
-    if arrivals[0] < 0:
-        raise ValueError("arrival times must be >= 0")
-
     status = np.zeros(n, dtype=np.int64)
     completion = np.full(n, np.nan)
     sched = Schedule(status=status, completion=completion)

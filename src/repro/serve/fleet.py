@@ -72,21 +72,13 @@ from .batching import (
     BatchPolicy,
     Schedule,
     SlabRecord,
+    validate_arrivals,
 )
 from .cache import ResultCache, request_key
 from .registry import ModelRegistry
 from .router import AdmissionController, FailoverEvent, Router, as_quota
-from .server import (
-    DISPATCH_OVERHEAD_FLOPS,
-    REQUEST_OVERHEAD_FLOPS,
-    ShardScorer,
-)
+from .server import ShardScorer
 from .stats import ServeStats, build_stats, jsonable_float
-
-#: modeled failure-detection latency (seconds of simulated time between
-#: a replica dying mid-slab and the router acting on the kill
-#: notification): the health-check / RPC-timeout interval of the fleet
-DETECT_SECONDS = 1e-3
 
 
 class ReplicaFailure(Exception):
@@ -273,7 +265,6 @@ def serve_fleet(
     cache_entries: int = 0,
     cache: Optional[ResultCache] = None,
     events: Sequence[FleetEvent] = (),
-    detect_seconds: float = DETECT_SECONDS,
 ) -> FleetResult:
     """Serve one request stream on a replicated, self-healing fleet.
 
@@ -309,19 +300,9 @@ def serve_fleet(
     first_model = registry.load(active)
     X = _as_csr(X, first_model.sv_X.shape[1])
     n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty request stream")
-    if arrivals is None:
-        arrivals = np.zeros(n)
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if arrivals.shape != (n,):
-        raise ValueError(
-            f"{arrivals.shape[0]} arrival times for {n} request rows"
-        )
-    if np.any(np.diff(arrivals) < 0):
-        raise ValueError("arrival times must be nondecreasing")
-    if arrivals.size and arrivals[0] < 0:
-        raise ValueError("arrival times must be >= 0")
+    arrivals = validate_arrivals(
+        np.zeros(n) if arrivals is None else arrivals, n
+    )
     if tenants is None:
         tenants = np.zeros(n, dtype=np.int64)
     tenants = np.asarray(tenants, dtype=np.int64)
@@ -382,7 +363,7 @@ def serve_fleet(
         n_failovers=0,
         n_swaps=0,
         n_reshards=0,
-        detect_seconds=detect_seconds,
+        detect_seconds=costs.DETECT_SECONDS,
         reshard_seconds=reshard_seconds,
     )
     total_bytes = 0
@@ -479,7 +460,8 @@ def serve_fleet(
             fleet_stats.n_reshards += 1
             t_start += reshard_seconds
         overhead = machine_eff.time_flops(
-            DISPATCH_OVERHEAD_FLOPS + REQUEST_OVERHEAD_FLOPS * ids.size
+            costs.DISPATCH_OVERHEAD_FLOPS
+            + costs.REQUEST_OVERHEAD_FLOPS * ids.size
         )
 
         kill_idx = pending_kill(slot.slot_id, t_dispatch)
@@ -504,7 +486,7 @@ def serve_fleet(
             killed_rank = (
                 kill_notices[0][0] if kill_notices else failure.rank
             )
-            t_fail = t_start + overhead + detect_seconds
+            t_fail = t_start + overhead + costs.DETECT_SECONDS
             router.fail(
                 slot, t_fail, killed_rank=killed_rank,
                 drained_requests=int(ids.size),

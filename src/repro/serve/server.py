@@ -45,23 +45,15 @@ import numpy as np
 
 from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
+from ..perfmodel.costs import DISPATCH_OVERHEAD_FLOPS, REQUEST_OVERHEAD_FLOPS
 from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix, repeated_operand
 from ..sparse.partition import BlockPartition
 from ..core.model import SVMModel, _as_csr
-from .batching import BatchPolicy, Schedule, run_schedule
+from .batching import BatchPolicy, Schedule, run_schedule, validate_arrivals
 from .cache import ResultCache, request_key
 from .registry import model_fingerprint
 from .stats import ServeStats, build_stats
-
-#: modeled frontend cost per *dispatch* (flops): request framing, batch
-#: assembly, scorer hand-off and response fan-out — the fixed RPC-ish
-#: overhead that microbatching amortizes (~300 us at cascade's 4 GF/s)
-DISPATCH_OVERHEAD_FLOPS = 1_200_000.0
-
-#: modeled frontend cost per *request* inside a slab (flops): admission
-#: bookkeeping, cache probe, per-response serialization (~1.25 us)
-REQUEST_OVERHEAD_FLOPS = 5_000.0
 
 
 class ShardScorer:
@@ -161,13 +153,9 @@ def serve_requests(
 
     X = _as_csr(X, model.sv_X.shape[1])
     n = X.shape[0]
-    if arrivals is None:
-        arrivals = np.zeros(n)
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    if arrivals.shape != (n,):
-        raise ValueError(
-            f"{arrivals.shape[0]} arrival times for {n} request rows"
-        )
+    arrivals = validate_arrivals(
+        np.zeros(n) if arrivals is None else arrivals, n
+    )
 
     machine_eff = cfg.machine if cfg.machine is not None else MachineSpec.cascade()
     norms = X.row_norms_sq()

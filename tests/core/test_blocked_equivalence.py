@@ -5,11 +5,11 @@ batched pair columns, batched cache fills, blocked prediction) claims
 bit-for-bit equivalence with the paper's per-sample formulation.  These
 tests pin that claim:
 
-- the reconstruction fold produces bitwise-identical gradients and
-  identical eval counts in ``blocked`` and ``rowwise`` mode;
+- the reconstruction ring produces bitwise the gradients, and exactly
+  the eval counts, of the per-sample reference fold below;
 - ``fit_parallel`` replays the identical working-set sequence (gap
   history), iteration count, α, β, kernel-eval count and virtual time
-  under either fold, for every process count;
+  when the ring folds per sample instead;
 - deterministic-mode models are bitwise p-invariant with the blocked
   fold;
 - the baseline's batched cache fills reproduce the row-at-a-time rows,
@@ -29,7 +29,7 @@ from repro.core.state import make_blocks
 from repro.core.trace import RankTrace
 from repro.kernels import RBFKernel
 from repro.mpi import run_spmd
-from repro.sparse import BlockPartition
+from repro.sparse import BlockPartition, CSRMatrix
 
 from ..conftest import make_blobs
 
@@ -38,6 +38,8 @@ PARAMS = SVMParams(C=10.0, kernel=RBFKernel(0.5), eps=1e-3, max_iter=200_000)
 
 
 def _shrunk_blocks(n, p, seed=0, alpha_frac=0.5, shrink_frac=0.6):
+    """Blocks with random α and shrunk sets; the last rank holds no
+    support vectors (a zero-support rank in the ring) when p > 1."""
     X, y = make_blobs(n=n, seed=seed, density=0.7)
     rng = np.random.default_rng(seed + 1)
     alpha = np.where(rng.random(n) < alpha_frac, rng.random(n) * 5.0, 0.0)
@@ -45,50 +47,76 @@ def _shrunk_blocks(n, p, seed=0, alpha_frac=0.5, shrink_frac=0.6):
     blocks = make_blocks(X, y, part)
     for r, blk in enumerate(blocks):
         lo, hi = part.bounds(r)
-        blk.alpha[:] = alpha[lo:hi]
+        blk.alpha[:] = 0.0 if 0 < r == p - 1 else alpha[lo:hi]
         shrunk = rng.random(hi - lo) < shrink_frac
         blk.active[:] = ~shrunk
         blk.gamma[shrunk] = 999.0
     return blocks
 
 
-def _reconstruct_all(blocks, p, fold):
+def _per_sample_fold(kernel, X_shr, norms_shr, accum, Xc, coefs, norms):
+    """The paper's fold: one ``row_against_block`` column per visiting
+    sample, added in order.  Returns the kernel-eval count."""
+    evals = 0
+    for j in range(Xc.shape[0]):
+        ji, jv = Xc.row(j)
+        kcol = kernel.row_against_block(
+            X_shr, norms_shr, ji, jv, float(norms[j])
+        )
+        accum += coefs[j] * kcol
+        evals += kcol.size
+    return evals
+
+
+def _per_sample_apply_chunk(kernel, X_shr, norms_shr, accum, chunk):
+    """``reconstruction._apply_chunk`` with the per-sample fold."""
+    blob, coefs, norms = chunk
+    Xc = CSRMatrix.from_bytes(blob)
+    return _per_sample_fold(kernel, X_shr, norms_shr, accum, Xc, coefs, norms)
+
+
+def _reference_fold(blocks):
+    """Every rank's shrunk gradients folded per sample from every rank's
+    α>0 samples in global rank order.  Returns (γ, per-rank evals)."""
+    gammas, evals = [], []
+    for blk in blocks:
+        shrunk = np.flatnonzero(~blk.active)
+        X_shr = blk.X.take_rows(shrunk)
+        accum = np.zeros(shrunk.size)
+        n_evals = 0
+        for src in blocks:  # global rank order
+            contrib = np.flatnonzero(src.alpha > 0)
+            n_evals += _per_sample_fold(
+                KERNEL, X_shr, blk.norms[shrunk], accum,
+                src.X.take_rows(contrib),
+                src.alpha[contrib] * src.y[contrib], src.norms[contrib],
+            )
+        gamma = blk.gamma.copy()
+        gamma[shrunk] = accum + blk.gamma0[shrunk]
+        gammas.append(gamma)
+        evals.append(n_evals)
+    return np.concatenate(gammas), evals
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_fold_modes_bitwise_identical(p):
+    """The ring's blocked fold vs the per-sample reference: the same
+    gradients in bits and the same kernel-eval count on every rank."""
+    ref_gamma, ref_evals = _reference_fold(_shrunk_blocks(53, p, seed=4))
+    blocks = _shrunk_blocks(53, p, seed=4)
+
     def prog(comm):
         blk = blocks[comm.rank]
         trace = RankTrace(rank=comm.rank, n_local=blk.n_local)
-        gradient_reconstruction(comm, blk, KERNEL, 0, trace, fold=fold)
-        return blk.gamma.copy(), trace.kernel_evals, comm.vtime
+        gradient_reconstruction(comm, blk, KERNEL, 0, trace)
+        return blk.gamma.copy(), trace.kernel_evals
 
     res = run_spmd(prog, p)
-    gammas = np.concatenate([g for g, _, _ in res.results])
-    evals = [e for _, e, _ in res.results]
-    vtimes = [v for _, _, v in res.results]
-    return gammas, evals, vtimes
-
-
-@pytest.mark.parametrize("p", [1, 2, 4])
-def test_fold_modes_bitwise_identical(p):
-    """Blocked vs row-wise fold: same gradients (in bits), same eval
-    counts, same virtual-time charges."""
-    blocks_a = _shrunk_blocks(53, p, seed=4)
-    blocks_b = _shrunk_blocks(53, p, seed=4)
-    g_blocked, e_blocked, v_blocked = _reconstruct_all(blocks_a, p, "blocked")
-    g_rowwise, e_rowwise, v_rowwise = _reconstruct_all(blocks_b, p, "rowwise")
-    assert np.array_equal(g_blocked, g_rowwise)
-    assert e_blocked == e_rowwise
-    assert v_blocked == v_rowwise
-
-
-def test_unknown_fold_mode_rejected():
-    blocks = _shrunk_blocks(12, 1, seed=0)
-
-    def prog(comm):
-        blk = blocks[comm.rank]
-        trace = RankTrace(rank=comm.rank, n_local=blk.n_local)
-        gradient_reconstruction(comm, blk, KERNEL, 0, trace, fold="nope")
-
-    with pytest.raises(Exception):
-        run_spmd(prog, 1)
+    gamma = np.concatenate([g for g, _ in res.results])
+    assert np.array_equal(gamma, ref_gamma)
+    assert [e for _, e in res.results] == ref_evals
+    if p > 1:
+        assert not blocks[-1].alpha.any() and ref_evals[-1] > 0
 
 
 def _fit(X, y, heuristic, p):
@@ -101,26 +129,24 @@ def _fit(X, y, heuristic, p):
         "iterations": r.iterations,
         "kernel_evals": r.stats.kernel_evals,
         "vtime": r.stats.vtime,
+        "recons": r.trace.n_reconstructions(),
         "gaps": np.asarray(r.trace.gap_history),
     }
 
 
 @pytest.mark.parametrize("heuristic", ["single5pc", "multi5pc"])
 def test_fit_parallel_fold_equivalence(monkeypatch, heuristic):
-    """The solver replays the identical working-set sequence whichever
-    fold implementation reconstructs the gradients."""
+    """The solver replays the identical working-set sequence whether the
+    ring folds blocked or per sample."""
     X, y = make_blobs(n=90, sep=1.4, noise=1.3, seed=7)
-    runs = {}
-    for fold in ("blocked", "rowwise"):
-        monkeypatch.setattr(recon_mod, "DEFAULT_FOLD", fold)
-        runs[fold] = _fit(X, y, heuristic, 2)
-    a, b = runs["blocked"], runs["rowwise"]
-    assert np.array_equal(a["alpha"], b["alpha"])
-    assert a["beta"] == b["beta"]
-    assert a["iterations"] == b["iterations"]
-    assert a["kernel_evals"] == b["kernel_evals"]
-    assert a["vtime"] == b["vtime"]
-    assert np.array_equal(a["gaps"], b["gaps"])  # identical iterate sequence
+    blocked = _fit(X, y, heuristic, 2)
+    monkeypatch.setattr(recon_mod, "_apply_chunk", _per_sample_apply_chunk)
+    per_sample = _fit(X, y, heuristic, 2)
+    assert blocked["recons"] > 0
+    for key in ("alpha", "gaps"):
+        assert np.array_equal(blocked[key], per_sample[key])
+    for key in ("beta", "iterations", "kernel_evals", "vtime", "recons"):
+        assert blocked[key] == per_sample[key]
 
 
 @pytest.mark.parametrize("heuristic", ["original", "single5pc", "multi5pc"])

@@ -169,23 +169,16 @@ class TestRingChunkIntegrity:
         return blk
 
     def test_pack_carries_valid_crc(self):
-        # frames wire (default): bare 3-tuple, integrity lives in the
-        # typed frame's CRC; pickle wire: chunk-level CRC as 4th field
+        # a bare 3-tuple: its integrity lives in the typed frame's CRC
         chunk = _pack_contrib(self._block())
         assert len(chunk) == 3
         _verify_chunk(chunk, source=0)  # must not raise
-        legacy = _pack_contrib(self._block(), wire="pickle")
-        assert len(legacy) == 4
-        _verify_chunk(legacy, source=0)
+        assert frames.decode(frames.encode(chunk))[0] == chunk[0]
 
     def test_tampered_chunk_detected(self):
-        blob, coefs, norms, crc = _pack_contrib(self._block(), wire="pickle")
-        bad = bytearray(blob)
-        bad[len(bad) // 2] ^= 0xFF
-        with pytest.raises(CorruptMessageError, match="CRC32"):
-            _verify_chunk((bytes(bad), coefs, norms, crc), source=0)
+        blob, coefs, norms = _pack_contrib(self._block())
         with pytest.raises(CorruptMessageError, match="malformed"):
-            _verify_chunk((blob, coefs, norms, crc, None), source=0)
+            _verify_chunk((blob, coefs, norms, None), source=0)
         # a framed chunk is protected by the frame CRC: a flipped wire
         # byte fails decode before _verify_chunk ever sees the tuple
         frame = bytearray(frames.encode((blob, coefs, norms)))
@@ -193,8 +186,7 @@ class TestRingChunkIntegrity:
         with pytest.raises(CorruptMessageError):
             frames.decode(bytes(frame))
 
-    @pytest.mark.parametrize("fold", ["blocked", "rowwise"])
-    def test_empty_chunk_round_trip(self, fold):
+    def test_empty_chunk_round_trip(self):
         """A zero-support rank's payload folds as an exact no-op."""
         empty = _pack_contrib(self._block(with_support=False))
         assert empty[1].size == 0 and empty[2].size == 0
@@ -203,15 +195,12 @@ class TestRingChunkIntegrity:
         idx = np.arange(4)
         accum = np.full(4, 0.5)
         evals = _apply_chunk(
-            PARAMS.kernel, tgt.X.take_rows(idx), tgt.norms[idx],
-            accum, empty, fold,
+            PARAMS.kernel, tgt.X.take_rows(idx), tgt.norms[idx], accum, empty
         )
         assert evals == 0
         assert np.array_equal(accum, np.full(4, 0.5))
 
-    @pytest.mark.parametrize("fold", ["blocked", "rowwise"])
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_zero_support_rank_in_ring(self, fold, deterministic):
+    def test_zero_support_rank_in_ring(self):
         """p=2 ring where rank 1 contributes nothing: exact γ plus exact
         evals/bytes accounting on both sides."""
         X, y = make_blobs(n=12, seed=2)
@@ -224,10 +213,7 @@ class TestRingChunkIntegrity:
                 blk.alpha[:] = 0.5  # all support on rank 0
             blk.active[:] = False  # everything stale -> full reconstruction
             trace = RankTrace(rank=comm.rank, n_local=blk.n_local)
-            gradient_reconstruction(
-                comm, blk, PARAMS.kernel, 0, trace,
-                deterministic=deterministic, fold=fold,
-            )
+            gradient_reconstruction(comm, blk, PARAMS.kernel, 0, trace)
             return blk.gamma.copy(), trace.recon_events[0]
 
         res = run_spmd(entry, 2)
@@ -254,8 +240,8 @@ class TestRingChunkIntegrity:
         # p=2: one ring step; each rank ships exactly its own chunk
         chunk0 = _pack_contrib_of(X, y, part, 0, 0.5)
         chunk1 = _pack_contrib_of(X, y, part, 1, 0.0)
-        assert ev0.bytes_sent == _chunk_nbytes(chunk0)
-        assert ev1.bytes_sent == _chunk_nbytes(chunk1)
+        assert ev0.bytes_sent == frames.frame_nbytes(chunk0)
+        assert ev1.bytes_sent == frames.frame_nbytes(chunk1)
 
 
 def _pack_contrib_of(X, y, part, rank, alpha_val):
@@ -263,11 +249,6 @@ def _pack_contrib_of(X, y, part, rank, alpha_val):
     blk = LocalBlock(X.take_rows(np.arange(lo, hi)), y[lo:hi], lo)
     blk.alpha[:] = alpha_val
     return _pack_contrib(blk)
-
-
-def _chunk_nbytes(chunk):
-    # exact wire size of the framed chunk (the default ring wire)
-    return frames.frame_nbytes(chunk)
 
 
 class TestPartitionEdgeCases:

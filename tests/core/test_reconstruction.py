@@ -128,24 +128,6 @@ def test_ring_moves_only_contributing_samples():
     assert run(few_blocks) < run(many_blocks)
 
 
-@pytest.mark.parametrize("deterministic", [True, False])
-def test_streaming_and_buffered_agree(deterministic):
-    """The paper's streaming ring and the deterministic buffered fold
-    reconstruct the same gradients up to rounding."""
-    blocks, gamma_exact, part = _setup(n=37, p=3, seed=9)
-
-    def prog(comm):
-        blk = blocks[comm.rank]
-        trace = RankTrace(rank=comm.rank, n_local=blk.n_local)
-        gradient_reconstruction(
-            comm, blk, KERNEL, 0, trace, deterministic=deterministic
-        )
-        return blk.gamma.copy()
-
-    gamma = np.concatenate(run_spmd(prog, 3).results)
-    assert np.allclose(gamma, gamma_exact, atol=1e-9)
-
-
 def test_deterministic_mode_is_p_invariant():
     """Buffered fold: reconstructed gammas are bitwise identical
     regardless of the process count."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import frames, run_spmd
-from repro.mpi.errors import CommError, CorruptMessageError
+from repro.mpi.errors import CorruptMessageError
 from repro.sparse.csr import CSRMatrix
 
 DTYPES = ["<f8", "<i8", "<i4", "<f4", "<u1", "?"]
@@ -163,7 +163,8 @@ class TestIntegrity:
 
 
 class TestWireSelection:
-    """The communicator's auto-framing and the explicit wire overrides."""
+    """The communicator's automatic framing: frameable payloads travel
+    as typed frames, anything else is pickled."""
 
     def test_send_recv_frames_numeric_payloads(self):
         payload = (np.arange(6, dtype=np.float64), b"blob", 0.5)
@@ -181,47 +182,24 @@ class TestWireSelection:
         sends = [e for e in out.tracer.events if e.kind == "send"]
         assert sends[0].nbytes == frames.frame_nbytes(payload)
 
-    def test_wire_pickle_forces_legacy_size(self):
+    def test_unframeable_objects_fall_back_to_pickle(self):
         import pickle
 
-        payload = (np.arange(64, dtype=np.float64), b"blob")
+        payload = {"a": [1, 2]}
 
         def prog(comm):
             if comm.rank == 0:
-                comm.send(payload, dest=1, tag=5, wire="pickle")
+                comm.send(payload, dest=1, tag=5)
                 return None
             return comm.recv(source=0, tag=5)
 
         out = run_spmd(prog, 2, trace=True)
-        _assert_same(payload, out.results[1])
+        assert out.results[1] == payload
+        # the traced send moved exactly the pickle image
         sends = [e for e in out.tracer.events if e.kind == "send"]
         assert sends[0].nbytes == len(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
-
-    def test_wire_frames_rejects_unframeable(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send({"not": "frameable"}, dest=1, tag=5, wire="frames")
-            else:
-                comm.recv(source=0, tag=5)
-
-        from repro.mpi.errors import SpmdJobError
-
-        with pytest.raises(SpmdJobError) as ei:
-            run_spmd(prog, 2)
-        assert any(
-            isinstance(e, CommError) for e in ei.value.failures.values()
-        )
-
-    def test_unframeable_objects_fall_back_to_pickle(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send({"a": [1, 2]}, dest=1, tag=5)
-                return None
-            return comm.recv(source=0, tag=5)
-
-        assert run_spmd(prog, 2).results[1] == {"a": [1, 2]}
 
 
 class TestFramedFaultRecovery:

@@ -23,6 +23,7 @@ from repro.serve import (
     SwapModel,
     TenantQuota,
     serve_fleet,
+    serve_requests,
 )
 from tests.conftest import same_bits
 
@@ -264,6 +265,31 @@ def test_event_validation(served_model, fleet_requests):
                     events=[SwapModel(time=0.0, version=7)])
     with pytest.raises(ValueError, match="replicas"):
         RunConfig(replicas=0)
+
+
+#: (request rows, arrival times, the one message both entry points give)
+BAD_STREAMS = {
+    "empty": (0, [], "empty arrival stream"),
+    "decreasing": (2, [1e-3, 0.0], "arrival times must be nondecreasing"),
+    "negative": (2, [-1e-3, 0.0], "arrival times must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(BAD_STREAMS))
+@pytest.mark.parametrize("entry", [serve_requests, serve_fleet])
+def test_bad_arrival_stream_rejected_before_any_job(
+    served_model, entry, stream
+):
+    """Both serving entry points reject a bad arrival stream with the
+    same plain ValueError before any SPMD job starts (a rank's failure
+    would surface as SpmdJobError)."""
+    model, pool = served_model
+    n, arrivals, message = BAD_STREAMS[stream]
+    with pytest.raises(ValueError) as ei:
+        entry(model, pool.row_slice(0, n), np.array(arrivals),
+              config=RunConfig(nprocs=2))
+    assert type(ei.value) is ValueError
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3])

@@ -5,10 +5,15 @@ nine entry points, 37 (entry point, keyword) pairs in all.  The copies
 are gone: passing one is a plain ``TypeError``, like any other unknown
 keyword, and the estimators carry their run-time knobs in ``config``
 alone.
+
+Nor is there a switch that only tests set: the reconstruction ring has
+one fold, one wire and one fold order, and the modeled serving
+constants are defined once, in :mod:`repro.perfmodel.costs`.
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
@@ -23,8 +28,12 @@ from repro.core import (
     fit_parallel,
     predict_parallel,
 )
+from repro.core import reconstruction
 from repro.core.svr import fit_svr_parallel
-from repro.perfmodel import project, project_stream
+from repro.mpi import run_spmd
+from repro.mpi.communicator import Comm
+from repro.mpi.runtime import SpmdRuntime
+from repro.perfmodel import costs, project, project_fleet, project_stream
 from repro.serve import serve_fleet, serve_requests
 
 from .conftest import make_blobs
@@ -116,3 +125,47 @@ def test_config_path_is_silent_end_to_end():
         clf = SVC(C=5.0, gamma=0.5, config=RunConfig(nprocs=2))
         clf.fit(X, y)
         assert clf.score(X, y) > 0.9
+
+
+def test_one_reconstruction_ring():
+    assert list(
+        inspect.signature(reconstruction.gradient_reconstruction).parameters
+    ) == ["comm", "blk", "kernel", "iteration", "trace"]
+    assert not hasattr(reconstruction, "DEFAULT_FOLD")
+    assert not hasattr(reconstruction, "DEFAULT_WIRE")
+
+
+#: fleet_slab_time's positional arguments (m, slab_rows, n_sv, avg_nnz, p)
+SLAB_ARGS = (None, 1, 1, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "entry, args, keyword",
+    [
+        pytest.param(Comm.send, (None, b"x", 1), "wire", id="send-wire"),
+        pytest.param(Comm.isend, (None, b"x", 1), "wire", id="isend-wire"),
+        pytest.param(run_spmd, (None, 1), "retry", id="run_spmd-retry"),
+        pytest.param(SpmdRuntime, (1,), "retry", id="SpmdRuntime-retry"),
+        pytest.param(
+            serve_fleet, (None, None), "detect_seconds",
+            id="serve_fleet-detect_seconds",
+        ),
+        pytest.param(
+            project_fleet, (None,), "detect_seconds",
+            id="project_fleet-detect_seconds",
+        ),
+        pytest.param(
+            costs.fleet_slab_time, SLAB_ARGS, "dispatch_flops",
+            id="fleet_slab_time-dispatch_flops",
+        ),
+        pytest.param(
+            costs.fleet_slab_time, SLAB_ARGS, "request_flops",
+            id="fleet_slab_time-request_flops",
+        ),
+    ],
+)
+def test_test_only_switch_raises_type_error(entry, args, keyword):
+    with pytest.raises(
+        TypeError, match=f"unexpected keyword argument '{keyword}'"
+    ):
+        entry(*args, **{keyword: None})
