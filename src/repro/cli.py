@@ -247,7 +247,9 @@ def cmd_train(args) -> int:
         f"iterations={stats.iterations} SVs={stats.n_sv} "
         f"shrunk={trace.total_shrunk()} "
         f"reconstructions={trace.n_reconstructions()} "
-        f"messages={stats.messages} MB={stats.bytes_sent / 1e6:.2f}"
+        f"messages={stats.messages} MB={stats.bytes_sent / 1e6:.2f} "
+        f"columns={trace.columns_produced} carried={trace.columns_carried} "
+        f"pair-memo-hits={trace.pair_memo_hits}"
     )
     if stats.wss != "mvp" or trace.cache_hits or trace.cache_misses:
         cache = ""

@@ -67,6 +67,10 @@ from .wss_policies import (
     second_order_best,
 )
 
+#: distinct (i_up, i_low) pair kernels a solve memoizes before it
+#: clears the memo (a float per pair, ≈0.5 MB per rank at the bound)
+PAIR_MEMO_MAX = 4096
+
 
 @dataclass
 class RankResult:
@@ -87,15 +91,19 @@ class RankResult:
 class _ResidentSample:
     """A working-set sample cached on every rank between iterations.
 
-    Holds the broadcast payload plus the kernel column against this
-    rank's active rows; ``epoch`` tags which compaction of the active
-    set the column was computed for, so a shrink or reconstruction
-    invalidates it without touching the cache.  ``alpha`` is refreshed
-    on every rank from the redundantly computed pair update, so a cache
-    hit needs no payload movement at all.
+    Holds the broadcast payload, its self kernel Φ(x, x) and the kernel
+    column against this rank's active rows; ``epoch`` tags which
+    compaction of the active set the column matches.  A shrink only
+    removes rows, so it compacts the column and re-tags it; a
+    reconstruction grows the active set and releases it.  ``alpha`` is
+    refreshed on every rank from the redundantly computed pair update,
+    so a cache hit needs no payload movement at all.
     """
 
-    __slots__ = ("idx", "vals", "norm", "y", "alpha", "kcol", "epoch", "gidx")
+    __slots__ = (
+        "idx", "vals", "norm", "y", "alpha", "kcol", "epoch", "gidx",
+        "k_self",
+    )
 
     def __init__(self, idx, vals, norm, y, alpha) -> None:
         self.idx = idx
@@ -105,7 +113,9 @@ class _ResidentSample:
         self.alpha = alpha
         self.kcol = None
         self.epoch = -1
-        self.gidx = NO_INDEX  # set by the fetch that registers the entry
+        # set by the fetch that registers the entry
+        self.gidx = NO_INDEX
+        self.k_self = 0.0
 
 
 @dataclass
@@ -140,10 +150,13 @@ class PackedRankSolver:
     - **Owner-rooted pair movement**: each working-set sample is
       broadcast from its owning rank, and a resident-pair cache skips
       the broadcast and reuses the kernel column when i_up/i_low
-      repeats within one compaction epoch.  Kernel-eval *accounting*
-      stays the canonical 2·n_active + 3 per iteration even on a
-      column-cache hit — the reuse is host-time memoization of a
-      bitwise-identical recomputation, not saved algorithmic work.
+      repeats.  A resident column survives a shrink (compacted to the
+      surviving rows) and is released at a reconstruction; the pair
+      kernel K(x_up, x_low) is memoized per ordered pair (at most
+      :data:`PAIR_MEMO_MAX` of them).  Kernel-eval *accounting* stays
+      the canonical 2·n_active + 3 per iteration even on a hit — the
+      reuse is host-time memoization of a bitwise-identical
+      recomputation, not saved algorithmic work.
     """
 
     def __init__(
@@ -201,6 +214,9 @@ class PackedRankSolver:
         self._reuse_run = 0  # consecutive reuses since the last election
         self.compact = CompactActiveSet(blk, self.C)
         self._resident: dict = {}
+        #: K(x_up, x_low) per ordered pair (i_up, i_low): rows are
+        #: immutable, so an entry never goes stale
+        self._pair_memo: dict = {}
         self._pending: "_PendingShrink | None" = None
         # the two per-class boxes, once per solve: box_for turns a
         # scalar label into its box with numpy, twice per iteration
@@ -315,12 +331,11 @@ class PackedRankSolver:
         ):
             return first
         ent_up = self._fetch_sample(i_up)
-        k_uu = self.kernel.self_value(ent_up.norm)
         kcol_up = self._column(ent_up)
         diag = self._diag(cs.norms)
         comm.advance(comm.machine.time_flops(12.0 * cs.n_active))
         gain, j, gamma_j = second_order_best(
-            cs.gamma, low, kcol_up, diag, k_uu, beta_up, cs.gidx
+            cs.gamma, low, kcol_up, diag, ent_up.k_self, beta_up, cs.gidx
         )
         out2 = comm.allreduce_buffer(
             np.array([gain, float(j), gamma_j], dtype=np.float64),
@@ -370,7 +385,10 @@ class PackedRankSolver:
         if pending.n_shrunk:
             cs.flush()
             blk.active[cs.lidx[pending.mask]] = False
+            ending = cs.epoch
             cs.rebuild()
+            if self._colcache is None:
+                self._carry_columns(ending, ~pending.mask)
         # collective (delta != 0 on every rank, the fire event is a
         # shared countdown): the reuse plan and column cache must drop
         # on all ranks together or the reuse decision — and with it the
@@ -456,11 +474,11 @@ class PackedRankSolver:
         pool.observe_update(
             PoolSample(
                 gidx=viol.i_up, row=row_up, y=yu,
-                C=self.params.box_for(yu), alpha=new_up, gamma=g_u,
+                C=self._box_of(yu), alpha=new_up, gamma=g_u,
             ),
             PoolSample(
                 gidx=viol.i_low, row=row_low, y=yl,
-                C=self.params.box_for(yl), alpha=new_low, gamma=g_l,
+                C=self._box_of(yl), alpha=new_low, gamma=g_l,
             ),
             coef_up, coef_low,
         )
@@ -487,6 +505,7 @@ class PackedRankSolver:
         self.trace.pair_broadcasts += 1
         ent = _ResidentSample(*payload)
         ent.gidx = gidx  # column-cache key (provider path)
+        ent.k_self = self.kernel.self_value(ent.norm)
         self._resident[gidx] = ent
         return ent
 
@@ -507,8 +526,9 @@ class PackedRankSolver:
     def _kernel_columns(
         self, ent_up: _ResidentSample, ent_low: _ResidentSample
     ) -> tuple:
-        """Φ(sample, active rows) for both pair samples, memoized per
-        compaction epoch.
+        """Φ(sample, active rows) for both pair samples, held on the
+        resident entries until a reconstruction (a shrink compacts them,
+        :meth:`_carry_columns`).
 
         Uncached columns are produced by one blocked call (both at
         once on a full miss).  Bitwise identical however the batch
@@ -537,7 +557,25 @@ class PackedRankSolver:
             for j, e in enumerate(need):
                 e.kcol = cols[:, j]
                 e.epoch = cs.epoch
+            self.trace.columns_produced += len(need)
         return ent_up.kcol, ent_low.kcol
+
+    def _carry_columns(self, ending: int, keep: np.ndarray) -> None:
+        """Compact the resident columns of compaction ``ending`` to the
+        rows a shrink kept, and tag them with the new compaction.
+
+        Row i of a column depends only on active row i and the sample,
+        and the rebuilt packed rows are the kept rows in the same order,
+        so ``kcol[keep]`` is bitwise the column a fresh ``kernel.block``
+        would produce.  The copy also releases the slab the column was
+        a view of.
+        """
+        epoch = self.compact.epoch
+        for ent in self._resident.values():
+            if ent.epoch == ending:
+                ent.kcol = ent.kcol[keep]
+                ent.epoch = epoch
+                self.trace.columns_carried += 1
 
     def _column(self, ent: _ResidentSample) -> np.ndarray:
         """Φ(sample, packed active rows) through the per-rank column
@@ -558,6 +596,7 @@ class PackedRankSolver:
                 cs.Xa, cs.norms, rows, np.array([ent.norm])
             )[:, 0]
             cache.put(ent.gidx, col)
+            self.trace.columns_produced += 1
             n = int(cs.n_active)
             self.trace.kernel_evals += n
             self.trace.iter_kernel_evals += n
@@ -587,12 +626,18 @@ class PackedRankSolver:
         yu, au = ent_up.y, ent_up.alpha
         yl, al = ent_low.y, ent_low.alpha
 
-        k_uu = kernel.self_value(ent_up.norm)
-        k_ll = kernel.self_value(ent_low.norm)
-        k_ul = kernel.pair(
-            (ent_up.idx, ent_up.vals, ent_up.norm),
-            (ent_low.idx, ent_low.vals, ent_low.norm),
-        )
+        k_uu, k_ll = ent_up.k_self, ent_low.k_self
+        memo, key = self._pair_memo, (viol.i_up, viol.i_low)
+        k_ul = memo.get(key)
+        if k_ul is None:
+            if len(memo) >= PAIR_MEMO_MAX:
+                memo.clear()
+            k_ul = memo[key] = kernel.pair(
+                (ent_up.idx, ent_up.vals, ent_up.norm),
+                (ent_low.idx, ent_low.vals, ent_low.norm),
+            )
+        else:
+            self.trace.pair_memo_hits += 1
         new_up, new_low = solve_pair(
             k_uu, k_ll, k_ul, yu, yl, au, al,
             viol.gamma_up, viol.gamma_low,
@@ -656,7 +701,8 @@ class PackedRankSolver:
     # event boundaries: flush packed state back into the block
     # ------------------------------------------------------------------
     def _bump_epoch(self) -> None:
-        """The active set changed: columns, diag and reuse plan are stale.
+        """The active set changed: diag and reuse plan are stale, and so
+        is every kernel column a shrink did not carry.
 
         Resident samples keep their payloads — rows/y are immutable and
         α is refreshed redundantly after every pair update — but release

@@ -57,6 +57,15 @@ class RankTrace:
     #: training-side kernel-column cache hits/misses on this rank
     cache_hits: int = 0
     cache_misses: int = 0
+    #: kernel columns this rank produced in the iteration loop, columns
+    #: it compacted across a shrink instead of producing them again,
+    #: and iterations whose pair kernel K(x_up, x_low) it found
+    #: memoized.  Host-time reuse only: the kernel-eval accounting is
+    #: unchanged.  A rank whose shrink eliminates nothing keeps its
+    #: columns as they are, so the column counts differ between ranks
+    columns_produced: int = 0
+    columns_carried: int = 0
+    pair_memo_hits: int = 0
 
     def record_iteration(self, n_active_local: int) -> None:
         self.active_counts.append(n_active_local)
@@ -96,6 +105,11 @@ class SolveTrace:
     #: (0/0 when the solver ran the canonical cache-free path)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: kernel columns produced, columns carried across a shrink, and
+    #: pair-kernel memo hits, each summed over ranks (see RankTrace)
+    columns_produced: int = 0
+    columns_carried: int = 0
+    pair_memo_hits: int = 0
 
     @classmethod
     def merge(
@@ -144,6 +158,9 @@ class SolveTrace:
             wss_reuses=max((t.wss_reuses for t in rank_traces), default=0),
             cache_hits=sum(t.cache_hits for t in rank_traces),
             cache_misses=sum(t.cache_misses for t in rank_traces),
+            columns_produced=sum(t.columns_produced for t in rank_traces),
+            columns_carried=sum(t.columns_carried for t in rank_traces),
+            pair_memo_hits=sum(t.pair_memo_hits for t in rank_traces),
         )
 
     @property
@@ -206,6 +223,9 @@ class SolveTrace:
             "wss_reuses": self.wss_reuses,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "columns_produced": self.columns_produced,
+            "columns_carried": self.columns_carried,
+            "pair_memo_hits": self.pair_memo_hits,
         }
 
     @classmethod
@@ -228,6 +248,9 @@ class SolveTrace:
             wss_reuses=int(d.get("wss_reuses", 0)),
             cache_hits=int(d.get("cache_hits", 0)),
             cache_misses=int(d.get("cache_misses", 0)),
+            columns_produced=int(d.get("columns_produced", 0)),
+            columns_carried=int(d.get("columns_carried", 0)),
+            pair_memo_hits=int(d.get("pair_memo_hits", 0)),
         )
 
     def save(self, path) -> None:

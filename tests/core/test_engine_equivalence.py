@@ -19,6 +19,12 @@ product is a small integer.  The RBF half of the matrix keeps an
 in-process check instead: α and the iteration count are bitwise equal
 at every process count.
 
+The miniatures never have a sample that a pending shrink will
+eliminate win the election right after the shrink fires, so they
+cannot see the election's candidate exclusion.  Two more cases, on
+small integer-valued two-class data (:func:`integer_blobs`), can: at
+iteration 2 such a sample holds the smallest up-side γ.
+
 After a deliberate change of the solver's answer, rewrite the golden
 file by running this module as a script from the repository root::
 
@@ -47,6 +53,12 @@ PS = (1, 2, 3, 5)
 #: structure (dense-ish one-hot mushrooms vs sparse w7a)
 MINIATURES = [("mushrooms", 0.02), ("w7a", 0.006)]
 
+#: heuristics of the cases on :func:`integer_blobs`: their first
+#: shrink fires at iteration 1 and binds the candidate exclusion of the
+#: election that follows it
+SHRINK_EXCLUSION_HEURISTICS = ("multi2", "single2")
+SHRINK_EXCLUSION_C = 32.0
+
 #: the non-default WSS policies, on the 0/1 w7a miniature
 WSS_CASES = [
     (wss, heur, cache_mb)
@@ -69,6 +81,19 @@ PER_P = ("kernel_evals", "beta", "vtime", "messages", "bytes")
 def _ones(X: CSRMatrix) -> CSRMatrix:
     """``X`` with every stored value set to 1.0 (same sparsity)."""
     return CSRMatrix(np.ones_like(X.data), X.indices, X.indptr, X.shape)
+
+
+def integer_blobs(seed=315, n=102, d=7):
+    """Two classes of 0/1 features, the positive class shifted by 1:
+    every stored value is 1 or 2."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    Xd = np.vstack([
+        rng.integers(0, 2, (half, d)) + 1, rng.integers(0, 2, (n - half, d)),
+    ]).astype(np.float64)
+    y = np.concatenate([np.ones(half), -np.ones(n - half)])
+    perm = rng.permutation(n)
+    return CSRMatrix.from_dense(Xd[perm]), y[perm]
 
 
 def load_miniatures() -> dict:
@@ -126,6 +151,10 @@ def golden_cases(minis: dict):
     for wss, heur, cache_mb in WSS_CASES:
         key = f"w7a/{heur}/{wss}/{cache_mb:g}"
         yield key, Xg, y, _linear(C), heur, wss, cache_mb
+    X, y = integer_blobs()
+    for heur in SHRINK_EXCLUSION_HEURISTICS:
+        key = f"integer_blobs/{heur}/mvp/0"
+        yield key, X, y, _linear(SHRINK_EXCLUSION_C), heur, "mvp", 0.0
 
 
 def record(X, y, params, heur, wss, cache_mb) -> dict:
@@ -181,6 +210,8 @@ def test_golden_inputs_are_integer_valued(miniatures):
     for name, _ in MINIATURES:
         _, Xg, _, _, _ = miniatures[name]
         assert np.all(Xg.data == 1.0), name
+    X, _ = integer_blobs()
+    assert set(np.unique(X.data)) == {1.0, 2.0}
 
 
 @pytest.mark.parametrize("kernel_name", ["linear", "rbf"])
@@ -216,6 +247,17 @@ def test_wss_policies_match_golden(miniatures, golden, wss, heur, cache_mb):
     _assert_matches_golden(
         golden, f"w7a/{heur}/{wss}/{cache_mb:g}", Xg, y, _linear(C), heur,
         wss, cache_mb,
+    )
+
+
+@pytest.mark.parametrize("heur", SHRINK_EXCLUSION_HEURISTICS)
+def test_shrink_exclusion_matches_golden(golden, heur):
+    """Without the pending shrink's candidate exclusion, a sample the
+    shrink eliminates would win the election at iteration 2."""
+    X, y = integer_blobs()
+    _assert_matches_golden(
+        golden, f"integer_blobs/{heur}/mvp/0", X, y,
+        _linear(SHRINK_EXCLUSION_C), heur, "mvp", 0.0,
     )
 
 

@@ -49,6 +49,16 @@ class TestMerge:
         assert tr.recon_kernel_evals() == 15
         assert tr.recon_bytes() == 30
 
+    def test_reuse_counters_summed(self):
+        a = make_rank_trace(0, [5])
+        b = make_rank_trace(1, [5])
+        a.columns_produced, a.columns_carried, a.pair_memo_hits = 4, 3, 2
+        b.columns_produced, b.columns_carried, b.pair_memo_hits = 5, 0, 2
+        tr = SolveTrace.merge([a, b], 10, 2, 2.0)
+        assert tr.columns_produced == 9
+        assert tr.columns_carried == 3
+        assert tr.pair_memo_hits == 4
+
     def test_gap_history_from_rank0(self):
         a = make_rank_trace(0, [5, 5], gaps=[2.0, 1.0])
         b = make_rank_trace(1, [5, 5])
@@ -84,6 +94,25 @@ class TestPersistence:
         assert np.array_equal(loaded.gap_history, fr.trace.gap_history)
         assert loaded.total_shrunk() == fr.trace.total_shrunk()
         assert loaded.n_reconstructions() == fr.trace.n_reconstructions()
+        for k in ("columns_produced", "columns_carried", "pair_memo_hits"):
+            assert getattr(loaded, k) == getattr(fr.trace, k), k
+        assert fr.trace.columns_produced > 0
+
+    def test_trace_without_reuse_counters_loads(self):
+        """A trace file written before the kernel-reuse counters loads
+        with zeros for them."""
+        X, y = make_blobs(n=60, sep=1.5, noise=1.2, seed=17)
+        fr = fit_parallel(
+            X, y, SVMParams(C=10.0, kernel=RBFKernel(0.5)),
+            config=RunConfig(heuristic="multi2", nprocs=2),
+        )
+        d = fr.trace.to_dict()
+        for k in ("columns_produced", "columns_carried", "pair_memo_hits"):
+            del d[k]
+        old = SolveTrace.from_dict(d)
+        assert old.columns_produced == old.columns_carried == 0
+        assert old.pair_memo_hits == 0
+        assert old.iterations == fr.trace.iterations
 
     def test_loaded_trace_projects_identically(self, tmp_path):
         from repro.perfmodel import MachineSpec, project

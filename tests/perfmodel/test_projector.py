@@ -154,16 +154,38 @@ def test_wss_second_order_prices_phase_b(wss_fits):
     assert wss2.iter_compute > plain.iter_compute  # b²/a scoring
 
 
-def test_wss_reuse_skips_elections(wss_fits):
+@pytest.fixture(scope="module")
+def reusing_fit():
+    """A planning-ahead fit whose reuse fires: the w7a miniature (the
+    blobs of ``wss_fits`` never reuse a pair)."""
+    import numpy as np
+
+    from repro.data import DATASETS, load_dataset
+
+    ds = load_dataset("w7a", scale=0.006)
+    y = np.where(ds.y_train == np.unique(ds.y_train)[1], 1.0, -1.0)
+    entry = DATASETS["w7a"]
+    params = SVMParams(
+        C=entry.C, kernel=RBFKernel.from_sigma_sq(entry.sigma_sq),
+        eps=1e-3, max_iter=200_000,
+    )
+    return fit_parallel(
+        ds.X_train, y, params,
+        config=RunConfig(
+            heuristic="multi5pc", nprocs=2, machine=M, wss="planning_ahead"
+        ),
+    )
+
+
+def test_wss_reuse_skips_elections(reusing_fit):
     """Reuse iterations elect nothing: the trace's reuse counter
     discounts exactly that many phase-A elections."""
     import dataclasses
 
     from repro.perfmodel import costs
 
-    tr = wss_fits["planning_ahead"].trace
-    if tr.wss_reuses == 0:
-        pytest.skip("no reuse fired on this miniature")
+    tr = reusing_fit.trace
+    assert tr.wss_reuses > 0
     stripped = dataclasses.replace(tr, wss_reuses=0)
     pa = project(tr, M, 8)
     full = project(stripped, M, 8)

@@ -26,6 +26,9 @@ def test_train_registry_dataset(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "iterations=" in out
+    # the kernel-reuse counters, summed over ranks
+    assert "columns=" in out and "carried=" in out
+    assert "pair-memo-hits=" in out
     assert "train accuracy" in out
 
 
