@@ -13,6 +13,7 @@ from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.kernels import RBFKernel
 from repro.mpi import SUM, run_spmd
+from repro.mpi.reduceops import MINLOC_MAXLOC
 from repro.sparse import CSRMatrix
 
 RNG = np.random.default_rng(7)
@@ -57,6 +58,28 @@ def test_allreduce_scalar(benchmark, p):
         return run_spmd(lambda c: c.allreduce(c.rank, SUM), p)
 
     benchmark.pedantic(job, iterations=1, rounds=5, warmup_rounds=1)
+
+
+def test_election_allreduce_p2(benchmark):
+    """The solver's per-iteration violator election: typed
+    ``MINLOC_MAXLOC`` ``allreduce_buffer`` calls inside one p=2 job, so a
+    round's time is the per-call message path times the call count, not
+    thread start-up (``test_allreduce_scalar`` times whole jobs)."""
+    n_calls = 2000
+    benchmark.extra_info["calls_per_round"] = n_calls
+
+    def prog(comm):
+        # (β_up, i_up, β_low, i_low) plus one SUM slot, as the solver packs it
+        buf = np.array([0.5 + comm.rank, comm.rank, -0.5 - comm.rank, comm.rank, 1.0])
+        for _ in range(n_calls):
+            out = comm.allreduce_buffer(buf, MINLOC_MAXLOC)
+        return out
+
+    res = benchmark.pedantic(
+        lambda: run_spmd(prog, 2), iterations=1, rounds=5, warmup_rounds=1
+    )
+    for out in res.results:
+        assert out.tolist() == [0.5, 0.0, -0.5, 0.0, 2.0]
 
 
 def test_ring_exchange(benchmark):

@@ -30,11 +30,10 @@ from typing import Any, List, Optional, Sequence
 from .reduceops import ReduceOp
 
 
-def _combine(op: ReduceOp, lo: Any, hi: Any, arrays: bool) -> Any:
-    """Combine with the lower-rank operand first (deterministic)."""
-    if arrays:
-        return op.combine_arrays(lo, hi)
-    return op.combine(lo, hi)
+def _combiner(op: ReduceOp, arrays: bool):
+    """``combine(lo, hi)``: the op's array or object path; callers pass
+    the lower-rank operand first (deterministic)."""
+    return op.combine_arrays if arrays else op.combine
 
 
 def barrier_dissemination(comm) -> None:
@@ -96,6 +95,7 @@ def reduce_binomial(
         return obj
     rank = comm.rank
     vrank = (rank - root) % p
+    combine = _combiner(op, arrays)
     val = obj
     mask = 1
     while mask < p:
@@ -107,7 +107,7 @@ def reduce_binomial(
         if partner < p:
             other = comm._coll_recv((partner + root) % p, tag)
             # partner has the higher virtual rank: combine (self, other)
-            val = _combine(op, val, other, arrays)
+            val = combine(val, other)
         mask <<= 1
     return val if rank == root else None
 
@@ -128,6 +128,7 @@ def allreduce_recursive_doubling(
     if p == 1:
         return obj
     rank = comm.rank
+    combine = _combiner(op, arrays)
     val = obj
 
     pof2 = 1
@@ -142,25 +143,23 @@ def allreduce_recursive_doubling(
             newrank = -1
         else:
             other = comm._coll_recv(rank - 1, tag)
-            val = _combine(op, other, val, arrays)  # lower rank first
+            val = combine(other, val)  # lower rank first
             newrank = rank // 2
     else:
         newrank = rank - rem
-
-    def real_of(nr: int) -> int:
-        return nr * 2 + 1 if nr < rem else nr + rem
 
     if newrank >= 0:
         mask = 1
         while mask < pof2:
             partner = newrank ^ mask
-            peer = real_of(partner)
+            # the real rank of folded rank `partner`
+            peer = partner * 2 + 1 if partner < rem else partner + rem
             comm._coll_send(val, peer, tag, typed=typed)
             other = comm._coll_recv(peer, tag)
             if newrank < partner:
-                val = _combine(op, val, other, arrays)
+                val = combine(val, other)
             else:
-                val = _combine(op, other, val, arrays)
+                val = combine(other, val)
             mask <<= 1
 
     # post-fold: odds return the result to their even partner
@@ -235,7 +234,7 @@ def scan_linear(comm, obj: Any, op: ReduceOp, arrays: bool = False) -> Any:
     val = obj
     if rank > 0:
         prefix = comm._coll_recv(rank - 1, tag)
-        val = _combine(op, prefix, val, arrays)
+        val = _combiner(op, arrays)(prefix, val)
     if rank < p - 1:
         comm._coll_send(val, rank + 1, tag)
     return val
@@ -252,7 +251,7 @@ def exscan_linear(comm, obj: Any, op: ReduceOp, arrays: bool = False) -> Any:
         prefix = comm._coll_recv(rank - 1, tag)
     if rank < p - 1:
         inclusive = (
-            obj if prefix is None else _combine(op, prefix, obj, arrays)
+            obj if prefix is None else _combiner(op, arrays)(prefix, obj)
         )
         comm._coll_send(inclusive, rank + 1, tag)
     return prefix
@@ -286,9 +285,10 @@ def reduce_scatter_block(
         src = (rank - step) % p
         comm._coll_send(objs[dest], dest, tag)
         incoming[src] = comm._coll_recv(src, tag)
+    combine = _combiner(op, arrays)
     out = incoming[0]
     for s in range(1, p):
-        out = _combine(op, out, incoming[s], arrays)
+        out = combine(out, incoming[s])
     return out
 
 

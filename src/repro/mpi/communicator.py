@@ -50,6 +50,7 @@ class Comm:
         self._mailbox = runtime.mailboxes[group[rank]]
         self._machine = runtime.machine
         self._tracer = runtime.tracer
+        self._faults = runtime.faults
         self._suite = runtime.collectives
         #: peer local rank -> shares this rank's node (machine geometry
         #: is fixed for the job; filled lazily, one lookup per peer)
@@ -89,7 +90,8 @@ class Comm:
         """Charge ``seconds`` of local compute to the virtual clock."""
         t0 = self._clock.now
         t1 = self._clock.advance(seconds, kind="compute")
-        self._tracer.record(self._rank, "compute", "advance", -1, 0, t0, t1)
+        if self._tracer.enabled:
+            self._tracer.record(self._rank, "compute", "advance", -1, 0, t0, t1)
         return t1
 
     def charge_kernel_evals(self, n_evals: float, avg_nnz: float) -> float:
@@ -114,32 +116,27 @@ class Comm:
     # ------------------------------------------------------------------
     # point-to-point: internal
     # ------------------------------------------------------------------
-    def _deliver(self, env: Envelope) -> None:
-        self._runtime.deliver(env)
-
-    def _before_send(self) -> None:
-        """Fault-engine send hook (stall/kill progress marks)."""
-        engine = self._runtime.faults
-        if engine is not None:
-            engine.before_send(self._global(self._rank))
-
     def _post_send_typed(self, arr: np.ndarray, dest: int, tag: int) -> None:
-        self._before_send()
-        t0 = self._clock.now
-        self._clock.advance(self._machine.send_overhead, kind="comm")
+        if self._faults is not None:  # stall/kill progress marks
+            self._faults.before_send(self._group[self._rank])
+        clock = self._clock
+        t0 = clock.now
+        clock.advance(self._machine.send_overhead, kind="comm")
         env = Envelope.from_array(
-            self._rank, self._global(dest), tag, self._context, arr, self._clock.now
+            self._rank, self._group[dest], tag, self._context, arr, clock.now
         )
-        self._clock.record_send(env.nbytes)
-        self._deliver(env)
-        self._tracer.record(
-            self._rank, "send", "Send", dest, env.nbytes, t0, self._clock.now
-        )
+        clock.record_send(env.nbytes)
+        self._runtime.deliver(env)
+        if self._tracer.enabled:
+            self._tracer.record(
+                self._rank, "send", "Send", dest, env.nbytes, t0, clock.now
+            )
 
     def _post_send_object(self, obj: Any, dest: int, tag: int) -> None:
         """Send a Python object: as a typed frame when the frame
         protocol covers it, pickled otherwise."""
-        self._before_send()
+        if self._faults is not None:  # stall/kill progress marks
+            self._faults.before_send(self._group[self._rank])
         t0 = self._clock.now
         self._clock.advance(self._machine.send_overhead, kind="comm")
         blob = frames.encode(obj)
@@ -154,25 +151,28 @@ class Comm:
                 obj, self._clock.now,
             )
         self._clock.record_send(env.nbytes)
-        self._deliver(env)
-        self._tracer.record(
-            self._rank, "send", "send", dest, env.nbytes, t0, self._clock.now
-        )
+        self._runtime.deliver(env)
+        if self._tracer.enabled:
+            self._tracer.record(
+                self._rank, "send", "send", dest, env.nbytes, t0, self._clock.now
+            )
 
     def _complete_recv(self, env: Envelope) -> None:
         """Clock/statistics bookkeeping once an envelope is matched."""
-        t0 = self._clock.now
+        clock = self._clock
+        t0 = clock.now
         intra = self._intra.get(env.src)
         if intra is None:
             intra = self._intra[env.src] = self._machine.same_node(
                 self._group[env.src], self._group[self._rank]
             )
         arrival = env.depart_time + self._machine.p2p_time(env.nbytes, intra=intra)
-        self._clock.sync_to(arrival, kind="comm")
-        self._clock.record_recv(env.nbytes)
-        self._tracer.record(
-            self._rank, "recv", "recv", env.src, env.nbytes, t0, self._clock.now
-        )
+        clock.sync_to(arrival, kind="comm")
+        clock.record_recv(env.nbytes)
+        if self._tracer.enabled:
+            self._tracer.record(
+                self._rank, "recv", "recv", env.src, env.nbytes, t0, clock.now
+            )
 
     def _decode_with_recovery(self, env: Envelope) -> Tuple[Envelope, Any]:
         """Decode a matched envelope's payload, re-requesting pristine
@@ -302,12 +302,12 @@ class Comm:
         Integrity-checking protocols (frame decoding, the reconstruction
         ring) call this after detecting a corrupt payload; the pristine
         envelope — if the engine ledgered one — is re-injected into this
-        rank's mailbox.  (Dropped messages need no call: the mailbox
-        recovers them as soon as the engine withholds them.)  Returns
-        False when no fault engine is installed or nothing matching is
-        recoverable.
+        rank's mailbox ahead of any later message of its stream.
+        (Dropped messages need no call: the mailbox recovers them as
+        soon as the engine withholds them.)  Returns False when no fault
+        engine is installed or nothing matching is recoverable.
         """
-        engine = self._runtime.faults
+        engine = self._faults
         if engine is None:
             return False
         env = engine.re_request(
@@ -315,7 +315,7 @@ class Comm:
         )
         if env is None:
             return False
-        self._mailbox.put(env)
+        self._mailbox.restore(env)
         return True
 
     # ------------------------------------------------------------------
@@ -335,56 +335,45 @@ class Comm:
             self._post_send_object(obj, dest, tag)
 
     def _coll_recv(self, source: int, tag: int) -> Any:
-        env = self._mailbox.take(source, tag, self._context, block=True)
+        env = self._mailbox.take(source, tag, self._context)
         self._complete_recv(env)
+        if env.typed:  # a raw buffer: nothing to decode
+            return env.payload
         return self._decode_with_recovery(env)[1]
 
-    def _trace_collective(self, op: str, t0: float, b0: int) -> None:
-        """Record a finished collective with this rank's *exact* wire
-        contribution: the delta of bytes sent since entry (``b0``)."""
+    def _collective(self, op: str, run, *args) -> Any:
+        """Run one collective algorithm (``run(self, *args)``); when
+        tracing, record it with this rank's *exact* wire contribution:
+        the delta of bytes sent across the call."""
+        if not self._tracer.enabled:
+            return run(self, *args)
+        stats = self._clock.stats
+        t0, b0 = self._clock.now, stats.bytes_sent
+        out = run(self, *args)
         self._tracer.record(
-            self._rank,
-            "collective",
-            op,
-            -1,
-            self._clock.stats.bytes_sent - b0,
-            t0,
+            self._rank, "collective", op, -1, stats.bytes_sent - b0, t0,
             self._clock.now,
         )
-
-    def _coll_entry(self) -> Tuple[float, int]:
-        """Snapshot (vtime, bytes-sent) at collective entry for tracing."""
-        return self._clock.now, self._clock.stats.bytes_sent
+        return out
 
     # ------------------------------------------------------------------
     # collectives (object path; typed wrappers below)
     # ------------------------------------------------------------------
     def barrier(self) -> None:
-        t0, b0 = self._coll_entry()
-        self._suite.barrier(self)
-        self._trace_collective("Barrier", t0, b0)
+        self._collective("Barrier", self._suite.barrier)
 
     Barrier = barrier
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         self._check_peer(root)
-        t0, b0 = self._coll_entry()
-        out = self._suite.bcast(self, obj, root)
-        self._trace_collective("Bcast", t0, b0)
-        return out
+        return self._collective("Bcast", self._suite.bcast, obj, root)
 
     def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         self._check_peer(root)
-        t0, b0 = self._coll_entry()
-        out = self._suite.reduce(self, obj, op, root)
-        self._trace_collective("Reduce", t0, b0)
-        return out
+        return self._collective("Reduce", self._suite.reduce, obj, op, root)
 
     def allreduce(self, obj: Any, op: ReduceOp = SUM) -> Any:
-        t0, b0 = self._coll_entry()
-        out = self._suite.allreduce(self, obj, op)
-        self._trace_collective("Allreduce", t0, b0)
-        return out
+        return self._collective("Allreduce", self._suite.allreduce, obj, op)
 
     def allreduce_buffer(self, arr: Any, op: ReduceOp = SUM) -> np.ndarray:
         """Allreduce a small numpy buffer over the typed envelope path.
@@ -398,59 +387,41 @@ class Comm:
         snapshot it and combines return new arrays (a one-rank
         communicator returns the operand itself).
         """
-        src = as_array(arr)
-        t0, b0 = self._coll_entry()
-        out = self._suite.allreduce(self, src, op, arrays=True, typed=True)
-        self._trace_collective("Allreduce", t0, b0)
-        return np.asarray(out)
+        buf = as_array(arr)
+        if not self._tracer.enabled:  # the election's per-iteration path
+            return self._suite.allreduce(self, buf, op, True, True)
+        return self._collective(
+            "Allreduce", self._suite.allreduce, buf, op, True, True
+        )
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         self._check_peer(root)
-        t0, b0 = self._coll_entry()
-        out = self._suite.gather(self, obj, root)
-        self._trace_collective("Gather", t0, b0)
-        return out
+        return self._collective("Gather", self._suite.gather, obj, root)
 
     def allgather(self, obj: Any) -> List[Any]:
-        t0, b0 = self._coll_entry()
-        out = self._suite.allgather(self, obj)
-        self._trace_collective("Allgather", t0, b0)
-        return out
+        return self._collective("Allgather", self._suite.allgather, obj)
 
     def scatter(self, objs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
         self._check_peer(root)
-        t0, b0 = self._coll_entry()
-        out = self._suite.scatter(self, objs, root)
-        self._trace_collective("Scatter", t0, b0)
-        return out
+        return self._collective("Scatter", self._suite.scatter, objs, root)
 
     def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        t0, b0 = self._coll_entry()
-        out = self._suite.alltoall(self, objs)
-        self._trace_collective("Alltoall", t0, b0)
-        return out
+        return self._collective("Alltoall", self._suite.alltoall, objs)
 
     def scan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction (MPI_Scan)."""
-        t0, b0 = self._coll_entry()
-        out = self._suite.scan(self, obj, op)
-        self._trace_collective("Scan", t0, b0)
-        return out
+        return self._collective("Scan", self._suite.scan, obj, op)
 
     def exscan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction (MPI_Exscan; None on rank 0)."""
-        t0, b0 = self._coll_entry()
-        out = self._suite.exscan(self, obj, op)
-        self._trace_collective("Exscan", t0, b0)
-        return out
+        return self._collective("Exscan", self._suite.exscan, obj, op)
 
     def reduce_scatter(self, objs: Sequence[Any], op: ReduceOp = SUM) -> Any:
         """Reduce slot i across ranks; rank i receives result i
         (MPI_Reduce_scatter_block with one item per rank)."""
-        t0, b0 = self._coll_entry()
-        out = self._suite.reduce_scatter(self, objs, op)
-        self._trace_collective("Reduce_scatter", t0, b0)
-        return out
+        return self._collective(
+            "Reduce_scatter", self._suite.reduce_scatter, objs, op
+        )
 
     # ------------------------------------------------------------------
     # collectives: typed wrappers (in-place numpy buffers)

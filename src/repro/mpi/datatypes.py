@@ -37,8 +37,13 @@ def as_array(buf: Any) -> np.ndarray:
 
     Accepts an ndarray or an ``(array,)`` / ``(array, count)`` tuple/list.
     The returned view aliases the caller's memory so receives fill it
-    in place.
+    in place; a contiguous 1-D array comes back as itself.
     """
+    if (
+        type(buf) is np.ndarray and buf.ndim == 1
+        and buf.flags.c_contiguous and not buf.dtype.hasobject
+    ):
+        return buf
     count = None
     if isinstance(buf, (tuple, list)):
         if len(buf) == 1:

@@ -66,14 +66,15 @@ KINDS = ("delay", "drop", "dup", "corrupt", "stall", "kill")
 class RetryPolicy:
     """Bounded retry/backoff schedule for blocked receives.
 
-    A receive makes at most ``max_retries`` re-requests before raising
+    A receive makes at most ``max_retries`` retries before raising
     :class:`~repro.mpi.errors.MessageLostError`.  A receive matching a
-    dropped envelope re-requests it at once; only a receive waiting on
-    something the engine cannot see (a stalled or killed sender, a
-    message never sent) waits ``timeout`` host seconds, re-requests,
-    then waits ``timeout * backoff``, and so on.  Only active while a
-    fault engine is installed; fault-free jobs keep the plain blocking
-    behaviour (the watchdog covers genuine deadlocks).
+    dropped envelope re-requests it at once (one retry per ask); only
+    a receive waiting on something the engine cannot see (a stalled or
+    killed sender, a message never sent) waits ``timeout`` host
+    seconds, counts a retry, then waits ``timeout * backoff``, and so
+    on.  Only active while a fault engine is installed; fault-free
+    jobs keep the plain blocking behaviour (the watchdog covers
+    genuine deadlocks).
     """
 
     timeout: float = 0.25
@@ -327,12 +328,12 @@ class _LedgerEntry:
 class FaultEngine:
     """Thread-safe interpreter of one :class:`FaultPlan` for one job.
 
-    Locking discipline: the engine lock is *never* held while calling
-    into a mailbox (delivery decisions, the announcement of a drop
-    included, are computed under the lock and applied outside), so the
-    mailbox-lock -> engine-lock order taken by duplicate discards
-    cannot deadlock against the send path.  Receivers re-request
-    outside their mailbox lock.
+    Locking discipline: the engine lock is the only lock on the
+    delivery path.  Mailboxes hold none (senders only put into a
+    rank's inbox; its own thread matches), and the engine lock is
+    never held while putting into one: delivery decisions, the
+    announcement of a drop included, are computed under the lock and
+    applied outside it.
     """
 
     def __init__(self, plan: FaultPlan, nprocs: int, tracer=None, on_kill=None):
@@ -486,7 +487,8 @@ class FaultEngine:
         destination mailbox was told about.  Only that mailbox recovers
         drops, so a dropped envelope is handed out exactly once.
         Without ``seq``, it asks for the pristine original of a
-        corrupted envelope matching (src, tag, context).
+        corrupted envelope matching (src, tag, context); only a
+        receiver that decoded the tampered copy asks for it.
 
         Returns the pristine envelope when one is due for
         retransmission (the caller delivers it), ``None`` when nothing
@@ -511,6 +513,13 @@ class FaultEngine:
                 # artifact, invisible to the modeled machine
                 return entry.env
         return None
+
+    def note_retry(self) -> None:
+        """Count a receive's retry after a host timeout on something
+        the engine cannot see (a stalled or killed sender, a message
+        never sent), which nothing in the ledger can answer."""
+        with self._lock:
+            self.stats["retries"] += 1
 
     def note_duplicate(self, env: Envelope) -> None:
         with self._lock:

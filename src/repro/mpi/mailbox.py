@@ -1,142 +1,184 @@
 """Per-rank mailboxes: the synchronization core of the simulated runtime.
 
-Each rank owns one :class:`Mailbox`.  Senders deposit envelopes; receivers
-block until a matching envelope is available.  Matching follows MPI
-non-overtaking order: among envelopes from the same (source, tag, context),
-the earliest sent one is matched first.
+Each rank owns one :class:`Mailbox`: an inbox that senders only put
+into (a ``queue.SimpleQueue``, safe for any number of producers) and
+the matching state of the rank's receives.  One thread runs each rank,
+and every communicator of that rank runs on it, so that thread is the
+inbox's only reader: it keeps the envelopes it has pulled but not yet
+matched in a private *pending* list, in arrival order, with no lock.
 
-Mailbox waits poll an abort event so that when any rank raises, peers
-blocked in communication are promptly woken with :class:`SpmdAborted`.
+Matching follows MPI non-overtaking order: among envelopes from the
+same (source, tag, context), the earliest sent one is matched first.
+A sender puts its envelopes in program order, and a receive looks
+through everything it pulled before it pulls anything newer, so the
+first match in arrival order is the earliest of its stream.
 
-When a fault engine is installed (see :mod:`repro.mpi.faults`) the
-mailbox grows three responsibilities:
+Besides envelopes, two notices ride the inbox:
 
-- *event-driven drop recovery*: the runtime announces every envelope
-  the engine drops (:meth:`Mailbox.withhold`) and wakes the receiver.
-  A ``take`` that matches a withheld envelope re-requests it from the
-  engine's ledger at once, before any later envelope of the same
-  stream, so drops cost no host sleep and never reorder a stream;
-- *bounded retry/backoff* for what the engine cannot see (a stalled or
-  killed sender, a message never sent): a blocked ``take`` waits the
-  engine policy's timeout, re-requests, doubles the wait, and after
-  ``max_retries`` re-requests (of either kind) raises a structured
-  :class:`~repro.mpi.errors.MessageLostError` instead of hanging into
-  the 60 s job watchdog;
-- *duplicate discard*: envelopes are tracked by sequence number and a
-  re-delivery of an already-seen envelope (the ``dup`` fault) is
-  dropped, preserving exactly-once matching.
+- the abort wake-up (:meth:`wake`): the runtime sets the job's abort
+  event and then puts one into every inbox, so a receive blocked on
+  its inbox ends with :class:`SpmdAborted`, and one that checks the
+  event before blocking never waits;
+- the drop announcement (:meth:`withhold`): when a fault engine drops
+  an envelope into its ledger, the sender's thread puts a notice in
+  the envelope's place.  The notice is pending like the envelope
+  would have been, so a receive that matches it re-requests it from
+  the ledger at once (no host sleep), before any later envelope of
+  its stream — FIFO order, not a lock, keeps the announcement ahead
+  of the sender's next message and wakes a receiver already blocked.
 
-All three are dormant on fault-free jobs — no seen-set is kept, nothing
-is ever withheld and waits block indefinitely, exactly the
-pre-fault-layer behaviour.  Their receives take a separate path with no
-retry bookkeeping: no policy budget, one lock hold when the envelope is
-already queued, and a host clock read only when the receive has to wait
-(for the watchdog's blocked-state diagnostics).
+When a fault engine is installed (see :mod:`repro.mpi.faults`) a
+receive also follows a bounded retry/backoff schedule for what the
+engine cannot see (a stalled or killed sender, a message never sent):
+it waits the policy's timeout, counts a retry, doubles the wait, and
+after ``max_retries`` retries of either kind raises a structured
+:class:`~repro.mpi.errors.MessageLostError` instead of hanging into
+the 60 s job watchdog.  A timed-out receive never re-requests anything
+from the ledger: only a matched drop notice is re-requested (by
+sequence number), and the pristine original of a corrupted envelope
+is re-requested by the receive that decoded its tampered copy
+(:meth:`~repro.mpi.communicator.Comm.rerequest`), which puts it back
+at the head of the pending list (:meth:`restore`).  Re-deliveries of an
+already-seen envelope (the ``dup`` fault) are discarded on delivery,
+by sequence number, preserving exactly-once matching.
+
+Fault-free jobs receive through the same inbox with none of that
+bookkeeping: no seen-set, no retry budget, and a blocking ``get`` with
+no timeout.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .errors import MessageLostError, SpmdAborted
 from .message import Envelope
 
-#: How often blocked receivers re-check the job abort flag (host seconds).
-_POLL_INTERVAL = 0.05
+
+class _Withheld:
+    """Inbox notice: the fault engine dropped ``env`` into its ledger."""
+
+    __slots__ = ("env",)
+
+    def __init__(self, env: Envelope):
+        self.env = env
+
+
+#: inbox notice: the job was aborted (see :meth:`Mailbox.wake`)
+_WAKE = object()
 
 
 class Mailbox:
-    """Thread-safe matched queue of in-flight messages for one rank."""
+    """One rank's inbox and the matching state of its receives.
+
+    :meth:`put`, :meth:`withhold`, :meth:`wake`, :meth:`wait_state` and
+    :attr:`delivered` may be called from any thread; :meth:`take`,
+    :meth:`probe` and :meth:`restore` only from the rank's own thread.
+    """
 
     def __init__(self, rank: int, abort_event: threading.Event, engine=None):
         self.rank = rank
         self._abort = abort_event
         self._engine = engine
-        self._cond = threading.Condition()
-        self._queue: Deque[Envelope] = deque()
-        #: total envelopes ever delivered; the watchdog uses this to
-        #: distinguish deadlock from slow progress.
-        self.delivered = 0
+        self._inbox: "queue.SimpleQueue" = queue.SimpleQueue()
         #: sequence numbers already delivered (duplicate discard); only
-        #: maintained when the fault plan can withhold or re-deliver
-        #: messages, keeping the fault-free hot path allocation-free.
+        #: kept when the fault plan can withhold or re-deliver messages
         self._seen: Optional[Set[int]] = (
             set() if engine is not None and engine.needs_dedup else None
         )
-        #: envelopes the fault engine dropped on their way here and
-        #: still holds in its ledger (see :meth:`withhold`)
-        self._withheld: List[Envelope] = []
+        #: ``put(env)``: deliver an envelope — the inbox's own method,
+        #: or :meth:`_put_once` when re-deliveries must be discarded
+        self.put = self._inbox.put if self._seen is None else self._put_once
+        #: envelopes pulled off the inbox and not yet matched, in
+        #: arrival order (drop notices stand in for their envelope)
+        self._pending: List[Envelope] = []
+        #: inbox items pulled so far (see :attr:`delivered`)
+        self._pulled = 0
+        #: sequence numbers of pending envelopes the fault engine
+        #: dropped and still holds in its ledger
+        self._withheld: Set[int] = set()
         #: (src, tag, context, host-monotonic start) of the receive this
         #: rank is currently blocked in, for watchdog diagnostics.
         self._waiting: Optional[Tuple[Optional[int], Optional[int], int, float]] = None
 
-    def put(self, env: Envelope) -> None:
-        with self._cond:
-            if self._seen is not None:
-                if env.seq in self._seen:
-                    self._engine.note_duplicate(env)
-                    return
-                self._seen.add(env.seq)
-            self._queue.append(env)
-            self.delivered += 1
-            self._cond.notify_all()
+    @property
+    def delivered(self) -> int:
+        """Items ever put into this inbox (envelopes and notices); the
+        watchdog uses it to tell deadlock from slow progress."""
+        return self._pulled + self._inbox.qsize()
+
+    def _put_once(self, env: Envelope) -> None:
+        """Deliver ``env`` unless it was delivered before (the ``dup``
+        fault).  Only the sender's thread puts a given envelope, so the
+        check and the add cannot race."""
+        if env.seq in self._seen:
+            self._engine.note_duplicate(env)
+            return
+        self._seen.add(env.seq)
+        self._inbox.put(env)
 
     def withhold(self, env: Envelope) -> None:
-        """Note that the fault engine dropped ``env`` into its ledger and
-        wake a blocked receiver, which re-requests it at once."""
-        with self._cond:
-            self._withheld.append(env)
-            self._cond.notify_all()
+        """Announce that the fault engine dropped ``env`` into its
+        ledger; the receive that matches it re-requests it at once."""
+        self._inbox.put(_Withheld(env))
 
-    def _find(self, src: Optional[int], tag: Optional[int], context: int):
-        for i, env in enumerate(self._queue):
+    def wake(self) -> None:
+        """Wake a receive blocked on the inbox (used on abort: a woken
+        receive raises :class:`SpmdAborted` once the abort event is
+        set)."""
+        self._inbox.put(_WAKE)
+
+    # ------------------------------------------------------------------
+    # the rank's own thread only
+    # ------------------------------------------------------------------
+    def _aborted(self) -> SpmdAborted:
+        return SpmdAborted(
+            f"rank {self.rank}: job aborted while waiting for a message"
+        )
+
+    def _absorb(self, item) -> bool:
+        """File one inbox item; True when it joined the pending list (an
+        envelope or drop notice), False for a wake-up (which raises once
+        the job is aborted)."""
+        self._pulled += 1
+        if item is _WAKE:
+            if self._abort.is_set():
+                raise self._aborted()
+            return False
+        if type(item) is _Withheld:
+            item = item.env
+            self._withheld.add(item.seq)
+        self._pending.append(item)
+        return True
+
+    def _find(
+        self, src: Optional[int], tag: Optional[int], context: int
+    ) -> Optional[int]:
+        for i, env in enumerate(self._pending):
             if env.matches(src, tag, context):
                 return i
         return None
 
-    def _first_withheld(
-        self, src: Optional[int], tag: Optional[int], context: int,
-        i: Optional[int],
-    ) -> Optional[Envelope]:
-        """The withheld envelope a receive must match before the queued
-        one at ``i``: the earliest of that envelope's stream sent before
-        it (non-overtaking), or, with nothing queued, the earliest
-        matching one.  Sequence numbers order a stream: its sender
-        draws them in program order."""
-        queued = None if i is None else self._queue[i]
-        first = None
-        for env in self._withheld:
-            if not env.matches(src, tag, context):
-                continue
-            if queued is not None and (
-                env.src != queued.src or env.tag != queued.tag
-                or env.seq > queued.seq
-            ):
-                continue
-            if first is None or env.seq < first.seq:
-                first = env
-        return first
-
-    def _recovered(self, env: Envelope) -> Envelope:
-        """Bookkeeping for a withheld envelope handed back by the engine."""
-        with self._cond:
-            # by identity: Envelope equality would compare payload arrays
-            for k, held in enumerate(self._withheld):
-                if held is env:
-                    del self._withheld[k]
-                    break
+    def restore(self, env: Envelope) -> None:
+        """Re-inject a corrupted envelope's pristine original, fetched
+        from the fault ledger after its tampered copy was taken: it is
+        the oldest unmatched envelope of its stream, so it goes to the
+        head of the pending list, where nothing later of the stream
+        can overtake it."""
+        if self._seen is not None:
             self._seen.add(env.seq)
-            self.delivered += 1
-        return env
+        self._pending.insert(0, env)
 
     def probe(self, src: Optional[int], tag: Optional[int], context: int):
         """Non-blocking match test; returns the envelope without removing."""
-        with self._cond:
-            i = self._find(src, tag, context)
-            return None if i is None else self._queue[i]
+        inbox = self._inbox
+        while not inbox.empty():  # the only reader: get() cannot block
+            self._absorb(inbox.get())
+        i = self._find(src, tag, context)
+        return None if i is None else self._pending[i]
 
     def take(
         self,
@@ -145,122 +187,125 @@ class Mailbox:
         context: int,
         *,
         block: bool = True,
-        policy=None,
     ) -> Optional[Envelope]:
         """Remove and return the first matching envelope.
 
         Blocks until one arrives when ``block`` is true.  Raises
         :class:`SpmdAborted` if the job was cancelled while waiting.
         Under fault injection, a matching envelope the engine withheld
-        is re-requested at once; otherwise waits follow the bounded
-        retry/backoff schedule of ``policy`` (default: the engine's
-        policy).  Either way :class:`MessageLostError` is raised once
-        the re-request budget is exhausted.
+        is re-requested at once; otherwise waits follow the engine
+        policy's bounded retry/backoff schedule.  Either way
+        :class:`MessageLostError` is raised once the retry budget is
+        exhausted.
         """
-        engine = self._engine
-        if engine is None:
-            return self._take_plain(src, tag, context, block)
-        if policy is None:
-            policy = engine.policy
-        attempt = 0
-        started = time.monotonic()
-        budget = policy.budget(1)
+        if self._engine is not None:
+            return self._take_faulted(src, tag, context, block)
+        pending = self._pending
+        for i, env in enumerate(pending):
+            if env.matches(src, tag, context):
+                del pending[i]
+                return env
+        inbox = self._inbox
         try:
             while True:
-                withheld = None
-                with self._cond:
-                    if self._waiting is None and block:
-                        self._waiting = (src, tag, context, started)
-                    if self._abort.is_set():
-                        raise SpmdAborted(
-                            f"rank {self.rank}: job aborted while waiting "
-                            f"for a message"
-                        )
-                    i = self._find(src, tag, context)
-                    if self._withheld:
-                        withheld = self._first_withheld(src, tag, context, i)
-                    if withheld is None:
-                        if i is not None:
-                            env = self._queue[i]
-                            del self._queue[i]
-                            return env
-                        if not block:
-                            return None
-                        self._cond.wait(timeout=_POLL_INTERVAL)
-                        waited = time.monotonic() - started
-                        if waited < budget:
-                            continue
-                # re-request outside the mailbox lock (the engine must
-                # never be entered while a mailbox lock is held by
-                # another path — see FaultEngine locking notes)
-                attempt += 1
-                if attempt > policy.max_retries:
-                    raise MessageLostError(self.rank, src, tag, attempt - 1)
-                if withheld is not None:
-                    env = engine.re_request(
-                        self.rank, withheld.src, withheld.tag, context,
-                        seq=withheld.seq,
-                    )
-                    if env is not None:
-                        return self._recovered(env)
-                    continue  # a count=k drop: ask again at once
-                # timed out on something the engine cannot see
-                recovered = engine.re_request(self.rank, src, tag, context)
-                if recovered is not None:
-                    self.put(recovered)
-                started = time.monotonic()
-                budget = policy.budget(attempt + 1)
-        finally:
-            with self._cond:
-                self._waiting = None
-
-    def _take_plain(
-        self, src: Optional[int], tag: Optional[int], context: int, block: bool
-    ) -> Optional[Envelope]:
-        """:meth:`take` on a fault-free job: nothing is ever withheld or
-        lost, so there is no retry bookkeeping, and a receive whose
-        envelope is already queued holds the lock once.  A receive that
-        has to wait records its start for :meth:`wait_state`."""
-        with self._cond:
-            try:
-                while True:
-                    if self._abort.is_set():
-                        raise SpmdAborted(
-                            f"rank {self.rank}: job aborted while waiting "
-                            f"for a message"
-                        )
-                    i = self._find(src, tag, context)
-                    if i is not None:
-                        env = self._queue[i]
-                        del self._queue[i]
-                        return env
+                if inbox.empty():
                     if not block:
                         return None
+                    if self._abort.is_set():
+                        raise self._aborted()
                     if self._waiting is None:
                         self._waiting = (src, tag, context, time.monotonic())
-                    self._cond.wait(timeout=_POLL_INTERVAL)
-            finally:
-                self._waiting = None
+                item = inbox.get()
+                self._pulled += 1
+                if item is _WAKE:
+                    if self._abort.is_set():
+                        raise self._aborted()
+                    continue
+                if item.matches(src, tag, context):
+                    return item
+                pending.append(item)
+        finally:
+            self._waiting = None
 
-    def wake(self) -> None:
-        """Wake any blocked waiters (used on abort)."""
-        with self._cond:
-            self._cond.notify_all()
+    def _take_faulted(
+        self, src: Optional[int], tag: Optional[int], context: int, block: bool
+    ) -> Optional[Envelope]:
+        """:meth:`take` on a job with a fault engine installed: the same
+        scan-then-pull as the fault-free receive, plus drop recovery and
+        the retry budget.  The budget is spent only while nothing
+        matching is pending or in the inbox."""
+        engine = self._engine
+        policy = engine.policy
+        pending = self._pending
+        inbox = self._inbox
+        attempt = 0
+        started = budget = None
+        i = self._find(src, tag, context) if pending else None
+        try:
+            while True:
+                if i is not None:
+                    env = pending[i]
+                    if env.seq not in self._withheld:
+                        del pending[i]
+                        return env
+                    # a dropped envelope: re-request it by sequence
+                    # number, before anything later of its stream
+                    attempt += 1
+                    if attempt > policy.max_retries:
+                        raise MessageLostError(self.rank, src, tag, attempt - 1)
+                    got = engine.re_request(
+                        self.rank, env.src, env.tag, context, seq=env.seq
+                    )
+                    if got is None:
+                        continue  # a count=k drop: ask again at once
+                    del pending[i]
+                    self._withheld.discard(env.seq)
+                    self._seen.add(env.seq)
+                    return got
+                if inbox.empty():
+                    if not block:
+                        return None
+                    if self._abort.is_set():
+                        raise self._aborted()
+                    if started is None:
+                        started = time.monotonic()
+                        budget = policy.budget(1)
+                        self._waiting = (src, tag, context, started)
+                    remaining = budget - (time.monotonic() - started)
+                    if remaining <= 0:
+                        # nothing matching arrived within the budget: a
+                        # stalled or killed sender, or a message never sent
+                        attempt += 1
+                        if attempt > policy.max_retries:
+                            raise MessageLostError(
+                                self.rank, src, tag, attempt - 1
+                            )
+                        engine.note_retry()
+                        started = time.monotonic()
+                        budget = policy.budget(attempt + 1)
+                        continue
+                    try:
+                        item = inbox.get(timeout=remaining)
+                    except queue.Empty:
+                        continue
+                else:
+                    item = inbox.get()  # the only reader: cannot block
+                if self._absorb(item) and pending[-1].matches(src, tag, context):
+                    i = len(pending) - 1
+        finally:
+            self._waiting = None
 
     def wait_state(self) -> Optional[str]:
         """Human-readable description of the receive this rank is
         blocked in, or ``None`` when it is not blocked (diagnostics)."""
-        with self._cond:
-            if self._waiting is None:
-                return None
-            src, tag, context, since = self._waiting
-            fmt = lambda v: "ANY" if v is None or v < 0 else str(v)  # noqa: E731
-            return (
-                f"blocked in recv(src={fmt(src)}, tag={fmt(tag)}, "
-                f"ctx={context}) for {time.monotonic() - since:.1f}s "
-                f"({len(self._queue)} unmatched queued)"
-            )
-
-    def __len__(self) -> int:  # pragma: no cover - debugging aid
-        with self._cond:
-            return len(self._queue)
+        waiting = self._waiting
+        if waiting is None:
+            return None
+        src, tag, context, since = waiting
+        fmt = lambda v: "ANY" if v is None or v < 0 else str(v)  # noqa: E731
+        queued = len(self._pending) + self._inbox.qsize()
+        return (
+            f"blocked in recv(src={fmt(src)}, tag={fmt(tag)}, "
+            f"ctx={context}) for {time.monotonic() - since:.1f}s "
+            f"({queued} unmatched queued)"
+        )

@@ -30,7 +30,7 @@ def next_seq() -> int:
     return next(_seq)
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One message travelling between two ranks of a communicator."""
 
@@ -60,14 +60,8 @@ class Envelope:
     ) -> "Envelope":
         copy = np.array(arr, copy=True)  # snapshot: sender may reuse buffer
         return cls(
-            src=src,
-            dest=dest,
-            tag=tag,
-            context=context,
-            payload=copy,
-            typed=True,
-            nbytes=int(copy.size) * int(copy.dtype.itemsize),
-            depart_time=depart_time,
+            src, dest, tag, context, copy, True, copy.nbytes, depart_time,
+            next(_seq),
         )
 
     @classmethod

@@ -8,29 +8,29 @@ KKT violators together with their owning sample index in one allreduce.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 
 class ReduceOp:
-    """A named, associative, commutative binary reduction operator."""
+    """A named, associative, commutative binary reduction operator.
+
+    ``combine(a, b)`` combines two partial results on the object path;
+    ``combine_arrays(a, b)`` is the element-wise combine of the typed
+    path and returns a new array.  Both are the plain functions the op
+    was built from (no method call in between).
+    """
+
+    __slots__ = ("name", "combine", "combine_arrays")
 
     def __init__(self, name: str, array_fn: Callable, object_fn: Callable):
         self.name = name
-        self._array_fn = array_fn
-        self._object_fn = object_fn
+        self.combine = object_fn
+        self.combine_arrays = array_fn
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ReduceOp({self.name})"
-
-    def combine(self, a: Any, b: Any) -> Any:
-        """Combine two partial results (object path)."""
-        return self._object_fn(a, b)
-
-    def combine_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise combine for the typed path. Returns a new array."""
-        return self._array_fn(a, b)
 
 
 def _pair_minloc(a, b):
@@ -81,16 +81,16 @@ def _fused_minloc_maxloc(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     out = a.copy()
-    # Python floats compare like the float64 slots, without numpy
-    # scalar boxing
-    a0, a1, a2, a3 = a[:ELECTION_SLOTS].tolist()
-    b0, b1, b2, b3 = b[:ELECTION_SLOTS].tolist()
-    if b0 < a0 or (b0 == a0 and b1 < a1):
-        out[0], out[1] = b0, b1
-    if b2 > a2 or (b2 == a2 and b3 < a3):
-        out[2], out[3] = b2, b3
-    if a.shape[0] > ELECTION_SLOTS:
-        out[ELECTION_SLOTS:] = a[ELECTION_SLOTS:] + b[ELECTION_SLOTS:]
+    # Python floats compare and add like the float64 slots, without
+    # numpy scalar boxing or slice views
+    av = a.tolist()
+    bv = b.tolist()
+    if bv[0] < av[0] or (bv[0] == av[0] and bv[1] < av[1]):
+        out[0], out[1] = bv[0], bv[1]
+    if bv[2] > av[2] or (bv[2] == av[2] and bv[3] < av[3]):
+        out[2], out[3] = bv[2], bv[3]
+    for k in range(ELECTION_SLOTS, len(av)):
+        out[k] = av[k] + bv[k]
     return out
 
 

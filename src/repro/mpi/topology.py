@@ -96,51 +96,26 @@ class _SubView:
 
 
 class FlatCollectives:
-    """The single-level textbook algorithms (historical default)."""
+    """The single-level textbook algorithms (historical default).
+
+    Each entry point is the algorithm itself (``suite.allreduce(comm,
+    ...)`` calls :func:`~repro.mpi.collectives.allreduce_recursive_doubling`
+    with no frame in between).
+    """
 
     name = "flat"
 
-    def barrier(self, comm) -> None:
-        _coll.barrier_dissemination(comm)
-
-    def bcast(self, comm, obj: Any, root: int) -> Any:
-        return _coll.bcast_binomial(comm, obj, root)
-
-    def reduce(
-        self, comm, obj: Any, op: ReduceOp, root: int, arrays: bool = False
-    ) -> Any:
-        return _coll.reduce_binomial(comm, obj, op, root, arrays)
-
-    def allreduce(
-        self,
-        comm,
-        obj: Any,
-        op: ReduceOp,
-        arrays: bool = False,
-        typed: bool = False,
-    ) -> Any:
-        return _coll.allreduce_recursive_doubling(comm, obj, op, arrays, typed)
-
-    def allgather(self, comm, obj: Any) -> List[Any]:
-        return _coll.allgather_ring(comm, obj)
-
-    def gather(self, comm, obj: Any, root: int) -> Optional[List[Any]]:
-        return _coll.gather_flat(comm, obj, root)
-
-    def scatter(self, comm, objs: Optional[Sequence[Any]], root: int) -> Any:
-        return _coll.scatter_flat(comm, objs, root)
-
-    def alltoall(self, comm, objs: Sequence[Any]) -> List[Any]:
-        return _coll.alltoall_pairwise(comm, objs)
-
-    def scan(self, comm, obj: Any, op: ReduceOp) -> Any:
-        return _coll.scan_linear(comm, obj, op)
-
-    def exscan(self, comm, obj: Any, op: ReduceOp) -> Any:
-        return _coll.exscan_linear(comm, obj, op)
-
-    def reduce_scatter(self, comm, objs: Sequence[Any], op: ReduceOp) -> Any:
-        return _coll.reduce_scatter_block(comm, objs, op)
+    barrier = staticmethod(_coll.barrier_dissemination)
+    bcast = staticmethod(_coll.bcast_binomial)
+    reduce = staticmethod(_coll.reduce_binomial)
+    allreduce = staticmethod(_coll.allreduce_recursive_doubling)
+    allgather = staticmethod(_coll.allgather_ring)
+    gather = staticmethod(_coll.gather_flat)
+    scatter = staticmethod(_coll.scatter_flat)
+    alltoall = staticmethod(_coll.alltoall_pairwise)
+    scan = staticmethod(_coll.scan_linear)
+    exscan = staticmethod(_coll.exscan_linear)
+    reduce_scatter = staticmethod(_coll.reduce_scatter_block)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

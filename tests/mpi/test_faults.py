@@ -204,6 +204,31 @@ class TestMessageFaults:
         stats = res.fault_stats["stats"]
         assert stats["retries"] == stats["retransmitted"] == stats["dropped"] == 1
 
+    def test_corrupt_keeps_stream_order(self):
+        """A corrupted message's pristine original, re-requested once
+        its frame fails the CRC check, is not overtaken by a later
+        message of its stream (it used to be re-queued behind it)."""
+        def two_sends(comm):
+            # arrays travel as CRC-checked frames: a tampered copy fails
+            # to decode and is re-requested
+            if comm.rank == 0:
+                comm.send(np.array([1.0]), dest=1, tag=5)
+                comm.send(np.array([2.0]), dest=1, tag=5)
+                return None
+            time.sleep(0.1)  # both sends are settled before the receives
+            return [float(comm.recv(source=0, tag=5)[0]) for _ in range(2)]
+
+        baseline = run_spmd(two_sends, 2)
+        plan = FaultPlan(
+            faults=(Fault("corrupt", src=0, dest=1, tag=5, nth=1),),
+            seed=1, retry=EVENT,
+        )
+        res = run_spmd(two_sends, 2, faults=plan, deadlock_timeout=WATCHDOG)
+        assert res.results[1] == baseline.results[1] == [1.0, 2.0]
+        assert res.vtime == baseline.vtime
+        stats = res.fault_stats["stats"]
+        assert stats["corrupted"] == stats["retransmitted"] == 1
+
     def test_dup_discarded(self, baseline):
         plan = FaultPlan(faults=(Fault("dup", src=0, dest=1, tag=5),), seed=1)
         res = run_spmd(pingpong, 2, faults=plan)
@@ -224,7 +249,8 @@ class TestMessageFaults:
         """More ranks than cores, a tiny thread switch interval and a
         30% drop rate under wildcard receives: every stream still
         arrives complete and in order, each drop recovered by one
-        immediate re-request."""
+        immediate re-request; duplicates of the undropped messages are
+        each discarded once, on delivery."""
         n_msgs = 20
 
         def storm(comm):
@@ -239,7 +265,8 @@ class TestMessageFaults:
             return got
 
         plan = FaultPlan(
-            faults=(Fault("drop", tag=7, prob=0.3),), seed=3, retry=EVENT
+            faults=(Fault("drop", tag=7, prob=0.3), Fault("dup", tag=7, prob=0.3)),
+            seed=3, retry=EVENT,
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -253,6 +280,8 @@ class TestMessageFaults:
         stats = res.fault_stats["stats"]
         assert stats["dropped"] > 0
         assert stats["retries"] == stats["retransmitted"] == stats["dropped"]
+        assert stats["duplicated"] > 0
+        assert stats["dup_discarded"] == stats["duplicated"]
 
     def test_exhausted_retries_name_rank_and_tag(self):
         # 99 suppressed asks exceed the 6-ask budget: rank 1 gives up at
