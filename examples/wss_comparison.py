@@ -48,8 +48,9 @@ def main() -> None:
               f"{'hit rate':>9} {'beta':>10}")
     print(header)
     sweep = [
-        ("mvp", 0.0),             # the historical default
-        ("mvp", 16.0),            # cache only: same trajectory, fewer evals
+        ("mvp", 0.0),             # the historical default: 2|A|+3 a step
+        ("mvp", 16.0),            # column budget: same trajectory, only
+                                  # produced columns are charged
         ("second_order", 0.0),    # better elections: fewer iterations
         ("second_order", 16.0),   # both
         ("planning_ahead", 16.0),  # + zero-communication reuse
@@ -72,8 +73,8 @@ def main() -> None:
               f"{tr.wss_elections:>10} {tr.wss_reuses:>7} "
               f"{tr.cache_hit_rate:>9.2f} {fr.model.beta:>10.5f}")
     print("\nSame tolerance, same model (within eps); the second-order"
-          "\nelection gets there in fewer, better iterations, and the"
-          "\ncolumn cache removes evaluations from whatever policy runs.")
+          "\nelection gets there in fewer, better iterations, and a"
+          "\ncolumn budget charges only the columns a policy produces.")
 
 
 if __name__ == "__main__":

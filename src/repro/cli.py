@@ -85,9 +85,10 @@ def add_runconfig_args(parser) -> None:
                         help="working-set selection policy (default: mvp)")
     parser.add_argument("--kernel-cache-mb", type=float, default=None,
                         metavar="MB",
-                        help="per-rank kernel-column cache budget in MiB "
-                             "(default: 0 = off; second_order enables a "
-                             "minimal provider cache regardless)")
+                        help="per-rank kernel-column budget in MiB: an "
+                             "LRU that charges each column it produces "
+                             "(default: 0 = unbounded, charged as if "
+                             "every iteration recomputed its two columns)")
     parser.add_argument("--dc", default=None, metavar="SPEC",
                         help="divide-and-conquer outer loop: cluster count "
                              "('4') or knobs ('clusters=4,levels=2,seed=7'); "

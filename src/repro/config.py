@@ -54,14 +54,15 @@ class RunConfig:
         evaluations; their models agree with ``mvp`` within solver
         tolerance.  Only consulted by the training entry points.
     kernel_cache_mb:
-        Per-rank byte budget (MiB) for an LRU cache of training-side
-        kernel columns, invalidated at every shrink and reconstruction
-        (:class:`~repro.kernels.KernelColumnCache`).  A positive budget
-        — or any non-``mvp`` policy, which needs the elected column
-        twice and so keeps the few in-flight columns even at ``0`` —
-        routes columns through the cache and charges only actual
-        production; ``mvp`` at ``0`` keeps the cache-free accounting.
-        Only consulted by the training entry points.
+        Per-rank byte budget (MiB) of the solver's kernel-column store,
+        the same for every WSS policy.  The store keeps a column across
+        a shrink (compacted) and releases it at a reconstruction.  At
+        ``0`` it is unbounded and every iteration is charged Algorithm
+        2's 2·|A|+3 kernel evaluations, as if no column were kept.  A
+        positive budget makes it an LRU of that many bytes, and each
+        column it produces is charged |A| (plus 3 per iteration for the
+        pair).  No budget changes α, β or the iteration count.  Only
+        consulted by the training entry points.
     comm:
         Collective suite: ``"flat"`` (single-level textbook algorithms)
         or ``"hierarchical"`` (topology-aware two-level variants, see

@@ -283,25 +283,26 @@ class _Rotator:
     round draws ``k`` fresh landmarks from the pool by seeded
     kernel-k-means++ (D² sampling, so different seeds explore different
     landmark subsets) and assigns with the shared capacity-constrained
-    greedy.  Sample-to-landmark similarity columns are cached, so a
-    round's kernel-evaluation bill covers only first-touched landmarks
-    — steady-state rotation is pure flops.  Rotation is what breaks the
-    Jacobi plateau: a violator pair split by one partition co-locates
-    under another.
+    greedy.  Sample-to-landmark similarity columns are cached (a
+    :class:`_ColumnCache` of its own, apart from the gradient update's,
+    so each bill stays separate), so a round's kernel-evaluation bill
+    covers only first-touched landmarks — steady-state rotation is pure
+    flops.  Rotation is what breaks the Jacobi plateau: a violator pair
+    split by one partition co-locates under another.
     """
 
     def __init__(self, X: CSRMatrix, y: np.ndarray, kernel, seed: int):
-        self.X, self.y, self.kernel = X, np.asarray(y, dtype=np.float64), kernel
+        self.y = np.asarray(y, dtype=np.float64)
         n = X.shape[0]
-        self.norms = X.row_norms_sq()
+        self._cols = _ColumnCache(X, kernel)  # keyed by sample index
+        norms = self._cols.norms
         rng = np.random.default_rng(seed)
         self.pool_size = min(n, _LANDMARK_POOL)
         self.pool = np.sort(rng.choice(n, size=self.pool_size, replace=False))
         Xp = X.take_rows(self.pool)
-        np_pool = self.norms[self.pool]
+        np_pool = norms[self.pool]
         self.Kp = kernel.block(Xp, np_pool, Xp, np_pool)
         self.dp = kernel.diag(np_pool)
-        self._cols: Dict[int, np.ndarray] = {}  # pool position -> K[:, pool[pos]]
 
     def assign(self, k: int, seed: int) -> Tuple[np.ndarray, int]:
         """One rotated partition; returns ``(assignment, new_columns)``
@@ -326,16 +327,8 @@ class _Rotator:
                     0.0, self.dp + self.dp[nxt] - 2.0 * self.Kp[:, nxt]
                 ),
             )
-        missing = [c for c in chosen if c not in self._cols]
-        if missing:
-            mi = self.pool[np.asarray(missing, dtype=np.int64)]
-            block = self.kernel.block(
-                self.X, self.norms, self.X.take_rows(mi), self.norms[mi]
-            )
-            for t, c in enumerate(missing):
-                self._cols[c] = block[:, t]
-        S = np.stack([self._cols[c] for c in chosen], axis=1)
-        return _balanced_assign(S, self.y, k), len(missing)
+        S, n_new = self._cols.fetch(self.pool[np.asarray(chosen)])
+        return _balanced_assign(S, self.y, k), n_new
 
 
 class _ColumnCache:

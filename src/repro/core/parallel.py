@@ -35,12 +35,13 @@ returned model — is bitwise identical for every process count.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..kernels import Kernel, KernelColumnCache
+from ..kernels import Kernel
 from ..mpi.communicator import Comm
 from ..mpi.reduceops import MAXLOC_PAYLOAD, MINLOC_MAXLOC, SUM
 from ..sparse.csr import CSRMatrix
@@ -95,9 +96,10 @@ class _ResidentSample:
     column against this rank's active rows; ``epoch`` tags which
     compaction of the active set the column matches.  A shrink only
     removes rows, so it compacts the column and re-tags it; a
-    reconstruction grows the active set and releases it.  ``alpha`` is
-    refreshed on every rank from the redundantly computed pair update,
-    so a cache hit needs no payload movement at all.
+    reconstruction grows the active set and releases it, and so does an
+    eviction under a column budget.  ``alpha`` is refreshed on every
+    rank from the redundantly computed pair update, so a cache hit needs
+    no payload movement at all.
     """
 
     __slots__ = (
@@ -113,7 +115,8 @@ class _ResidentSample:
         self.alpha = alpha
         self.kcol = None
         self.epoch = -1
-        # set by the fetch that registers the entry
+        # set by the fetch that registers the entry (the column store's
+        # LRU key under a byte budget)
         self.gidx = NO_INDEX
         self.k_self = 0.0
 
@@ -153,10 +156,12 @@ class PackedRankSolver:
       repeats.  A resident column survives a shrink (compacted to the
       surviving rows) and is released at a reconstruction; the pair
       kernel K(x_up, x_low) is memoized per ordered pair (at most
-      :data:`PAIR_MEMO_MAX` of them).  Kernel-eval *accounting* stays
-      the canonical 2·n_active + 3 per iteration even on a hit — the
-      reuse is host-time memoization of a bitwise-identical
-      recomputation, not saved algorithmic work.
+      :data:`PAIR_MEMO_MAX` of them).  Without a column budget the
+      kernel-eval *accounting* stays the canonical 2·n_active + 3 per
+      iteration even on a hit — the reuse is host-time memoization of
+      a bitwise-identical recomputation, not saved algorithmic work.
+      With a budget (``cache_bytes``) the same store is a byte-bounded
+      LRU, and each column it produces is charged instead.
     """
 
     def __init__(
@@ -190,17 +195,14 @@ class PackedRankSolver:
         self.delta_c = self._initial_threshold
         self.shrink_enabled = heuristic.shrinks
         self.avg_nnz = blk.X.avg_row_nnz or 1.0
-        # working-set-selection policy + training-side column cache.
-        # The provider path (columns produced one at a time through the
-        # cache, actual evals charged) engages for any non-mvp policy or
-        # a positive budget; the default mvp/budget-0 combination keeps
-        # the cache-free code paths bitwise untouched.
         self.wss = get_wss_policy(wss)
-        self._colcache = (
-            KernelColumnCache(int(cache_bytes))
-            if (int(cache_bytes) > 0 or self.wss.uses_provider)
-            else None
-        )
+        #: per-rank byte budget of the column store (0 = unbounded, with
+        #: Algorithm 2's per-iteration accounting; see :meth:`_columns`)
+        self._budget = int(cache_bytes)
+        #: under a budget, the entries holding a column, least recently
+        #: used first, and the bytes of those columns
+        self._lru: "OrderedDict[int, _ResidentSample]" = OrderedDict()
+        self._held_bytes = 0
         self._phase_eps = params.eps  # eps of the phase currently running
         self._epoch = 0  # active-set epoch (bumped on shrink/reconstruct)
         self._diag_memo: "tuple | None" = None
@@ -331,7 +333,7 @@ class PackedRankSolver:
         ):
             return first
         ent_up = self._fetch_sample(i_up)
-        kcol_up = self._column(ent_up)
+        (kcol_up,) = self._columns(ent_up)
         diag = self._diag(cs.norms)
         comm.advance(comm.machine.time_flops(12.0 * cs.n_active))
         gain, j, gamma_j = second_order_best(
@@ -387,11 +389,10 @@ class PackedRankSolver:
             blk.active[cs.lidx[pending.mask]] = False
             ending = cs.epoch
             cs.rebuild()
-            if self._colcache is None:
-                self._carry_columns(ending, ~pending.mask)
+            self._carry_columns(ending, ~pending.mask)
         # collective (delta != 0 on every rank, the fire event is a
-        # shared countdown): the reuse plan and column cache must drop
-        # on all ranks together or the reuse decision — and with it the
+        # shared countdown): the reuse plan must drop on all ranks
+        # together or the reuse decision — and with it the
         # communication pattern — would diverge
         self._bump_epoch()
         if self.heur.subsequent == "active_set":
@@ -441,9 +442,13 @@ class PackedRankSolver:
         — identical on every rank, so the virtual clocks stay aligned)."""
         n = self._pool.take_new_evals()
         if n:
-            self.trace.kernel_evals += n
-            self.trace.iter_kernel_evals += n
-            self.comm.charge_kernel_evals(n, self.avg_nnz)
+            self._charge_evals(n)
+
+    def _charge_evals(self, n: int) -> None:
+        """Book ``n`` kernel evaluations of the iteration loop."""
+        self.trace.kernel_evals += n
+        self.trace.iter_kernel_evals += n
+        self.comm.charge_kernel_evals(n, self.avg_nnz)
 
     def _observe_pair(
         self, viol, row_up, row_low, yu, yl, new_up, new_low,
@@ -504,7 +509,7 @@ class PackedRankSolver:
         payload = comm.bcast(payload, root=owner)
         self.trace.pair_broadcasts += 1
         ent = _ResidentSample(*payload)
-        ent.gidx = gidx  # column-cache key (provider path)
+        ent.gidx = gidx
         ent.k_self = self.kernel.self_value(ent.norm)
         self._resident[gidx] = ent
         return ent
@@ -523,29 +528,35 @@ class PackedRankSolver:
         """
         return self._fetch_sample(viol.i_up), self._fetch_sample(viol.i_low)
 
-    def _kernel_columns(
-        self, ent_up: _ResidentSample, ent_low: _ResidentSample
-    ) -> tuple:
-        """Φ(sample, active rows) for both pair samples, held on the
+    def _columns(self, *ents: _ResidentSample) -> list:
+        """Φ(sample, active rows) for each of ``ents``, held on the
         resident entries until a reconstruction (a shrink compacts them,
         :meth:`_carry_columns`).
 
-        Uncached columns are produced by one blocked call (both at
-        once on a full miss).  Bitwise identical however the batch
-        splits: column j of ``kernel.block`` equals the single-column
-        product (see :meth:`CSRMatrix.dot_csr_t`), and the kernel maps
-        are pure elementwise expressions.
+        The missing columns are produced by one blocked call.  Bitwise
+        identical however the batch splits: column j of
+        ``kernel.block`` equals the single-column product (see
+        :meth:`CSRMatrix.dot_csr_t`), and the kernel maps are pure
+        elementwise expressions.
+
+        Without a budget the store is unbounded and charges nothing
+        here: :meth:`iterate_once` charges Algorithm 2's 2·|A|+3, as if
+        every column were recomputed.  With one, it is an LRU of at most
+        ``cache_bytes`` column bytes — producing first evicts the least
+        recently used columns this request does not use — and each
+        produced column charges |A|; the request's hits and misses are
+        counted.
         """
         cs = self.compact
-        if self._colcache is not None:
-            # provider path: each column is served/produced through the
-            # byte-budgeted cache and charged only on actual production
-            return self._column(ent_up), self._column(ent_low)
-        need = [
-            e
-            for e in (ent_up, ent_low)
-            if e.kcol is None or e.epoch != cs.epoch
-        ]
+        need = [e for e in ents if e.kcol is None or e.epoch != cs.epoch]
+        budget = self._budget
+        if budget:
+            for e in ents:
+                if e.gidx in self._lru:
+                    self._lru.move_to_end(e.gidx)
+            self.trace.cache_hits += len(ents) - len(need)
+            self.trace.cache_misses += len(need)
+            self._evict([e.gidx for e in ents], 8 * cs.n_active * len(need))
         if need:
             rows = CSRMatrix.from_rows(
                 [(e.idx, e.vals) for e in need], self.blk.X.shape[1],
@@ -555,10 +566,30 @@ class PackedRankSolver:
                 cs.Xa, cs.norms, rows, np.array([e.norm for e in need])
             )
             for j, e in enumerate(need):
-                e.kcol = cols[:, j]
+                # a budgeted column owns its bytes: evicting its
+                # neighbour must not leave the shared slab pinned
+                e.kcol = cols[:, j].copy() if budget else cols[:, j]
                 e.epoch = cs.epoch
             self.trace.columns_produced += len(need)
-        return ent_up.kcol, ent_low.kcol
+            if budget:
+                for e in need:
+                    self._lru[e.gidx] = e
+                    self._held_bytes += e.kcol.nbytes
+                self._charge_evals(len(need) * int(cs.n_active))
+        return [e.kcol for e in ents]
+
+    def _evict(self, request: list, nbytes: int) -> None:
+        """Release least recently used columns until ``nbytes`` more fit
+        the budget; the columns of ``request`` (moved to the MRU end
+        before this call) are never released."""
+        lru = self._lru
+        while lru and self._held_bytes + nbytes > self._budget:
+            gidx = next(iter(lru))
+            if gidx in request:
+                break  # only the request's own columns are left
+            ent = lru.pop(gidx)
+            self._held_bytes -= ent.kcol.nbytes
+            ent.kcol, ent.epoch = None, -1
 
     def _carry_columns(self, ending: int, keep: np.ndarray) -> None:
         """Compact the resident columns of compaction ``ending`` to the
@@ -577,42 +608,13 @@ class PackedRankSolver:
                 ent.epoch = epoch
                 self.trace.columns_carried += 1
 
-    def _column(self, ent: _ResidentSample) -> np.ndarray:
-        """Φ(sample, packed active rows) through the per-rank column
-        cache.
-
-        Only actual production (a miss) charges kernel evaluations —
-        unlike the canonical accounting, a cache hit is free, which is
-        the whole point of the budgeted cache.
-        """
-        cache = self._colcache
-        col = cache.get(ent.gidx)
-        if col is None:
-            cs = self.compact
-            rows = CSRMatrix.from_rows(
-                [(ent.idx, ent.vals)], self.blk.X.shape[1], check=False
-            )
-            col = self.kernel.block(
-                cs.Xa, cs.norms, rows, np.array([ent.norm])
-            )[:, 0]
-            cache.put(ent.gidx, col)
-            self.trace.columns_produced += 1
-            n = int(cs.n_active)
-            self.trace.kernel_evals += n
-            self.trace.iter_kernel_evals += n
-            self.comm.charge_kernel_evals(n, self.avg_nnz)
-        return col
-
     def _diag(self, norms_active) -> np.ndarray:
         """Φ(x_j, x_j) over the active rows, memoized per epoch (libsvm's
         QD vector); charged once per epoch like any produced column."""
         if self._diag_memo is not None and self._diag_memo[0] == self._epoch:
             return self._diag_memo[1]
         d = self.kernel.diag(norms_active)
-        n = int(norms_active.shape[0])
-        self.trace.kernel_evals += n
-        self.trace.iter_kernel_evals += n
-        self.comm.charge_kernel_evals(n, self.avg_nnz)
+        self._charge_evals(int(norms_active.shape[0]))
         self._diag_memo = (self._epoch, d)
         return d
 
@@ -646,7 +648,7 @@ class PackedRankSolver:
         d_up = new_up - au
         d_low = new_low - al
 
-        k_up_col, k_low_col = self._kernel_columns(ent_up, ent_low)
+        k_up_col, k_low_col = self._columns(ent_up, ent_low)
         apply_pair_update(cs.gamma, k_up_col, k_low_col, yu, yl, d_up, d_low)
         if self.blk.owns_global(viol.i_up):
             cs.set_alpha(cs.position_of_global(viol.i_up), new_up)
@@ -664,15 +666,8 @@ class PackedRankSolver:
                 yu, yl, new_up, new_low, k_uu, k_ll, k_ul, d_up, d_low,
             )
 
-        if self._colcache is None:
-            evals = 2 * cs.n_active + 3
-        else:
-            # provider accounting: columns charged on production inside
-            # _column, only the 3 pair evaluations land here
-            evals = 3
-        self.trace.kernel_evals += evals
-        self.trace.iter_kernel_evals += evals
-        comm.charge_kernel_evals(evals, self.avg_nnz)
+        # under a budget _columns charged the columns it produced
+        self._charge_evals(3 if self._budget else 2 * cs.n_active + 3)
 
         if shrink_active:
             self.delta_c -= 1
@@ -711,8 +706,6 @@ class PackedRankSolver:
         holding one stale column per distinct working-set sample.
         """
         self._epoch += 1
-        if self._colcache is not None:
-            self._colcache.bump_epoch()
         self._diag_memo = None
         if self._pool is not None:
             # a shrunk sample must not be re-elected; the pool refills
@@ -722,6 +715,12 @@ class PackedRankSolver:
         for ent in self._resident.values():
             if ent.epoch != epoch:
                 ent.kcol = None
+        if self._budget:
+            # released columns leave the LRU; carried ones shrank
+            self._lru = OrderedDict(
+                (g, e) for g, e in self._lru.items() if e.kcol is not None
+            )
+            self._held_bytes = sum(e.kcol.nbytes for e in self._lru.values())
 
     def reconstruct(self) -> Violators:
         """Algorithm 3, then a fresh violator election over all samples."""
@@ -795,9 +794,6 @@ class PackedRankSolver:
                     viol = self.reconstruct()
                 self.delta_c = min(self.delta_c, self._initial_threshold)
 
-        if self._colcache is not None:
-            self.trace.cache_hits = self._colcache.hits
-            self.trace.cache_misses = self._colcache.misses
         beta = self._final_beta(viol)
         return RankResult(
             alpha=self.blk.alpha,

@@ -54,15 +54,18 @@ class RankTrace:
     #: planning-ahead zero-communication pair reuses; identical on
     #: every rank — the reuse decision is computed redundantly
     wss_reuses: int = 0
-    #: training-side kernel-column cache hits/misses on this rank
+    #: kernel-column requests this rank's column store served from a
+    #: held column / had to produce; counted only under a column budget
+    #: (``kernel_cache_mb``)
     cache_hits: int = 0
     cache_misses: int = 0
     #: kernel columns this rank produced in the iteration loop, columns
     #: it compacted across a shrink instead of producing them again,
     #: and iterations whose pair kernel K(x_up, x_low) it found
-    #: memoized.  Host-time reuse only: the kernel-eval accounting is
-    #: unchanged.  A rank whose shrink eliminates nothing keeps its
-    #: columns as they are, so the column counts differ between ranks
+    #: memoized.  Without a column budget this is host-time reuse only:
+    #: the kernel-eval accounting is unchanged.  A rank whose shrink
+    #: eliminates nothing keeps its columns as they are, so the column
+    #: counts differ between ranks
     columns_produced: int = 0
     columns_carried: int = 0
     pair_memo_hits: int = 0
@@ -101,8 +104,8 @@ class SolveTrace:
     wss_elections: int = 0
     #: planning-ahead zero-communication pair reuses
     wss_reuses: int = 0
-    #: training-side kernel-column cache hits/misses summed over ranks
-    #: (0/0 when the solver ran the canonical cache-free path)
+    #: column-store hits/misses summed over ranks (0/0 without a
+    #: column budget)
     cache_hits: int = 0
     cache_misses: int = 0
     #: kernel columns produced, columns carried across a shrink, and

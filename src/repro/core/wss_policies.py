@@ -83,13 +83,6 @@ class WSSPolicy:
     second_order: bool = False
     reuse_eta: Optional[float] = None
 
-    @property
-    def uses_provider(self) -> bool:
-        """Whether the solver routes kernel columns through the
-        byte-budgeted column cache (actual-eval accounting) for this
-        policy regardless of the cache budget."""
-        return self.second_order
-
 
 WSS_POLICIES = {
     "mvp": WSSPolicy("mvp"),

@@ -1,7 +1,7 @@
 """``repro.kernels`` — kernel functions and the baseline's row cache."""
 
 from .base import Kernel, SampleRow
-from .cache import KernelColumnCache, KernelRowCache
+from .cache import KernelRowCache
 from .linear import LinearKernel
 from .polynomial import PolynomialKernel
 from .rbf import RBFKernel
@@ -28,7 +28,6 @@ def make_kernel(name: str, **params) -> Kernel:
 
 __all__ = [
     "Kernel",
-    "KernelColumnCache",
     "KernelRowCache",
     "LinearKernel",
     "PolynomialKernel",

@@ -114,87 +114,3 @@ class KernelRowCache:
             "hit_rate": self.hit_rate,
         }
 
-
-class KernelColumnCache:
-    """Per-rank, byte-budgeted cache of *training-side* kernel columns.
-
-    Where :class:`KernelRowCache` serves the libsvm baseline's full
-    rows, this serves the distributed engines: one entry is
-    Φ(sample, this rank's active rows), keyed by the sample's global
-    index.  Two tiers:
-
-    - a small pinned workspace (``pinned_slots`` most-recent entries,
-      budget-exempt) holding the in-flight working-set columns — the
-      second-order election computes the up column one half-step before
-      the γ update consumes it, and planning-ahead reuse re-steps the
-      previous pair, so these few columns are hot regardless of budget;
-    - a byte-budgeted LRU (a :class:`KernelRowCache` underneath) for
-      everything that survives longer, sized by ``--kernel-cache-mb``.
-
-    Columns are only valid for one active-set *epoch*: a shrink,
-    reconstruction or compaction changes which rows (and how many) a
-    column spans, so :meth:`bump_epoch` drops everything.  Hit/miss
-    counters count column *requests* (they feed ``SolveTrace`` and the
-    CLI report); the byte-level stats of the LRU tier are exposed via
-    :meth:`stats`.
-    """
-
-    def __init__(self, capacity_bytes: int, pinned_slots: int = 4):
-        if pinned_slots < 2:
-            raise ValueError(
-                f"pinned_slots must hold at least the working pair, "
-                f"got {pinned_slots}"
-            )
-        self._lru = KernelRowCache(capacity_bytes)
-        self._pinned: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self.pinned_slots = int(pinned_slots)
-        self.epoch = 0
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._lru.capacity_bytes
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def get(self, key: int) -> Optional[np.ndarray]:
-        col = self._pinned.get(key)
-        if col is not None:
-            self._pinned.move_to_end(key)
-            self.hits += 1
-            return col
-        col = self._lru.get(key)
-        if col is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return col
-
-    def put(self, key: int, col: np.ndarray) -> None:
-        """Record a freshly produced column (pinned + LRU tiers)."""
-        self._pinned[key] = col
-        self._pinned.move_to_end(key)
-        while len(self._pinned) > self.pinned_slots:
-            self._pinned.popitem(last=False)
-        self._lru.put(key, col)
-
-    def bump_epoch(self) -> None:
-        """Active set changed (shrink / reconstruction / compaction):
-        every cached column spans the wrong rows now."""
-        self.epoch += 1
-        self._pinned.clear()
-        self._lru.invalidate()
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "epoch": self.epoch,
-            "pinned_entries": len(self._pinned),
-            "lru": self._lru.stats(),
-        }

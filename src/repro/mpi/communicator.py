@@ -177,7 +177,12 @@ class Comm:
     def _decode_with_recovery(self, env: Envelope) -> Tuple[Envelope, Any]:
         """Decode a matched envelope's payload, re-requesting pristine
         retransmissions of corrupt frames from the fault ledger (bounded
-        attempts) before surfacing :class:`CorruptMessageError`."""
+        attempts) before surfacing :class:`CorruptMessageError`.
+
+        The caller booked the matched envelope; a retransmission is the
+        same message (same departure stamp and size), so it is not
+        booked again.
+        """
         attempts = 0
         while True:
             try:
@@ -191,7 +196,6 @@ class Comm:
                 env = self._mailbox.take(
                     env.src, env.tag, self._context, block=True
                 )
-                self._complete_recv(env)
 
     # ------------------------------------------------------------------
     # point-to-point: typed (numpy buffers)

@@ -124,6 +124,35 @@ def validate_arrivals(
     return arrivals
 
 
+def next_dispatch(
+    arrivals: np.ndarray,
+    queue,
+    policy: BatchPolicy,
+    t_ready: float,
+    ended: bool,
+) -> float:
+    """The earliest instant the next slab of ``queue`` may dispatch.
+
+    ``queue`` holds request ids in arrival order; ``t_ready`` is when a
+    scorer can next take a slab, and ``ended`` says no arrival is left.
+    The rule: the time the ``max_batch``-th oldest request arrived (size
+    trigger), else the oldest request's arrival plus ``max_delay``
+    (delay trigger) — or, once the stream has ended under an infinite
+    delay, the newest queued arrival (no arrival can fill the batch any
+    more) — but never before ``t_ready``.  An empty queue never
+    dispatches (``inf``).
+    """
+    if not queue:
+        return math.inf
+    if len(queue) >= policy.max_batch:
+        t_trigger = arrivals[queue[policy.max_batch - 1]]
+    else:
+        t_trigger = arrivals[queue[0]] + policy.max_delay
+        if ended and not math.isfinite(t_trigger):
+            t_trigger = arrivals[queue[-1]]
+    return max(t_trigger, t_ready)
+
+
 def run_schedule(
     arrivals: np.ndarray,
     policy: BatchPolicy,
@@ -148,21 +177,7 @@ def run_schedule(
     i = 0
 
     while i < n or queue:
-        # earliest dispatch instant for the current queue state
-        if queue:
-            if len(queue) >= policy.max_batch:
-                # time the batch filled: the max_batch-th oldest arrival
-                t_trigger = arrivals[queue[policy.max_batch - 1]]
-            else:
-                t_trigger = arrivals[queue[0]] + policy.max_delay
-                if i >= n and not math.isfinite(t_trigger):
-                    # drain an infinite-delay policy: no arrival can ever
-                    # fill the batch, flush at the newest queued arrival
-                    t_trigger = arrivals[queue[-1]]
-            t_dispatch = max(t_trigger, t_free)
-        else:
-            t_dispatch = math.inf
-
+        t_dispatch = next_dispatch(arrivals, queue, policy, t_free, i >= n)
         if i < n and arrivals[i] <= t_dispatch:
             # arrival event first (ties: the arrival joins this slab)
             t = arrivals[i]

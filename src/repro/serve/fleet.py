@@ -49,6 +49,7 @@ staleness is auditable per request.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -72,6 +73,7 @@ from .batching import (
     BatchPolicy,
     Schedule,
     SlabRecord,
+    next_dispatch,
     validate_arrivals,
 )
 from .cache import ResultCache, request_key
@@ -401,20 +403,11 @@ def serve_fleet(
     t0 = time.perf_counter()
     queue: List[int] = []  # ids in arrival order (drains re-prepend)
     i = 0
-    import math as _math
 
     while i < n or queue:
-        if queue:
-            if len(queue) >= policy.max_batch:
-                t_trigger = arrivals[queue[policy.max_batch - 1]]
-            else:
-                t_trigger = arrivals[queue[0]] + policy.max_delay
-                if i >= n and not _math.isfinite(t_trigger):
-                    t_trigger = arrivals[queue[-1]]
-            t_dispatch = max(t_trigger, router.earliest_ready())
-        else:
-            t_dispatch = _math.inf
-
+        t_dispatch = next_dispatch(
+            arrivals, queue, policy, router.earliest_ready(), i >= n
+        )
         if i < n and arrivals[i] <= t_dispatch:
             t = float(arrivals[i])
             apply_swaps(t)
@@ -523,7 +516,7 @@ def serve_fleet(
             "ids": ids.tolist(),
         })
 
-    apply_swaps(_math.inf)  # record swaps scheduled after the last event
+    apply_swaps(math.inf)  # record swaps scheduled after the last event
     wall = time.perf_counter() - t0
 
     fleet_stats.failovers = list(router.failovers)

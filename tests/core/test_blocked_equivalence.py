@@ -17,6 +17,8 @@ tests pin that claim:
 - blocked prediction is invariant to shard layout.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.core import reconstruction as recon_mod
 from repro.core.libsvm_smo import _RowProvider
+from repro.core.parallel import PackedRankSolver
 from repro.core.reconstruction import gradient_reconstruction
 from repro.core.state import make_blocks
 from repro.core.trace import RankTrace
@@ -134,12 +137,43 @@ def _fit(X, y, heuristic, p):
     }
 
 
-@pytest.mark.parametrize("heuristic", ["single5pc", "multi5pc"])
-def test_fit_parallel_fold_equivalence(monkeypatch, heuristic):
+@pytest.mark.parametrize(
+    "heuristic,seed,ring_feeds_elections",
+    [("single5pc", 7, False), ("multi5pc", 7, False), ("multi5pc", 22, True)],
+    ids=["single5pc", "multi5pc", "multi5pc-ring-feeds-elections"],
+)
+def test_fit_parallel_fold_equivalence(
+    monkeypatch, heuristic, seed, ring_feeds_elections
+):
     """The solver replays the identical working-set sequence whether the
-    ring folds blocked or per sample."""
-    X, y = make_blobs(n=90, sep=1.4, noise=1.3, seed=7)
+    ring folds blocked or per sample.
+
+    On seed 7 the rings come too late for a rebuilt γ to reach an
+    election, so only the seed-22 case can see a fold error: a spy
+    checks that iterations after a ring elect samples it rebuilt.
+    """
+    X, y = make_blobs(n=90, sep=1.4, noise=1.3, seed=seed)
+    rebuilt, fed = set(), []
+    lock = threading.Lock()
+    reconstruct = PackedRankSolver.reconstruct
+    iterate = PackedRankSolver.iterate_once
+
+    def reconstruct_spy(self):
+        lo = self.part.bounds(self.comm.rank)[0]
+        with lock:
+            rebuilt.update(lo + np.flatnonzero(~self.blk.active))
+        return reconstruct(self)
+
+    def iterate_spy(self, viol, shrink_active):
+        with lock:
+            if {viol.i_up, viol.i_low} & rebuilt:
+                fed.append(self.iterations)
+        iterate(self, viol, shrink_active)
+
+    monkeypatch.setattr(PackedRankSolver, "reconstruct", reconstruct_spy)
+    monkeypatch.setattr(PackedRankSolver, "iterate_once", iterate_spy)
     blocked = _fit(X, y, heuristic, 2)
+    assert bool(fed) == ring_feeds_elections
     monkeypatch.setattr(recon_mod, "_apply_chunk", _per_sample_apply_chunk)
     per_sample = _fit(X, y, heuristic, 2)
     assert blocked["recons"] > 0

@@ -235,15 +235,17 @@ def test_resident_samples_hold_no_stale_columns():
     X, y = make_blobs(n=120, sep=1.2, noise=1.3, seed=3)
     params = SVMParams(C=10.0, kernel=RBFKernel(0.5), eps=1e-3)
 
-    def body(comm):
-        s = _packed_solver(comm, X, y, params)
+    def body(comm, wss):
+        s = _packed_solver(comm, X, y, params, wss)
         s.solve()
         epoch = s.compact.epoch
         held = [e.epoch for e in s._resident.values() if e.kcol is not None]
         return epoch, held, len(s._resident)
 
-    for epoch, held, n_resident in run_spmd(body, 2).results:
-        # shrinks and reconstructions recompacted several times, and
-        # many distinct samples entered the working set
-        assert epoch > 2 and n_resident > 2
-        assert all(e == epoch for e in held)
+    # every policy keeps its columns in the one store
+    for wss in ("mvp", "second_order", "planning_ahead"):
+        for epoch, held, n_resident in run_spmd(body, 2, args=(wss,)).results:
+            # shrinks and reconstructions recompacted several times, and
+            # many distinct samples entered the working set
+            assert epoch > 2 and n_resident > 2, wss
+            assert all(e == epoch for e in held), wss

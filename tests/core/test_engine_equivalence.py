@@ -29,10 +29,14 @@ After a deliberate change of the solver's answer, rewrite the golden
 file by running this module as a script from the repository root::
 
     PYTHONPATH=src python tests/core/test_engine_equivalence.py
+
+With ``--diff`` the script writes nothing and prints every field a
+fresh run changes against the committed file, per case and per p.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,15 +176,46 @@ def record(X, y, params, heur, wss, cache_mb) -> dict:
     return entry
 
 
+def fresh_golden() -> dict:
+    """Every case's golden entry, recorded by a fresh run."""
+    return {
+        key: record(X, y, params, heur, wss, cache_mb)
+        for key, X, y, params, heur, wss, cache_mb
+        in golden_cases(load_miniatures())
+    }
+
+
 def write_golden(path: Path = GOLDEN_PATH) -> None:
     """Rewrite the golden file, one case per line."""
-    minis = load_miniatures()
     lines = [
-        f"{json.dumps(key)}: "
-        + json.dumps(record(X, y, params, heur, wss, cache_mb), sort_keys=True)
-        for key, X, y, params, heur, wss, cache_mb in golden_cases(minis)
+        f"{json.dumps(key)}: " + json.dumps(entry, sort_keys=True)
+        for key, entry in fresh_golden().items()
     ]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def diff_golden(path: Path = GOLDEN_PATH) -> list:
+    """One line per field a fresh run changes against the golden file:
+    ``case: field old -> new``, or ``case p=N: field old -> new`` for
+    the per-p fields."""
+    old, new = json.loads(path.read_text()), fresh_golden()
+    lines = [f"{key}: only in the golden file" for key in old if key not in new]
+    for key, entry in new.items():
+        want = old.get(key)
+        if want is None:
+            lines.append(f"{key}: not in the golden file")
+            continue
+        lines += [
+            f"{key}: {k} {want[k]} -> {entry[k]}"
+            for k in SHARED if entry[k] != want[k]
+        ]
+        for p in PS:
+            was, now = want["p"].get(str(p), {}), entry["p"][str(p)]
+            lines += [
+                f"{key} p={p}: {k} {was.get(k)} -> {now[k]}"
+                for k in PER_P if now[k] != was.get(k)
+            ]
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -307,5 +342,9 @@ def test_engine_toggle_is_gone(miniatures):
 
 
 if __name__ == "__main__":
-    write_golden()
-    print(f"wrote {GOLDEN_PATH}")
+    if "--diff" in sys.argv[1:]:
+        changed = diff_golden()
+        print("\n".join(changed) if changed else "no field changed")
+    else:
+        write_golden()
+        print(f"wrote {GOLDEN_PATH}")

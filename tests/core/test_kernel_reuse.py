@@ -1,15 +1,18 @@
 """Kernel reuse inside the SMO loop.
 
-A shrink only removes rows from the active set, so each resident kernel
+Every WSS policy holds its kernel columns in one store, on the resident
+samples.  A shrink only removes rows from the active set, so each
 column of the ending compaction is compacted to the surviving rows
 instead of being produced again; a reconstruction grows the active set
-and releases every column.  The pair kernel K(x_up, x_low) is memoized
-per ordered pair, at most ``PAIR_MEMO_MAX`` of them.  Both only save
-host time on bitwise-identical recomputations, which is what these
-tests pin: after every shrink and every reconstruction, each column a
-rank still holds equals a fresh ``kernel.block`` against the current
-packed rows, and on every iteration the memoized pair kernel equals a
-fresh ``kernel.pair``, bit for bit.
+and releases every column.  Under a byte budget the store evicts its
+least recently used columns, never one the current request uses.  The
+pair kernel K(x_up, x_low) is memoized per ordered pair, at most
+``PAIR_MEMO_MAX`` of them.  All of this only saves recomputing
+bitwise-identical values, which is what these tests pin: after every
+shrink and every reconstruction, each column a rank still holds equals
+a fresh ``kernel.block`` against the current packed rows, and on every
+iteration the memoized pair kernel equals a fresh ``kernel.pair``, bit
+for bit.
 """
 
 import threading
@@ -29,6 +32,13 @@ from ..conftest import make_blobs, same_bits
 #: kernel and box per kernel name (the box keeps the linear fit short)
 KERNELS = {"rbf": (RBFKernel(0.5), 10.0), "linear": (LinearKernel(), 1.0)}
 
+POLICIES = ("mvp", "second_order", "planning_ahead")
+
+#: bytes of one full-length column of a p=2 rank (60 rows of float64)
+COLUMN_BYTES = 60 * 8
+#: a budget of four such columns: small enough that the store must evict
+TIGHT_MB = 4 * COLUMN_BYTES / 2**20
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -40,10 +50,12 @@ def _params(kernel: str) -> SVMParams:
     return SVMParams(C=C, kernel=k, eps=1e-3, max_iter=200_000)
 
 
-def _fit(X, y, params, heur, p, cache_mb=0.0):
+def _fit(X, y, params, heur, p, cache_mb=0.0, wss="mvp"):
     return fit_parallel(
         X, y, params,
-        config=RunConfig(heuristic=heur, nprocs=p, kernel_cache_mb=cache_mb),
+        config=RunConfig(
+            heuristic=heur, nprocs=p, kernel_cache_mb=cache_mb, wss=wss,
+        ),
     )
 
 
@@ -123,6 +135,80 @@ def test_reused_kernels_are_bitwise_fresh(audit, problem, kernel, heur, p):
     assert fr.trace.pair_memo_hits > 0
 
 
+@pytest.mark.parametrize(
+    "wss,cache_mb",
+    [("second_order", 0.0), ("planning_ahead", 0.0)]
+    + [(wss, TIGHT_MB) for wss in POLICIES],
+    ids=lambda v: v if isinstance(v, str) else ("4col" if v else "unbounded"),
+)
+def test_store_is_bitwise_fresh_for_every_policy(audit, problem, wss, cache_mb):
+    X, y = problem
+    fr = _fit(X, y, _params("rbf"), "multi5pc", 2, cache_mb, wss)
+    assert audit["pairs"] == 2 * fr.iterations
+    assert audit["recons"] > 0
+    assert audit["carried"] == fr.trace.columns_carried > 0
+
+
+@pytest.mark.parametrize("n_columns", [4, 1])
+def test_tight_budget_evicts_and_keeps_the_answer(
+    monkeypatch, problem, n_columns
+):
+    """A budget of a few columns: the store evicts, holds at most the
+    budget's bytes apart from the request in flight, and every policy
+    reaches the unbudgeted α, β and iteration count bit for bit.  A
+    one-column budget is smaller than a two-column request, so the
+    request's held column must survive the eviction its missing one
+    triggers."""
+    X, y = problem
+    params = _params("rbf")
+    budget = n_columns * COLUMN_BYTES
+    seen = {"evicted": 0, "requests": 0}
+    lock = threading.Lock()
+    columns = PackedRankSolver._columns
+
+    def columns_spy(self, *ents):
+        if not self._budget:
+            return columns(self, *ents)
+        before = set(_held(self))
+        cols = columns(self, *ents)
+        held = _held(self)
+        held_bytes = sum(e.kcol.nbytes for e in held.values())
+        assert held_bytes == self._held_bytes
+        assert held_bytes <= max(budget, sum(c.nbytes for c in cols))
+        assert all(e.gidx in held for e in ents)
+        with lock:
+            seen["evicted"] += len(before - set(held))
+            seen["requests"] += 1
+        return cols
+
+    monkeypatch.setattr(PackedRankSolver, "_columns", columns_spy)
+    for wss in POLICIES:
+        ref = _fit(X, y, params, "multi5pc", 2, 0.0, wss)
+        seen["evicted"] = seen["requests"] = 0
+        fr = _fit(X, y, params, "multi5pc", 2, budget / 2**20, wss)
+        assert seen["evicted"] > 0, wss
+        assert seen["requests"] > 0, wss
+        assert same_bits(fr.alpha, ref.alpha), wss
+        assert fr.model.beta == ref.model.beta, wss
+        assert fr.iterations == ref.iterations, wss
+        # only the kernel-eval bill moves: fewer columns are produced
+        # than the unbudgeted 2·|A| per iteration charges
+        assert fr.stats.kernel_evals < ref.stats.kernel_evals, wss
+        assert fr.stats.messages == ref.stats.messages, wss
+
+
+@pytest.mark.parametrize("wss", POLICIES)
+def test_hits_and_misses_counted_exactly_under_a_budget(problem, wss):
+    X, y = problem
+    params = _params("rbf")
+    free = _fit(X, y, params, "multi5pc", 2, 0.0, wss).trace
+    assert free.cache_hits == free.cache_misses == 0
+    for cache_mb in (TIGHT_MB, 2.0):
+        tr = _fit(X, y, params, "multi5pc", 2, cache_mb, wss).trace
+        assert tr.cache_hits > 0
+        assert tr.cache_misses == tr.columns_produced > 0
+
+
 def test_pair_memo_bound(audit, monkeypatch, problem):
     """A memo that reaches its bound is cleared, and the answer does
     not move."""
@@ -150,7 +236,9 @@ def test_reuse_counters(problem):
     orig = _fit(X, y, params, "original", 2).trace
     assert orig.columns_carried == 0
     assert orig.columns_produced > 0 and orig.pair_memo_hits > 0
-    # the budgeted column cache keeps dropping its columns at a shrink
+    # a budgeted store carries columns; a roomy one never evicts, so
+    # it holds what the unbounded store holds
     cached = _fit(X, y, params, "multi5pc", 2, cache_mb=2.0).trace
-    assert cached.columns_carried == 0
+    assert cached.columns_carried == tr.columns_carried
+    assert cached.columns_produced == tr.columns_produced
     assert cached.columns_produced == cached.cache_misses

@@ -99,19 +99,23 @@ class TestPersistence:
         assert fr.trace.columns_produced > 0
 
     def test_trace_without_reuse_counters_loads(self):
-        """A trace file written before the kernel-reuse counters loads
-        with zeros for them."""
+        """A trace file written before the kernel-reuse and column-store
+        counters loads with zeros for them."""
         X, y = make_blobs(n=60, sep=1.5, noise=1.2, seed=17)
         fr = fit_parallel(
             X, y, SVMParams(C=10.0, kernel=RBFKernel(0.5)),
-            config=RunConfig(heuristic="multi2", nprocs=2),
+            config=RunConfig(heuristic="multi2", nprocs=2, kernel_cache_mb=1.0),
         )
         d = fr.trace.to_dict()
-        for k in ("columns_produced", "columns_carried", "pair_memo_hits"):
+        assert d["cache_hits"] > 0 and d["cache_misses"] > 0
+        for k in (
+            "columns_produced", "columns_carried", "pair_memo_hits",
+            "cache_hits", "cache_misses",
+        ):
             del d[k]
         old = SolveTrace.from_dict(d)
         assert old.columns_produced == old.columns_carried == 0
-        assert old.pair_memo_hits == 0
+        assert old.pair_memo_hits == old.cache_hits == old.cache_misses == 0
         assert old.iterations == fr.trace.iterations
 
     def test_loaded_trace_projects_identically(self, tmp_path):

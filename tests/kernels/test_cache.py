@@ -1,9 +1,9 @@
-"""LRU kernel-row cache and the two-tier training column cache."""
+"""LRU kernel-row cache of the libsvm-style baseline."""
 
 import numpy as np
 import pytest
 
-from repro.kernels import KernelColumnCache, KernelRowCache
+from repro.kernels import KernelRowCache
 
 
 def row(n=10, fill=1.0):
@@ -119,42 +119,3 @@ def test_stats_dict():
     assert s["misses"] == 1
     assert s["hit_rate"] == 0.5
 
-
-class TestKernelColumnCache:
-    def test_pinned_tier_is_budget_exempt(self):
-        c = KernelColumnCache(0, pinned_slots=2)  # zero LRU budget
-        c.put(1, row(fill=1))
-        assert c.get(1) is not None  # served from the pinned workspace
-        c.put(2, row(fill=2))
-        c.put(3, row(fill=3))  # pushes 1 out of the 2 pinned slots
-        assert c.get(1) is None  # no LRU tier to fall back to
-        assert c.get(3) is not None
-
-    def test_lru_tier_outlives_pinned(self):
-        c = KernelColumnCache(10_000, pinned_slots=2)
-        c.put(1, row(fill=1))
-        c.put(2, row(fill=2))
-        c.put(3, row(fill=3))  # 1 leaves pinned, stays in LRU
-        assert c.get(1) is not None
-
-    def test_bump_epoch_drops_everything(self):
-        c = KernelColumnCache(10_000)
-        c.put(1, row())
-        c.bump_epoch()
-        assert c.epoch == 1
-        assert c.get(1) is None
-
-    def test_request_counters_and_stats(self):
-        c = KernelColumnCache(10_000)
-        c.put(1, row())
-        c.get(1)
-        c.get(2)
-        assert (c.hits, c.misses) == (1, 1)
-        assert c.hit_rate == 0.5
-        s = c.stats()
-        assert s["hits"] == 1 and s["epoch"] == 0
-        assert s["pinned_entries"] == 1
-
-    def test_pinned_slots_floor(self):
-        with pytest.raises(ValueError):
-            KernelColumnCache(1000, pinned_slots=1)

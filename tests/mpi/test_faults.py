@@ -228,6 +228,12 @@ class TestMessageFaults:
         assert res.vtime == baseline.vtime
         stats = res.fault_stats["stats"]
         assert stats["corrupted"] == stats["retransmitted"] == 1
+        # the recovered message is booked once: receive counts equal
+        # send counts
+        sent, got = res.rank_stats[0].stats, res.rank_stats[1].stats
+        assert (got.messages_received, got.bytes_received) == (
+            sent.messages_sent, sent.bytes_sent
+        ) == (2, baseline.rank_stats[0].stats.bytes_sent)
 
     def test_dup_discarded(self, baseline):
         plan = FaultPlan(faults=(Fault("dup", src=0, dest=1, tag=5),), seed=1)
