@@ -9,16 +9,17 @@ throughput ≥ 3× single-request throughput in BOTH modeled virtual time
 and host wall time.  Also replays a duplicate-heavy workload through
 the result cache and a fault-injected run on the serving path.
 
-Results land in ``BENCH_serve.json`` at the repo root.  Run either way::
+Results land in ``BENCH_serve.json`` at the repo root (``--out``
+writes elsewhere).  Run either way::
 
-    python benchmarks/bench_serve.py [--quick]
+    python benchmarks/bench_serve.py [--quick] [--out PATH]
     pytest benchmarks/bench_serve.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from pathlib import Path
 
 from repro.serve.benchmark import check_bars, format_report, run_serve_bench
@@ -27,9 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_serve.json"
 
 
-def run_bench(quick: bool = False) -> dict:
+def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     report = run_serve_bench(quick=quick)
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
@@ -44,12 +45,20 @@ def test_serve_speedup(results_dir):
 
 
 def main(argv=None) -> int:
-    quick = "--quick" in (argv if argv is not None else sys.argv[1:])
-    report = run_bench(quick=quick)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="fewer requests, skip the throughput bars (every "
+                         "configuration still asserts bitwise scores)")
+    ap.add_argument("--out", default=str(OUT_PATH),
+                    help="report path (default: repo root)")
+    args = ap.parse_args(argv)
+
+    out = Path(args.out)
+    report = run_bench(quick=args.quick, out=out)
     print(format_report(report))
-    if not quick:
+    if not args.quick:
         check_bars(report)
-    print(f"wrote {OUT_PATH}")
+    print(f"wrote {out}")
     return 0
 
 

@@ -16,17 +16,18 @@ miniature:
 
 Also records the analytic fleet projection
 (``repro.perfmodel.project_fleet``) at each swept geometry.  Results
-land in ``BENCH_serve_fleet.json`` at the repo root (strict JSON — the
-report convention maps non-finite floats to null).  Run either way::
+land in ``BENCH_serve_fleet.json`` at the repo root, or at ``--out``
+(strict JSON — the report convention maps non-finite floats to null).
+Run either way::
 
-    python benchmarks/bench_serve_fleet.py [--quick]
+    python benchmarks/bench_serve_fleet.py [--quick] [--out PATH]
     pytest benchmarks/bench_serve_fleet.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from pathlib import Path
 
 from repro.serve.benchmark import (
@@ -39,9 +40,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_serve_fleet.json"
 
 
-def run_bench(quick: bool = False) -> dict:
+def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     report = run_fleet_bench(quick=quick)
-    OUT_PATH.write_text(
+    out.write_text(
         json.dumps(report, indent=2, allow_nan=False) + "\n",
         encoding="utf-8",
     )
@@ -60,11 +61,18 @@ def test_fleet_recovery(results_dir):
 
 
 def main(argv=None) -> int:
-    quick = "--quick" in (argv if argv is not None else sys.argv[1:])
-    report = run_bench(quick=quick)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="one small geometry (p=2, replicas=2)")
+    ap.add_argument("--out", default=str(OUT_PATH),
+                    help="report path (default: repo root)")
+    args = ap.parse_args(argv)
+
+    out = Path(args.out)
+    report = run_bench(quick=args.quick, out=out)
     print(format_fleet_report(report))
     check_fleet_bars(report)
-    print(f"wrote {OUT_PATH}")
+    print(f"wrote {out}")
     return 0
 
 

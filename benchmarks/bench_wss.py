@@ -28,16 +28,17 @@ Invariants asserted on every run:
   for again: ``mvp`` produces more columns there than at the roomy
   budget, on every miniature.
 
-Results land in ``BENCH_wss.json`` at the repo root.  Run either way::
+Results land in ``BENCH_wss.json`` at the repo root (``--out`` writes
+elsewhere).  Run either way::
 
-    python benchmarks/bench_wss.py [--quick]
+    python benchmarks/bench_wss.py [--quick] [--out PATH]
     pytest benchmarks/bench_wss.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def _run(X, y, params, wss: str, cache_mb: float):
     return fr, row
 
 
-def run_bench(quick: bool = False) -> dict:
+def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     budgets = QUICK_BUDGETS_MB if quick else BUDGETS_MB
     datasets = []
     bar_cleared_on = []
@@ -187,7 +188,7 @@ def run_bench(quick: bool = False) -> dict:
                 for d in datasets
             )
         )
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
@@ -206,8 +207,15 @@ def test_wss_policy_sweep(results_dir):
 
 
 def main(argv=None) -> int:
-    quick = "--quick" in (argv if argv is not None else sys.argv[1:])
-    report = run_bench(quick=quick)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="two column budgets instead of three")
+    ap.add_argument("--out", default=str(OUT_PATH),
+                    help="report path (default: repo root)")
+    args = ap.parse_args(argv)
+
+    out = Path(args.out)
+    report = run_bench(quick=args.quick, out=out)
     print(json.dumps(report, indent=2))
     for d in report["datasets"]:
         print(
@@ -221,7 +229,7 @@ def main(argv=None) -> int:
             ))
     print(f"bar (>= {report['eval_reduction_bar']}x) cleared on: "
           f"{', '.join(report['bar_cleared_on'])}")
-    print(f"wrote {OUT_PATH}")
+    print(f"wrote {out}")
     return 0
 
 

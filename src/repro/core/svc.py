@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..config import RunConfig
-from ..kernels import Kernel, RBFKernel, make_kernel
+from ..kernels import Kernel, build_kernel
 from .params import SVMParams
 from .solver import FitResult, fit_parallel
 
@@ -85,19 +85,6 @@ class SVC:
         self.classes_: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    def _build_kernel(self) -> Kernel:
-        if isinstance(self.kernel, Kernel):
-            return self.kernel
-        name = str(self.kernel)
-        if name == "rbf":
-            if self.sigma_sq is not None:
-                return RBFKernel.from_sigma_sq(self.sigma_sq)
-            return RBFKernel(self.gamma if self.gamma is not None else 1.0)
-        kwargs = {}
-        if self.gamma is not None:
-            kwargs["gamma"] = self.gamma
-        return make_kernel(name, **kwargs)
-
     def _class_weights(self, y: np.ndarray) -> tuple:
         """(weight_neg, weight_pos) for classes_ = (neg_label, pos_label)."""
         if self.class_weight is None:
@@ -128,7 +115,7 @@ class SVC:
     def _params(self, weight_neg: float = 1.0, weight_pos: float = 1.0) -> SVMParams:
         return SVMParams(
             C=self.C,
-            kernel=self._build_kernel(),
+            kernel=build_kernel(self.kernel, self.gamma, self.sigma_sq),
             eps=self.eps,
             max_iter=self.max_iter,
             shrink_eps_factor=self.shrink_eps_factor,

@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..config import RunConfig
-from ..kernels import Kernel, RBFKernel, make_kernel
+from ..kernels import Kernel, build_kernel
 from ..mpi import SpmdResult, run_spmd
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
@@ -188,23 +188,10 @@ class SVR:
         self.model_: Optional[SVMModel] = None
         self.fit_result_: Optional[SVRFitResult] = None
 
-    def _build_kernel(self) -> Kernel:
-        if isinstance(self.kernel, Kernel):
-            return self.kernel
-        name = str(self.kernel)
-        if name == "rbf":
-            if self.sigma_sq is not None:
-                return RBFKernel.from_sigma_sq(self.sigma_sq)
-            return RBFKernel(self.gamma if self.gamma is not None else 1.0)
-        kwargs = {}
-        if self.gamma is not None:
-            kwargs["gamma"] = self.gamma
-        return make_kernel(name, **kwargs)
-
     def fit(self, X, y) -> "SVR":
         params = SVMParams(
             C=self.C,
-            kernel=self._build_kernel(),
+            kernel=build_kernel(self.kernel, self.gamma, self.sigma_sq),
             eps=self.eps,
             max_iter=self.max_iter,
         )

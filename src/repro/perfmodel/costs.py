@@ -292,6 +292,15 @@ REQUEST_OVERHEAD_FLOPS = 5_000.0
 DETECT_SECONDS = 1e-3
 
 
+def dispatch_time(m: MachineSpec, slab_rows: float) -> float:
+    """The frontend's modeled cost of dispatching one slab of
+    ``slab_rows`` requests: the serving session charges it to rank 0
+    before the slab's broadcast."""
+    return m.time_flops(
+        DISPATCH_OVERHEAD_FLOPS + REQUEST_OVERHEAD_FLOPS * slab_rows
+    )
+
+
 def fleet_reshard_time(
     m: MachineSpec, n_sv: int, avg_nnz: float, p: int
 ) -> float:
@@ -344,9 +353,7 @@ def fleet_slab_time(
     time the simulated fleet actually charges per slab.
     """
     shard = math.ceil(n_sv / p)
-    t = m.time_flops(
-        DISPATCH_OVERHEAD_FLOPS + REQUEST_OVERHEAD_FLOPS * slab_rows
-    )
+    t = dispatch_time(m, slab_rows)
     if p > 1:
         t += bcast_time(m, slab_rows * sample_bytes(avg_nnz), p)
     t += m.time_kernel_evals(float(slab_rows) * shard, avg_nnz)

@@ -7,14 +7,17 @@ trained :class:`~repro.core.model.SVMModel` on the simulated runtime:
   bounded-queue policy over a discrete-event simulated clock);
 - :mod:`cache` — LRU result cache keyed by request-row content,
   namespaced by model version;
-- :mod:`server` — :func:`serve_requests`, the SPMD session pairing a
-  rank-0 frontend with support-vector-sharded scorer ranks;
+- :mod:`server` — :func:`~repro.serve.server.run_session`, the one
+  serving SPMD session (support-vector-sharded scorer ranks driven by
+  rank 0), and :func:`serve_requests`, which drives one session with
+  the microbatch scheduler;
 - :mod:`registry` — :class:`ModelRegistry`, versioned models via the
   persistence-v2 exact round-trip, with atomic activation;
 - :mod:`router` — per-tenant admission control + replica selection +
   the failover state machine;
 - :mod:`fleet` — :func:`serve_fleet`, the self-healing replicated
-  fleet (N shard-group replicas, fault-driven failover, hot-swap);
+  fleet (N shard-group replicas, each one long-lived session;
+  fault-driven failover, hot-swap);
 - :mod:`stats` — latency percentiles / throughput / cache report;
 - :mod:`loadgen` — seeded arrival streams and request sampling.
 

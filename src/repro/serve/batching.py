@@ -64,7 +64,7 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
+        if not self.max_delay >= 0:  # NaN fails this too
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.max_queue is not None and self.max_queue < 1:
             raise ValueError(
@@ -103,8 +103,9 @@ def validate_arrivals(
     """One request stream's arrival times as a float64 vector.
 
     Raises ``ValueError`` unless they are a vector (of ``n_requests``
-    times, when given) that is non-empty, nondecreasing and >= 0.  Every
-    serving entry point calls this before it starts any work.
+    times, when given) that is non-empty, finite, nondecreasing and
+    >= 0.  Every serving entry point calls this before it starts any
+    work.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     if arrivals.ndim != 1:
@@ -117,6 +118,8 @@ def validate_arrivals(
         )
     if arrivals.size == 0:
         raise ValueError("empty arrival stream")
+    if not np.isfinite(arrivals).all():
+        raise ValueError("arrival times must be finite")
     if np.any(np.diff(arrivals) < 0):
         raise ValueError("arrival times must be nondecreasing")
     if arrivals[0] < 0:

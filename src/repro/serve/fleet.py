@@ -1,38 +1,37 @@
 """Self-healing replicated serving fleet.
 
 One :func:`serve_fleet` call runs a whole multi-replica serving session:
-``replicas`` independent SV-sharded shard-groups (each a ``p``-rank SPMD
-scorer, exactly the :func:`~repro.serve.server.serve_requests` scoring
-pipeline) behind one router frontend that does per-tenant admission
-control, microbatching, replica selection, versioned hot-swap, and
-fault-driven failover.
+``replicas`` independent SV-sharded shard-groups (each a ``p``-rank
+:func:`~repro.serve.server.run_session`, the same session body as
+:func:`~repro.serve.server.serve_requests`) behind one router frontend
+that does per-tenant admission control, microbatching, replica
+selection, versioned hot-swap, and fault-driven failover.
 
 Execution model
 ---------------
 The frontend is a deterministic discrete-event loop over the simulated
 clock (the :mod:`repro.serve.batching` trigger rules, generalized from
-one scorer to N).  Each dispatched slab runs as its own small SPMD job
-(:meth:`ShardGroup.score_slab`): broadcast the request rows, then the
-same :class:`~repro.serve.server.ShardScorer` slab body as
-``serve_requests`` — per-rank weighted kernel sub-slabs against shards
-prepared (indexed, when wide) once per shard-group, gathered in rank
-order, one full-width
-``np.add.reduce``.  That is byte-for-byte the computation
-``SVMModel.decision_function`` performs, so **every scored request is
-bitwise equal to direct scoring by the model version that served it** —
-across replica counts, shard counts, batch geometry, failovers and
-hot-swaps.
+one scorer to N).  Each shard-group is one serving session, kept with
+its ranks and their prepared shards from spawn until failover or a
+hot-swap re-shard; :meth:`ShardGroup.score_slab` hands it one slab at
+a time.  A slab is scored exactly as in ``serve_requests`` (with one
+replica the fleet reports ``serve_requests``' numbers bit for bit), so
+**every scored request is bitwise equal to direct scoring by the model
+version that served it** — across replica counts, shard counts, batch
+geometry, failovers and hot-swaps.
 
 Failover
 --------
-Kill faults use the real fault layer: a :class:`KillReplica` event
-installs a ``kill`` fault on the victim slab job, and the fault engine's
-kill-notification hook tells the router which rank died.  The router
-then (a) drains the in-flight slab back to the front of the queue —
-those requests re-dispatch to whichever replica is ready first, so none
-is dropped and none double-scored (the failed attempt wrote nothing) —
-and (b) replaces the dead shard-group with a fresh one **re-sharded from
-the registry's saved blob** (the persistence-v2 exact round-trip), which
+Kill faults use the real fault layer: a :class:`KillReplica` event runs
+the victim group's next slab in a one-slab session of its own, under
+the session fault plan plus a ``kill`` fault, so ``after`` counts the
+victim rank's sends within that slab; a kill that has not fired when
+the scores are back never fires.  When it fires, the router (a) drains
+the in-flight slab back to the front of the queue — those requests
+re-dispatch to whichever replica is ready first, so none is dropped and
+none double-scored (the failed attempt wrote nothing) — and (b)
+replaces the shard-group with a fresh session **re-sharded from the
+registry's saved blob** (the persistence-v2 exact round-trip), which
 rejoins after the modeled re-shard interval.
 
 Hot-swap
@@ -41,16 +40,18 @@ Hot-swap
 simulated instant.  From that instant, cache probes run against the new
 version's namespace (the retired namespace is flushed) and every
 *subsequently dispatched* slab is scored by the new version — each
-shard-group pays one modeled re-shard at its next dispatch boundary.
-Slabs already in flight complete under the version that admitted them;
-``FleetResult.versions`` records which version scored each request, so
-staleness is auditable per request.
+shard-group pays one modeled re-shard at its next dispatch boundary,
+where its session is replaced.  Slabs already in flight complete under
+the version that admitted them; ``FleetResult.versions`` records which
+version scored each request, so staleness is auditable per request.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
+from queue import SimpleQueue
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,11 +61,10 @@ from ..config import RunConfig
 from ..core.model import SVMModel, _as_csr
 from ..mpi.errors import InjectedFault, SpmdJobError
 from ..mpi.faults import Fault, FaultPlan, as_plan
-from ..mpi.runtime import SpmdResult, run_spmd
+from ..mpi.runtime import SpmdResult
 from ..perfmodel import costs
 from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix
-from ..sparse.partition import BlockPartition
 from .batching import (
     CACHE_HIT,
     REJECTED,
@@ -79,7 +79,7 @@ from .batching import (
 from .cache import ResultCache, request_key
 from .registry import ModelRegistry
 from .router import AdmissionController, FailoverEvent, Router, as_quota
-from .server import ShardScorer
+from .server import run_session
 from .stats import ServeStats, build_stats, jsonable_float
 
 
@@ -96,9 +96,9 @@ class KillReplica:
     """Kill ``rank`` of replica slot ``slot`` on its first slab
     dispatched at or after simulated time ``time``.
 
-    ``after`` is the rank's n-th posted send within that slab job (1 =
-    die at the very first message), letting tests kill mid-broadcast or
-    mid-gather.
+    ``after`` is the rank's n-th posted send within that slab (1 = die
+    at the very first message), letting tests kill mid-broadcast or
+    mid-gather; a rank that sends fewer messages in the slab survives.
     """
 
     time: float
@@ -118,75 +118,128 @@ class SwapModel:
 FleetEvent = Union[KillReplica, SwapModel]
 
 
+class _SlabScored(Exception):
+    """Rank 0 ends a one-slab session with this, carrying the slab's
+    ``(values, t_done)``, once its scores are back: no closing
+    broadcast, so no send after the slab's own can count toward a
+    kill."""
+
+
+def _kill_plan(base, kill: KillReplica) -> FaultPlan:
+    """A one-slab session's fault plan: the session plan + the kill."""
+    plan = as_plan(base) or FaultPlan()
+    fault = Fault(kind="kill", rank=kill.rank, after=kill.after)
+    return FaultPlan(
+        faults=plan.faults + (fault,), seed=plan.seed, retry=plan.retry
+    )
+
+
+def _raise_failure(exc: BaseException) -> None:
+    """Raise a session's error as the fleet sees it: a
+    :class:`ReplicaFailure` when a ``kill`` fault fired in a rank, else
+    the error itself."""
+    if isinstance(exc, SpmdJobError):
+        killed = sorted(
+            r for r, e in exc.failures.items() if isinstance(e, InjectedFault)
+        )
+        if killed:
+            raise ReplicaFailure(killed[0]) from exc
+    raise exc
+
+
 class ShardGroup:
-    """One replica: a model block-sharded over a ``p``-rank scorer."""
+    """One replica: ``model`` block-sharded over one ``nprocs``-rank
+    serving session (:func:`~repro.serve.server.run_session`) that runs
+    on a host thread from construction until :meth:`close`.
+
+    ``faults`` is the session's fault plan; ``spmd`` (``comm``,
+    ``deadlock_timeout``) is passed on to the job.  Construction raises
+    what the session raises before it can score (``nprocs > n_sv``).
+    """
 
     def __init__(
-        self,
-        model: SVMModel,
-        nprocs: int,
-        *,
-        machine: Optional[MachineSpec] = None,
-        comm: Optional[str] = None,
-        deadlock_timeout: float = 120.0,
+        self, model: SVMModel, nprocs: int, *, machine: MachineSpec,
+        faults=None, **spmd,
     ):
-        if nprocs > model.n_sv:
-            raise ValueError(
-                f"nprocs={nprocs} exceeds n_sv={model.n_sv}: "
-                f"every rank needs a non-empty support-vector shard"
-            )
-        self.model = model
-        self.nprocs = nprocs
-        self.machine = machine if machine is not None else MachineSpec.cascade()
-        self.comm = comm
-        self.deadlock_timeout = deadlock_timeout
-        part = BlockPartition(model.n_sv, nprocs)
-        # every rank's shard is prepared once, for all the group's slabs
-        self.scorers = [
-            ShardScorer(model, *part.bounds(r), self.machine)
-            for r in range(nprocs)
-        ]
+        self.model, self.nprocs, self.machine = model, nprocs, machine
+        self.faults = faults
+        self._spmd = spmd
+        self._result: Optional[SpmdResult] = None
+        self._slabs: SimpleQueue = SimpleQueue()
+        self._replies: SimpleQueue = SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._session, name="shard-group", daemon=True
+        )
+        self._thread.start()
+        try:
+            self._reply()  # the session is up
+        except BaseException:
+            self._thread.join()
+            raise
+
+    def _run(self, drive, faults):
+        return run_session(
+            self.model, self.nprocs, drive, machine=self.machine,
+            faults=faults, **self._spmd,
+        )
+
+    def _session(self) -> None:
+        def drive(score) -> None:
+            self._replies.put(None)
+            while (slab := self._slabs.get()) is not None:
+                self._replies.put(score(*slab))
+
+        try:
+            _, self._result = self._run(drive, self.faults)
+        except BaseException as exc:  # noqa: BLE001 - handed to the fleet
+            self._replies.put(exc)
+
+    def _reply(self):
+        reply = self._replies.get()
+        if isinstance(reply, BaseException):
+            _raise_failure(reply)
+        return reply
 
     def score_slab(
         self,
-        rows: CSRMatrix,
-        row_norms: np.ndarray,
+        X: CSRMatrix,
+        norms: np.ndarray,
+        ids: np.ndarray,
+        t_dispatch: float,
         *,
-        faults=None,
-        on_kill=None,
-    ) -> Tuple[np.ndarray, float, SpmdResult]:
-        """Score one slab as a standalone SPMD job.
+        kill: Optional[KillReplica] = None,
+    ) -> Tuple[np.ndarray, float]:
+        """Score rows ``ids`` of ``X`` (squared norms ``norms``) as one
+        slab dispatched at ``t_dispatch``; returns ``(values, t_done)``.
 
-        Returns ``(values, service_vtime, spmd_result)``.  Raises
-        :class:`ReplicaFailure` when a ``kill`` fault fired inside the
-        job; any other rank failure propagates as
+        With ``kill`` the slab runs in a one-slab session of its own,
+        under the group's fault plan plus the kill, and the group's own
+        session waits.  Raises :class:`ReplicaFailure` when a ``kill``
+        fault fired; any other rank failure propagates as
         :class:`~repro.mpi.errors.SpmdJobError`.
         """
-        out: Dict[str, object] = {}
+        if kill is None:
+            self._slabs.put((X, norms, ids, t_dispatch))
+            return self._reply()
 
-        def entry(comm):
-            payload = (rows, row_norms) if comm.rank == 0 else None
-            slab = comm.bcast(payload, root=0)
-            values = self.scorers[comm.rank].score(comm, *slab)
-            if comm.rank == 0:
-                out["values"] = values
-                out["vtime"] = comm.vtime
+        def drive(score) -> None:
+            raise _SlabScored(score(X, norms, ids, t_dispatch))
 
-        try:
-            spmd = run_spmd(
-                entry, self.nprocs, machine=self.machine,
-                deadlock_timeout=self.deadlock_timeout, faults=faults,
-                comm=self.comm, on_kill=on_kill,
-            )
+        try:  # drive always raises, so the session never returns
+            self._run(drive, _kill_plan(self.faults, kill))
         except SpmdJobError as exc:
-            killed = sorted(
-                r for r, e in exc.failures.items()
-                if isinstance(e, InjectedFault)
-            )
-            if killed:
-                raise ReplicaFailure(killed[0]) from exc
-            raise
-        return out["values"], float(out["vtime"]), spmd
+            scored = exc.failures.get(0)
+            if not isinstance(scored, _SlabScored):
+                _raise_failure(exc)
+            return scored.args[0]
+
+    def close(self) -> Optional[SpmdResult]:
+        """End the session and join its thread; returns the session's
+        job result (``None`` when it failed: its error went to the
+        slab that saw it)."""
+        self._slabs.put(None)
+        self._thread.join()
+        return self._result
 
 
 @dataclass
@@ -244,15 +297,6 @@ class FleetResult:
     fleet: FleetStats
     schedule: Schedule
     registry: ModelRegistry
-
-
-def _kill_plan(base, kill: KillReplica) -> FaultPlan:
-    """The slab job's fault plan: the session plan + the injected kill."""
-    plan = as_plan(base) or FaultPlan()
-    fault = Fault(kind="kill", rank=kill.rank, after=kill.after)
-    return FaultPlan(
-        faults=plan.faults + (fault,), seed=plan.seed, retry=plan.retry
-    )
 
 
 def serve_fleet(
@@ -321,23 +365,6 @@ def serve_fleet(
     )
     router = Router(n_replicas)
 
-    def spawn_group(version: int) -> ShardGroup:
-        """A fresh shard-group re-sharded from the registry's blob."""
-        return ShardGroup(
-            registry.load(version), cfg.nprocs, machine=machine_eff,
-            comm=cfg.comm, deadlock_timeout=cfg.deadlock_timeout,
-        )
-
-    groups: Dict[int, ShardGroup] = {}
-    for slot in router.slots:
-        groups[slot.slot_id] = spawn_group(active)
-        slot.sharded_version = active
-
-    reshard_seconds = costs.fleet_reshard_time(
-        machine_eff, first_model.n_sv, first_model.sv_X.avg_row_nnz or 1.0,
-        cfg.nprocs,
-    )
-
     kills: List[KillReplica] = sorted(
         (e for e in events if isinstance(e, KillReplica)),
         key=lambda e: (e.time, e.slot),
@@ -351,8 +378,11 @@ def serve_fleet(
     for s in swaps:
         if s.version not in registry:
             raise ValueError(f"swap event names unknown version {s.version}")
-    kill_fired = [False] * len(kills)
 
+    reshard_seconds = costs.fleet_reshard_time(
+        machine_eff, first_model.n_sv, first_model.sv_X.avg_row_nnz or 1.0,
+        cfg.nprocs,
+    )
     scores = np.full(n, np.nan)
     versions = np.full(n, -1, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
@@ -368,9 +398,26 @@ def serve_fleet(
         detect_seconds=costs.DETECT_SECONDS,
         reshard_seconds=reshard_seconds,
     )
-    total_bytes = 0
-    total_messages = 0
+    groups: Dict[int, ShardGroup] = {}
+    sessions: List[SpmdResult] = []  # every cleanly closed group session
     swap_idx = 0
+
+    def close_group(slot_id: int) -> None:
+        spmd = groups.pop(slot_id).close()
+        if spmd is not None:
+            sessions.append(spmd)
+
+    def spawn_group(slot, version: int) -> None:
+        """Give ``slot`` a fresh shard-group re-sharded from the
+        registry's blob, closing the session it replaces."""
+        if slot.slot_id in groups:
+            close_group(slot.slot_id)
+        groups[slot.slot_id] = ShardGroup(
+            registry.load(version), cfg.nprocs, machine=machine_eff,
+            faults=cfg.faults, comm=cfg.comm,
+            deadlock_timeout=cfg.deadlock_timeout,
+        )
+        slot.sharded_version = version
 
     def apply_swaps(t: float) -> None:
         """Activate every swap event due by simulated time ``t``."""
@@ -394,127 +441,115 @@ def serve_fleet(
                 "flushed_entries": flushed,
             })
 
-    def pending_kill(slot_id: int, t: float) -> Optional[int]:
-        for idx, k in enumerate(kills):
-            if not kill_fired[idx] and k.slot == slot_id and k.time <= t:
-                return idx
+    def take_kill(slot_id: int, t: float) -> Optional[KillReplica]:
+        """The first unfired kill of ``slot_id`` due by ``t``, now fired."""
+        for k in kills:
+            if k.slot == slot_id and k.time <= t:
+                kills.remove(k)
+                return k
         return None
 
     t0 = time.perf_counter()
     queue: List[int] = []  # ids in arrival order (drains re-prepend)
     i = 0
+    try:
+        for slot in router.slots:
+            spawn_group(slot, active)
 
-    while i < n or queue:
-        t_dispatch = next_dispatch(
-            arrivals, queue, policy, router.earliest_ready(), i >= n
-        )
-        if i < n and arrivals[i] <= t_dispatch:
-            t = float(arrivals[i])
-            apply_swaps(t)
-            tenant = int(tenants[i])
-            if not admission.admit(tenant, t):
-                status[i] = THROTTLED
-            else:
-                value = cache.get(
-                    request_key(X, i), registry.fingerprint(active)
-                )
-                if value is not None:
-                    status[i] = CACHE_HIT
-                    completion[i] = t
-                    scores[i] = value
-                    versions[i] = active
-                elif (
-                    policy.max_queue is not None
-                    and len(queue) >= policy.max_queue
-                ):
-                    status[i] = REJECTED
+        while i < n or queue:
+            t_dispatch = next_dispatch(
+                arrivals, queue, policy, router.earliest_ready(), i >= n
+            )
+            if i < n and arrivals[i] <= t_dispatch:
+                t = float(arrivals[i])
+                apply_swaps(t)
+                tenant = int(tenants[i])
+                if not admission.admit(tenant, t):
+                    status[i] = THROTTLED
                 else:
-                    queue.append(i)
-                    admission.on_enqueue(tenant)
-                    schedule.peak_queue_depth = max(
-                        schedule.peak_queue_depth, len(queue)
+                    value = cache.get(
+                        request_key(X, i), registry.fingerprint(active)
                     )
-            i += 1
-            continue
+                    if value is not None:
+                        status[i] = CACHE_HIT
+                        completion[i] = t
+                        scores[i] = value
+                        versions[i] = active
+                    elif (
+                        policy.max_queue is not None
+                        and len(queue) >= policy.max_queue
+                    ):
+                        status[i] = REJECTED
+                    else:
+                        queue.append(i)
+                        admission.on_enqueue(tenant)
+                        schedule.peak_queue_depth = max(
+                            schedule.peak_queue_depth, len(queue)
+                        )
+                i += 1
+                continue
 
-        apply_swaps(t_dispatch)
-        take = min(len(queue), policy.max_batch)
-        ids = np.array(queue[:take], dtype=np.int64)
-        del queue[:take]
-        slot = router.acquire(t_dispatch)
-        group = groups[slot.slot_id]
+            apply_swaps(t_dispatch)
+            take = min(len(queue), policy.max_batch)
+            ids = np.array(queue[:take], dtype=np.int64)
+            del queue[:take]
+            slot = router.acquire(t_dispatch)
 
-        t_start = t_dispatch
-        if slot.sharded_version != active:
-            # hot-swap pickup: this shard-group re-shards the newly
-            # active version from the registry before serving
-            group = groups[slot.slot_id] = spawn_group(active)
-            slot.sharded_version = active
-            fleet_stats.n_reshards += 1
-            t_start += reshard_seconds
-        overhead = machine_eff.time_flops(
-            costs.DISPATCH_OVERHEAD_FLOPS
-            + costs.REQUEST_OVERHEAD_FLOPS * ids.size
-        )
+            t_start = t_dispatch
+            if slot.sharded_version != active:
+                # hot-swap pickup: this shard-group re-shards the newly
+                # active version from the registry before serving
+                spawn_group(slot, active)
+                fleet_stats.n_reshards += 1
+                t_start += reshard_seconds
 
-        kill_idx = pending_kill(slot.slot_id, t_dispatch)
-        plan = cfg.faults
-        kill_notices: List[Tuple[int, int]] = []
-        if kill_idx is not None:
-            kill_fired[kill_idx] = True
-            plan = _kill_plan(cfg.faults, kills[kill_idx])
+            try:
+                values, t_done = groups[slot.slot_id].score_slab(
+                    X, norms, ids, t_start,
+                    kill=take_kill(slot.slot_id, t_dispatch),
+                )
+            except ReplicaFailure as failure:
+                # the router notices the death DETECT_SECONDS after the
+                # slab left the frontend, drains the in-flight slab and
+                # spawns a replacement
+                t_fail = (
+                    t_start + costs.dispatch_time(machine_eff, ids.size)
+                    + costs.DETECT_SECONDS
+                )
+                router.fail(
+                    slot, t_fail, killed_rank=failure.rank,
+                    drained_requests=int(ids.size),
+                    reshard_seconds=reshard_seconds,
+                )
+                fleet_stats.n_failovers += 1
+                spawn_group(slot, active)
+                # drain: the slab's requests return to the queue head in
+                # arrival order and re-dispatch to the next ready replica
+                queue[:0] = ids.tolist()
+                continue
 
-        rows = X.take_rows(ids)
-        row_norms = norms[ids]
-        try:
-            values, vtime, spmd = group.score_slab(
-                rows, row_norms, faults=plan,
-                on_kill=lambda rank, ordinal: kill_notices.append(
-                    (rank, ordinal)
-                ),
-            )
-        except ReplicaFailure as failure:
-            # the kill-notification hook saw the dying rank; the router
-            # drains the in-flight slab and spawns a replacement
-            killed_rank = (
-                kill_notices[0][0] if kill_notices else failure.rank
-            )
-            t_fail = t_start + overhead + costs.DETECT_SECONDS
-            router.fail(
-                slot, t_fail, killed_rank=killed_rank,
-                drained_requests=int(ids.size),
-                reshard_seconds=reshard_seconds,
-            )
-            fleet_stats.n_failovers += 1
-            groups[slot.slot_id] = spawn_group(active)
-            slot.sharded_version = active
-            # drain: the slab's requests return to the queue head in
-            # arrival order and re-dispatch to the next ready replica
-            queue[:0] = ids.tolist()
-            continue
-
-        t_done = t_start + overhead + vtime
-        scores[ids] = values
-        versions[ids] = slot.sharded_version
-        status[ids] = SCORED
-        completion[ids] = t_done
-        ns = registry.fingerprint(slot.sharded_version)
-        for rid, value in zip(ids, values):
-            cache.put(request_key(X, int(rid)), float(value), ns)
-            admission.on_dequeue(int(tenants[rid]))
-        router.complete(slot, t_done)
-        total_bytes += spmd.total_bytes_sent
-        total_messages += spmd.total_messages
-        schedule.slabs.append(SlabRecord(t_dispatch, t_done, int(ids.size)))
-        fleet_stats.slab_log.append({
-            "t_dispatch": t_dispatch,
-            "t_done": t_done,
-            "size": int(ids.size),
-            "slot": slot.slot_id,
-            "generation": slot.generation,
-            "version": int(slot.sharded_version),
-            "ids": ids.tolist(),
-        })
+            scores[ids] = values
+            versions[ids] = slot.sharded_version
+            status[ids] = SCORED
+            completion[ids] = t_done
+            ns = registry.fingerprint(slot.sharded_version)
+            for rid, value in zip(ids, values):
+                cache.put(request_key(X, int(rid)), float(value), ns)
+                admission.on_dequeue(int(tenants[rid]))
+            router.complete(slot, t_done)
+            schedule.slabs.append(SlabRecord(t_dispatch, t_done, int(ids.size)))
+            fleet_stats.slab_log.append({
+                "t_dispatch": t_dispatch,
+                "t_done": t_done,
+                "size": int(ids.size),
+                "slot": slot.slot_id,
+                "generation": slot.generation,
+                "version": int(slot.sharded_version),
+                "ids": ids.tolist(),
+            })
+    finally:
+        for slot_id in list(groups):
+            close_group(slot_id)
 
     apply_swaps(math.inf)  # record swaps scheduled after the last event
     wall = time.perf_counter() - t0
@@ -530,8 +565,8 @@ def serve_fleet(
     stats = build_stats(
         schedule, arrivals, cache.stats(),
         nprocs=n_replicas * cfg.nprocs,
-        total_bytes_sent=total_bytes,
-        total_messages=total_messages,
+        total_bytes_sent=sum(r.total_bytes_sent for r in sessions),
+        total_messages=sum(r.total_messages for r in sessions),
         wall_seconds=wall,
     )
     return FleetResult(

@@ -1,19 +1,18 @@
-"""The serving session: microbatch frontend + sharded SPMD scorer.
+"""The serving session: one SPMD job whose ranks keep their shards.
 
-One call to :func:`serve_requests` runs a whole serving session as a
-single simulated-MPI job.  Rank 0 is the *frontend*: it drives the
-discrete-event :func:`~repro.serve.batching.run_schedule` loop over the
-arrival stream, probes the :class:`~repro.serve.cache.ResultCache` at
-admission, and dispatches each coalesced slab to the scorer.  All ranks
-(frontend included) are *scorer shards*: the support vectors are block-
-partitioned across the communicator, each rank evaluates its kernel
-sub-slab against the broadcast request rows, and rank 0 assembles the
-full-width slab before the weighted row reduction.
+:func:`run_session` is the only code that runs a serving SPMD job.  The
+support vectors are block-partitioned across the ranks; each rank
+prepares its shard once and scores every broadcast slab of request rows
+against it, and rank 0 — also the *frontend*, which drives the session
+— assembles the full-width slab before the weighted row reduction.
+:func:`serve_requests` drives one session on rank 0 with the
+discrete-event :func:`~repro.serve.batching.run_schedule` loop, probing
+the :class:`~repro.serve.cache.ResultCache` at admission; a fleet
+:class:`~repro.serve.fleet.ShardGroup` runs one for its whole life.
 
-Each rank scores through one :class:`ShardScorer`, built once per
-session (and once per fleet shard-group).  A wide shard is held as a
-:class:`~repro.sparse.csr.ColumnIndex`, so a dispatch gathers only the
-shard entries in the slab's distinct feature columns and costs
+Each rank scores through one :class:`ShardScorer`.  A wide shard is held
+as a :class:`~repro.sparse.csr.ColumnIndex`, so a dispatch gathers only
+the shard entries in the slab's distinct feature columns and costs
 O(shard rows × slab nnz), instead of re-scattering the whole shard into
 a dense ``256 × n_features`` tile for every slab; a shard whose tile is
 small stays plain CSR (:func:`~repro.sparse.csr.repeated_operand`).
@@ -32,20 +31,21 @@ scoring for ANY nprocs, batch size, arrival order, or cache state.
 
 Fault injection rides for free: the slab broadcast/gather use the same
 mailbox delivery path as training, so a ``RunConfig.faults`` plan (or
-the CLI's ``--faults``) exercises recovery on the serving path too.
+the CLI's ``--faults``) exercises recovery on the serving path too; the
+plan applies per session.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
-from ..perfmodel.costs import DISPATCH_OVERHEAD_FLOPS, REQUEST_OVERHEAD_FLOPS
+from ..perfmodel.costs import dispatch_time
 from ..perfmodel.machine import MachineSpec
 from ..sparse.csr import CSRMatrix, repeated_operand
 from ..sparse.partition import BlockPartition
@@ -119,6 +119,57 @@ class ServeResult:
     spmd: SpmdResult
 
 
+def run_session(
+    model: SVMModel,
+    nprocs: int,
+    drive: Callable[[Callable], Any],
+    *,
+    machine: MachineSpec,
+    **spmd,
+) -> Tuple[Any, SpmdResult]:
+    """Run one serving session of ``model`` on ``nprocs`` ranks; returns
+    ``drive``'s result and the job's :class:`~repro.mpi.SpmdResult`.
+
+    Each rank prepares its :class:`ShardScorer` once.  Rank 0 calls
+    ``drive(score)``: ``score(X, norms, ids, t_dispatch)`` syncs rank
+    0's clock to the dispatch instant, charges the dispatch overhead,
+    broadcasts rows ``ids`` of ``X`` (squared norms ``norms``) and
+    returns ``(values, t_done)`` read off rank 0's clock.  The other
+    ranks score broadcast slabs until rank 0's closing broadcast.
+    ``spmd`` goes to :func:`~repro.mpi.run_spmd` (``faults``, ``comm``,
+    ``trace``, ``deadlock_timeout``).
+    """
+    if nprocs > model.n_sv:
+        raise ValueError(
+            f"nprocs={nprocs} exceeds n_sv={model.n_sv}: "
+            f"every rank needs a non-empty support-vector shard"
+        )
+    part = BlockPartition(model.n_sv, nprocs)
+    driven = []
+
+    def entry(comm) -> None:
+        scorer = ShardScorer(model, *part.bounds(comm.rank), machine)
+        if comm.rank != 0:
+            while (slab := comm.bcast(None, root=0)) is not None:
+                scorer.score(comm, *slab)
+            return
+
+        def score(X, norms, ids, t_dispatch):
+            # the frontend was idle (or queue-waiting) until the trigger
+            comm.clock.sync_to(t_dispatch, kind="idle")
+            comm.advance(dispatch_time(machine, ids.size))
+            rows = X.take_rows(ids)
+            row_norms = norms[ids]
+            comm.bcast((rows, row_norms), root=0)
+            return scorer.score(comm, rows, row_norms), comm.vtime
+
+        driven.append(drive(score))
+        comm.bcast(None, root=0)  # the session is over
+
+    result = run_spmd(entry, nprocs, machine=machine, **spmd)
+    return driven[0], result
+
+
 def serve_requests(
     model: SVMModel,
     X: Union[CSRMatrix, np.ndarray],
@@ -145,12 +196,6 @@ def serve_requests(
     """
     cfg = config if config is not None else RunConfig()
     policy = policy or BatchPolicy()
-    if cfg.nprocs > model.n_sv:
-        raise ValueError(
-            f"nprocs={cfg.nprocs} exceeds n_sv={model.n_sv}: "
-            f"every rank needs a non-empty support-vector shard"
-        )
-
     X = _as_csr(X, model.sv_X.shape[1])
     n = X.shape[0]
     arrivals = validate_arrivals(
@@ -159,67 +204,37 @@ def serve_requests(
 
     machine_eff = cfg.machine if cfg.machine is not None else MachineSpec.cascade()
     norms = X.row_norms_sq()
-    part = BlockPartition(model.n_sv, cfg.nprocs)
     cache = cache if cache is not None else ResultCache(cache_entries)
     # cache entries are keyed under the model's exact-round-trip
     # fingerprint: a shared cache can never serve another model's scores
     namespace = model_fingerprint(model)
     scores = np.full(n, np.nan)
-    schedule_box = {}
 
-    def frontend(comm, scorer: ShardScorer) -> None:
-        def admit(i: int, t: float) -> bool:
-            value = cache.get(request_key(X, i), namespace)
-            if value is None:
-                return False
-            scores[i] = value
-            return True
+    def admit(i: int, t: float) -> bool:
+        value = cache.get(request_key(X, i), namespace)
+        if value is None:
+            return False
+        scores[i] = value
+        return True
 
+    def drive(score) -> Schedule:
         def dispatch(ids: np.ndarray, t_dispatch: float) -> float:
-            # the frontend was idle (or queue-waiting) until the trigger
-            comm.clock.sync_to(t_dispatch, kind="idle")
-            comm.advance(machine_eff.time_flops(
-                DISPATCH_OVERHEAD_FLOPS
-                + REQUEST_OVERHEAD_FLOPS * ids.size
-            ))
-            rows = X.take_rows(ids)
-            row_norms = norms[ids]
-            comm.bcast((rows, row_norms), root=0)
-            values = scorer.score(comm, rows, row_norms)
+            values, t_done = score(X, norms, ids, t_dispatch)
             scores[ids] = values
             for i, v in zip(ids, values):
                 cache.put(request_key(X, int(i)), float(v), namespace)
-            return comm.vtime
+            return t_done
 
-        schedule_box["schedule"] = run_schedule(
-            arrivals, policy, dispatch, admit=admit
-        )
-        comm.bcast(None, root=0)  # sentinel: session over
-
-    def worker(comm, scorer: ShardScorer) -> None:
-        while True:
-            msg = comm.bcast(None, root=0)
-            if msg is None:
-                return
-            scorer.score(comm, *msg)
-
-    def entry(comm):
-        # each rank prepares its own shard once, for the whole session
-        scorer = ShardScorer(model, *part.bounds(comm.rank), machine_eff)
-        if comm.rank == 0:
-            frontend(comm, scorer)
-        else:
-            worker(comm, scorer)
+        return run_schedule(arrivals, policy, dispatch, admit=admit)
 
     t0 = time.perf_counter()
-    spmd = run_spmd(
-        entry, cfg.nprocs, machine=machine_eff, trace=cfg.trace,
+    schedule, spmd = run_session(
+        model, cfg.nprocs, drive, machine=machine_eff, trace=cfg.trace,
         deadlock_timeout=cfg.deadlock_timeout, faults=cfg.faults,
         comm=cfg.comm,
     )
     wall = time.perf_counter() - t0
 
-    schedule = schedule_box["schedule"]
     stats = build_stats(
         schedule, arrivals, cache.stats(),
         nprocs=cfg.nprocs,

@@ -53,7 +53,7 @@ from ..core.params import SVMParams
 from ..core.shrinking import get_heuristic
 from ..core.solver import FitResult, fit_parallel
 from ..core.svc import NotFittedError
-from ..kernels import Kernel, RBFKernel, make_kernel
+from ..kernels import Kernel, build_kernel
 from ..sparse.csr import CSRMatrix
 
 __all__ = ["IncrementalSVC", "RefitRecord"]
@@ -175,23 +175,10 @@ class IncrementalSVC:
     # ------------------------------------------------------------------
     # hyperparameter plumbing (mirrors SVC)
     # ------------------------------------------------------------------
-    def _build_kernel(self) -> Kernel:
-        if isinstance(self.kernel, Kernel):
-            return self.kernel
-        name = str(self.kernel)
-        if name == "rbf":
-            if self.sigma_sq is not None:
-                return RBFKernel.from_sigma_sq(self.sigma_sq)
-            return RBFKernel(self.gamma if self.gamma is not None else 1.0)
-        kwargs = {}
-        if self.gamma is not None:
-            kwargs["gamma"] = self.gamma
-        return make_kernel(name, **kwargs)
-
     def _params(self) -> SVMParams:
         return SVMParams(
             C=self.C,
-            kernel=self._build_kernel(),
+            kernel=build_kernel(self.kernel, self.gamma, self.sigma_sq),
             eps=self.eps,
             max_iter=self.max_iter,
             shrink_eps_factor=self.shrink_eps_factor,

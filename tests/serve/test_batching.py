@@ -111,6 +111,11 @@ def test_rejects_unsorted_and_negative_arrivals():
         run_schedule(np.array([-1.0, 0.5]), BatchPolicy(), d)
     with pytest.raises(ValueError, match="empty"):
         run_schedule(np.array([]), BatchPolicy(), d)
+    # a NaN slipped past the ordering checks and dispatched empty slabs
+    # at t=inf forever
+    for bad in ([0.0, np.nan, 1e-3], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            run_schedule(np.array(bad), BatchPolicy(), d)
 
 
 def test_policy_validation():
@@ -118,8 +123,11 @@ def test_policy_validation():
         BatchPolicy(max_batch=0)
     with pytest.raises(ValueError):
         BatchPolicy(max_delay=-1.0)
+    with pytest.raises(ValueError, match="max_delay"):
+        BatchPolicy(max_delay=float("nan"))
     with pytest.raises(ValueError):
         BatchPolicy(max_queue=0)
+    assert BatchPolicy(max_delay=math.inf).max_delay == math.inf
 
 
 def test_dispatch_must_not_travel_back_in_time():

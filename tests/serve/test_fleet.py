@@ -8,10 +8,14 @@ kills, drains, re-shards from the registry, and atomic hot-swaps.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import RunConfig
+from repro.perfmodel.machine import MachineSpec
 from repro.serve import (
     CACHE_HIT,
     SCORED,
@@ -19,12 +23,15 @@ from repro.serve import (
     BatchPolicy,
     KillReplica,
     ModelRegistry,
+    ReplicaFailure,
     ResultCache,
+    ShardGroup,
     SwapModel,
     TenantQuota,
     serve_fleet,
     serve_requests,
 )
+from repro.serve import server
 from tests.conftest import same_bits
 
 POLICY = BatchPolicy(max_batch=8, max_delay=200e-6)
@@ -253,18 +260,199 @@ def test_external_cache_and_stats_strict_json(served_model, fleet_requests):
 
 
 def test_event_validation(served_model, fleet_requests):
+    """Bad events are rejected before any shard-group session starts."""
     model, _ = served_model
     X_req, arrivals = fleet_requests
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="slot"):
         serve_fleet(model, X_req, arrivals,
                     config=RunConfig(nprocs=2, replicas=2),
                     events=[KillReplica(time=0.0, slot=5)])
+    assert threading.active_count() == threads
     with pytest.raises(ValueError, match="version"):
         serve_fleet(model, X_req, arrivals,
                     config=RunConfig(nprocs=2, replicas=2),
                     events=[SwapModel(time=0.0, version=7)])
+    assert threading.active_count() == threads
     with pytest.raises(ValueError, match="replicas"):
         RunConfig(replicas=0)
+
+
+@pytest.mark.parametrize("faults", [None, "seed=5;drop:prob=1.0"])
+def test_sessions_leave_no_thread_behind(served_model, fleet_requests,
+                                         faults):
+    """Every shard-group session is closed and joined before the fleet
+    returns, also when every message is dropped and re-requested."""
+    model, _ = served_model
+    X_req, arrivals = fleet_requests
+    threads = threading.active_count()
+    res = serve_fleet(
+        model, X_req, arrivals, policy=POLICY,
+        config=RunConfig(nprocs=2, replicas=2, faults=faults),
+    )
+    assert threading.active_count() == threads
+    _audit_exactness(res, X_req)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {},
+        {"cache_entries": 16},
+        {"config": RunConfig(nprocs=2, faults="seed=5;drop:prob=0.05")},
+    ],
+    ids=["fault-free", "cache", "drop"],
+)
+def test_one_replica_fleet_is_serve_requests(served_model, requests_60,
+                                             case):
+    """With one replica the fleet runs serve_requests' session body on
+    the same slabs: every number the two report agrees bit for bit."""
+    model, _ = served_model
+    kw = {"config": RunConfig(nprocs=2), **case}
+    arrivals = np.arange(60) * 150e-6
+    a = serve_requests(model, requests_60, arrivals, policy=POLICY, **kw)
+    b = serve_fleet(model, requests_60, arrivals, policy=POLICY, **kw)
+    assert same_bits(a.scores, b.scores)
+    assert np.array_equal(a.status, b.status)
+    assert same_bits(a.completion_times, b.completion_times)
+    assert a.stats.total_messages == b.stats.total_messages
+    assert a.stats.total_bytes_sent == b.stats.total_bytes_sent
+    if "cache_entries" in case:
+        assert (b.status == CACHE_HIT).any()
+
+
+def test_one_job_per_group_session(served_model, fleet_requests,
+                                   monkeypatch):
+    """The fleet starts one SPMD job per shard-group it spawns (the
+    initial replicas, each failover and hot-swap re-shard) and per
+    kill-armed slab, however many slabs it scores."""
+    from repro.core import SVC
+    from tests.conftest import make_blobs
+
+    jobs = []
+    run_spmd = server.run_spmd
+
+    def counting(*args, **kwargs):
+        jobs.append(kwargs.get("faults"))
+        return run_spmd(*args, **kwargs)
+
+    monkeypatch.setattr(server, "run_spmd", counting)
+    model, _ = served_model
+    X_req, arrivals = fleet_requests
+    res = serve_fleet(
+        model, X_req, arrivals, policy=POLICY,
+        config=RunConfig(nprocs=2, replicas=2),
+    )
+    assert len(jobs) == 2 < res.stats.n_slabs
+
+    jobs.clear()
+    X, y = make_blobs(n=120, sep=1.2, noise=1.3, seed=3)
+    registry = ModelRegistry()
+    v1 = registry.publish(model)
+    v2 = registry.publish(SVC(C=1.0, sigma_sq=8.0).fit(X, y).model_)
+    registry.activate(v1)
+    events = [
+        KillReplica(time=float(arrivals[5]), slot=0, rank=0, after=2),
+        KillReplica(time=float(arrivals[12]), slot=1),
+        SwapModel(time=float(arrivals[30]), version=v2),
+    ]
+    res = serve_fleet(
+        registry, X_req, arrivals, policy=POLICY,
+        config=RunConfig(nprocs=2, replicas=2), events=events,
+    )
+    _audit_exactness(res, X_req)
+    assert res.fleet.n_failovers == 1 and res.fleet.n_reshards == 2
+    armed = sum(plan is not None for plan in jobs)
+    assert armed == 2
+    assert len(jobs) == 2 + res.fleet.n_failovers + res.fleet.n_reshards + armed
+
+
+def test_fleet_bitwise_identical_under_perturbed_schedules(
+    served_model, fleet_requests
+):
+    """Three replicas of three ranks (twelve threads on fewer cores)
+    under a failover, with the interpreter switching threads every
+    10 µs: every score, completion time and slab placement matches the
+    default-schedule run bit for bit."""
+    model, _ = served_model
+    X_req, arrivals = fleet_requests
+
+    def run():
+        return serve_fleet(
+            model, X_req, arrivals, policy=POLICY,
+            config=RunConfig(nprocs=3, replicas=3),
+            events=[KillReplica(time=float(arrivals[20]), slot=1)],
+        )
+
+    ref = run()
+    default = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        res = run()
+    finally:
+        sys.setswitchinterval(default)
+    assert same_bits(res.scores, ref.scores)
+    assert same_bits(res.completion_times, ref.completion_times)
+    assert res.fleet.slab_log == ref.fleet.slab_log
+    assert res.stats.total_messages == ref.stats.total_messages
+    assert res.fleet.n_failovers == 1
+
+
+def test_shard_group_keeps_one_session(served_model, fleet_requests):
+    """A ShardGroup scores slab after slab on one session, runs a
+    kill-armed slab in a session of its own, and closes with the
+    session's job result; a group that cannot shard its model fails at
+    construction and leaves no thread behind."""
+    model, _ = served_model
+    X_req, _ = fleet_requests
+    norms = X_req.row_norms_sq()
+    threads = threading.active_count()
+    machine = MachineSpec.cascade()
+    with pytest.raises(ValueError, match="exceeds n_sv"):
+        ShardGroup(model, model.n_sv + 1, machine=machine)
+    assert threading.active_count() == threads
+
+    group = ShardGroup(model, 2, machine=machine)
+    t_done = 0.0
+    for lo in (0, 8, 16):
+        ids = np.arange(lo, lo + 8)
+        values, t_done = group.score_slab(X_req, norms, ids, t_done)
+        assert same_bits(values, model.decision_function(X_req.take_rows(ids)))
+    ids = np.arange(24, 32)
+    values, _ = group.score_slab(
+        X_req, norms, ids, t_done, kill=KillReplica(0.0, 0, rank=1, after=2)
+    )
+    assert same_bits(values, model.decision_function(X_req.take_rows(ids)))
+    with pytest.raises(ReplicaFailure) as failure:
+        group.score_slab(X_req, norms, ids, t_done,
+                         kill=KillReplica(0.0, 0, rank=1, after=1))
+    assert failure.value.rank == 1
+    spmd = group.close()
+    assert threading.active_count() == threads
+    # three slabs (a broadcast and a gather each) and the closing broadcast
+    assert spmd.total_messages == 3 * 2 + 1
+
+
+@pytest.mark.parametrize(
+    "kill",
+    [KillReplica(time=0.0, slot=0, rank=0, after=2),
+     KillReplica(time=0.0, slot=0, rank=1, after=5)],
+    ids=["rank0-after2", "rank1-after5"],
+)
+def test_kill_counts_sends_within_its_slab(served_model, fleet_requests,
+                                           kill):
+    """At p=2 a slab costs rank 0 one send (the broadcast) and rank 1
+    one (its gather part), so a kill at a later ordinal never fires:
+    the kill-armed slab's session ends without a closing broadcast."""
+    model, _ = served_model
+    X_req, arrivals = fleet_requests
+    res = serve_fleet(
+        model, X_req, arrivals, policy=POLICY,
+        config=RunConfig(nprocs=2, replicas=2), events=[kill],
+    )
+    assert res.fleet.n_failovers == 0
+    assert np.all(res.status == SCORED)
+    _audit_exactness(res, X_req)
 
 
 #: (request rows, arrival times, the one message both entry points give)
@@ -272,6 +460,8 @@ BAD_STREAMS = {
     "empty": (0, [], "empty arrival stream"),
     "decreasing": (2, [1e-3, 0.0], "arrival times must be nondecreasing"),
     "negative": (2, [-1e-3, 0.0], "arrival times must be >= 0"),
+    "nan": (3, [0.0, np.nan, 1e-3], "arrival times must be finite"),
+    "inf": (2, [0.0, np.inf], "arrival times must be finite"),
 }
 
 
