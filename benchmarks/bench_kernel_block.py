@@ -1,7 +1,8 @@
 """Microbenchmark: blocked kernel-evaluation engine vs per-sample loops.
 
-Three wall-clock comparisons, each between bitwise-equivalent code
-paths (see ``tests/core/test_blocked_equivalence.py`` and
+Three wall-clock comparisons between equivalent code paths, bitwise
+equivalent but for the two serving-slab orientations (see
+``tests/core/test_blocked_equivalence.py`` and
 ``tests/sparse/test_dot_csr_t.py`` for the equivalence proofs):
 
 1. **Reconstruction fold** — Algorithm 3's inner fold on p=4 simulated
@@ -11,10 +12,15 @@ paths (see ``tests/core/test_blocked_equivalence.py`` and
 2. **Prediction** — ``SVMModel.decision_function`` (blocked slabs) vs a
    row-at-a-time loop over ``Kernel.row_against_block``.
 3. **Serving slab** — one ``dot_csr_t`` of a slab of 1/3/16/64 rows of
-   the real-sim stand-in against a 272-row support-vector shard (one
-   rank's half of the repository benchmark's 544-SV serving model):
-   the dense-tile path vs the shard's ``ColumnIndex``, in µs per call,
-   asserted bitwise equal; plus the one-off cost of indexing the shard.
+   the real-sim stand-in and a 272-row support-vector shard (one rank's
+   half of the repository benchmark's 544-SV serving model), in µs per
+   call: shard-major (``shard.dot_csr_t(slab)``, the shard's nonzeros
+   walked against the slab's dense tile, as the scorers run it) vs
+   slab-major (``slab.dot_csr_t(shard)``, the whole shard scattered into
+   a dense tile for every slab).  Every shard-major column is asserted
+   bitwise equal to the row path's ``shard.dot_sparse_vec(*slab.row(i))``;
+   the two orientations sum in different orders, so they are asserted
+   ``allclose`` only.
 
 Results land in ``BENCH_kernel_block.json`` at the repo root
 (machine-readable problem sizes + speedup factors).  Run either way::
@@ -41,7 +47,6 @@ from repro.core.state import make_blocks
 from repro.data import load_dataset
 from repro.kernels import RBFKernel
 from repro.sparse import BlockPartition, CSRMatrix
-from repro.sparse.csr import ColumnIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_kernel_block.json"
@@ -220,28 +225,32 @@ def _per_call_us(fn, calls: int, repeats: int) -> float:
 
 
 def _time_serving_slab(calls: int, repeats: int) -> dict:
-    """One serving rank's slab product: dense tile vs indexed shard."""
+    """One serving rank's slab product, in both orientations."""
     X = load_dataset(SLAB_DATASET, scale=SLAB_SCALE).X_train
     shard = X.row_slice(0, SLAB_SHARD_ROWS)
-    t0 = time.perf_counter()
-    index = ColumnIndex(shard)
-    index_us = (time.perf_counter() - t0) * 1e6
     rows = []
     lo = SLAB_SHARD_ROWS
     for r in SLAB_ROWS:
         slab = X.row_slice(lo, lo + r)
         lo += r
-        tiled, indexed = slab.dot_csr_t(shard), slab.dot_csr_t(index)
-        if tiled.tobytes() != indexed.tobytes():
-            raise AssertionError(f"indexed slab product of {r} rows differs")
-        tile_us = _per_call_us(lambda: slab.dot_csr_t(shard), calls, repeats)
-        index_call_us = _per_call_us(lambda: slab.dot_csr_t(index), calls, repeats)
+        shard_major = shard.dot_csr_t(slab)
+        for i in range(r):
+            column = shard.dot_sparse_vec(*slab.row(i))
+            if column.tobytes() != shard_major[:, i].tobytes():
+                raise AssertionError(
+                    f"shard-major column {i} of a {r}-row slab differs "
+                    f"from the row path"
+                )
+        if not np.allclose(slab.dot_csr_t(shard).T, shard_major):
+            raise AssertionError(f"the two orientations disagree at {r} rows")
+        slab_us = _per_call_us(lambda: slab.dot_csr_t(shard), calls, repeats)
+        shard_us = _per_call_us(lambda: shard.dot_csr_t(slab), calls, repeats)
         rows.append({
             "slab_rows": r,
             "slab_nnz": slab.nnz,
-            "tile_us": tile_us,
-            "indexed_us": index_call_us,
-            "speedup": tile_us / index_call_us,
+            "slab_major_us": slab_us,
+            "shard_major_us": shard_us,
+            "speedup": slab_us / shard_us,
         })
     return {
         "dataset": SLAB_DATASET,
@@ -249,8 +258,7 @@ def _time_serving_slab(calls: int, repeats: int) -> dict:
         "n_features": X.shape[1],
         "shard_rows": SLAB_SHARD_ROWS,
         "shard_nnz": shard.nnz,
-        "index_build_us": index_us,
-        "bitwise_identical": True,
+        "columns_bitwise_rowwise": True,
         "slabs": rows,
     }
 
@@ -321,15 +329,15 @@ def main() -> int:
     )
     slab = report["serving_slab"]
     print(
-        f"serving slab vs a {slab['shard_rows']}-row shard of "
-        f"{slab['n_features']} features (indexing it once: "
-        f"{slab['index_build_us']:.0f} us), bitwise identical:"
+        f"serving slab and a {slab['shard_rows']}-row shard of "
+        f"{slab['n_features']} features (shard-major columns bitwise "
+        f"the row path's):"
     )
     for row in slab["slabs"]:
         print(
-            f"  {row['slab_rows']:>3} rows: tile {row['tile_us']:7.1f} us"
-            f" -> indexed {row['indexed_us']:7.1f} us"
-            f" ({row['speedup']:.2f}x)"
+            f"  {row['slab_rows']:>3} rows: slab-major "
+            f"{row['slab_major_us']:7.1f} us -> shard-major "
+            f"{row['shard_major_us']:7.1f} us ({row['speedup']:.2f}x)"
         )
     print(f"\nwrote {out}")
     return 0

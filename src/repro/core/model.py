@@ -58,13 +58,14 @@ class SVMModel:
     ) -> np.ndarray:
         """f(x) for every row of ``X``, evaluated block-at-a-time.
 
-        Each block of test rows is one CSR×CSRᵀ kernel slab against the
-        support vectors (``Kernel.block``) plus one weighted row sum,
-        instead of a Python loop over rows.  The row sum is a pairwise
-        reduction whose result depends only on the row's own values, so
-        the decision value of a sample is bitwise independent of how the
-        input is blocked or sharded (``decision_function_parallel``
-        relies on this).
+        Each block of test rows is one :func:`weighted_slab` against the
+        support vectors plus one row sum, instead of a Python loop over
+        rows.  The row sum is a pairwise reduction whose result depends
+        only on the row's own values, so the decision value of a sample
+        is bitwise independent of how the input is blocked or sharded
+        (``decision_function_parallel`` relies on this) and, through
+        :func:`weighted_slab`, of how the support vectors are sharded
+        (serving relies on this).
         """
         X = _as_csr(X, self.sv_X.shape[1])
         if block_rows < 1:
@@ -73,10 +74,10 @@ class SVMModel:
         out = np.empty(X.shape[0])
         for lo in range(0, X.shape[0], block_rows):
             hi = min(lo + block_rows, X.shape[0])
-            slab = self.kernel.block(
-                X.row_slice(lo, hi), norms[lo:hi], self.sv_X, self._sv_norms
+            slab = weighted_slab(
+                self.kernel, self.sv_X, self._sv_norms, self.sv_coef,
+                X.row_slice(lo, hi), norms[lo:hi],
             )
-            slab *= self.sv_coef
             out[lo:hi] = np.add.reduce(slab, axis=1) - self.beta
         return out
 
@@ -145,6 +146,29 @@ class SVMModel:
             beta=beta,
             kernel=kernel,
         )
+
+
+def weighted_slab(
+    kernel: Kernel,
+    sv: CSRMatrix,
+    sv_norms: np.ndarray,
+    coef: np.ndarray,
+    rows: CSRMatrix,
+    row_norms: np.ndarray,
+) -> np.ndarray:
+    """``coef[j] · Φ(sv_j, x_i)`` as a C-contiguous (rows × SVs) array:
+    the slab whose row sums are decision values.
+
+    The support vectors are the left operand of ``Kernel.block``, so
+    entry (i, j) is the segment sum over SV j's own nonzeros against
+    row i's dense tile row, whichever other SVs share ``sv`` and
+    whichever rows share ``rows``.  ``decision_function`` and every
+    serving rank (on its shard) build their slabs here; that is what
+    keeps served scores bitwise equal to direct ones.
+    """
+    slab = np.ascontiguousarray(kernel.block(sv, sv_norms, rows, row_norms).T)
+    slab *= coef
+    return slab
 
 
 def _encode_param(v):

@@ -6,9 +6,9 @@ shapes of evaluation, all vectorized:
 - ``block``: Φ(a_i, b_j) for every row pair of two CSR blocks — one
   tiled CSR×CSRᵀ product plus one vectorized kernel map.  This is the
   blocked kernel-evaluation engine behind the reconstruction fold
-  (Alg. 3), batch prediction, serving slabs (against a rank's
-  support-vector shard, column-indexed when wide) and the baseline's
-  cache fills;
+  (Alg. 3), batch prediction, serving slabs (the support vectors on
+  the left, the request rows on the right) and the baseline's cache
+  fills;
 - ``row_against_block``: Φ(x, x_i) for one sample against every row of a
   CSR block — the gradient-update hot path (Eq. 2);
 - ``pair``: Φ(x_i, x_j) for one pair — the ρ computation (Eq. 7).
@@ -25,11 +25,11 @@ row norms so the hot path touches each nonzero exactly once.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..sparse.csr import ColumnIndex, CSRMatrix, sparse_sparse_dot
+from ..sparse.csr import CSRMatrix, sparse_sparse_dot
 
 #: A sample exchanged between ranks: (indices, values, ||x||^2)
 SampleRow = Tuple[np.ndarray, np.ndarray, float]
@@ -56,7 +56,7 @@ class Kernel(abc.ABC):
         self,
         A: CSRMatrix,
         norms_a: np.ndarray,
-        B: Union[CSRMatrix, ColumnIndex],
+        B: CSRMatrix,
         norms_b: np.ndarray,
         *,
         tile_rows: Optional[int] = None,
@@ -66,12 +66,10 @@ class Kernel(abc.ABC):
 
         One tiled SpGEMM produces all the inner products and one
         vectorized map applies the kernel, replacing ``B.nrows`` Python
-        iterations with a handful of numpy calls.  ``B`` may be a
-        :class:`~repro.sparse.csr.ColumnIndex` of a matrix scored many
-        times (a wide serving shard); the values are bitwise the same,
-        and the cost no longer grows with the feature count.
-        ``tile_rows`` bounds the SpGEMM scratch (see
-        :meth:`CSRMatrix.dot_csr_t`).
+        iterations with a handful of numpy calls.  ``A`` is the operand
+        whose nonzeros are walked (the rows a rank stores), ``B`` the
+        one scattered into dense tiles; ``tile_rows`` bounds the SpGEMM
+        scratch (see :meth:`CSRMatrix.dot_csr_t`).
         """
         dots = A.dot_csr_t(B, tile_rows=tile_rows)
         return self.block_from_dots(

@@ -336,15 +336,11 @@ class FaultEngine:
     applied outside it.
     """
 
-    def __init__(self, plan: FaultPlan, nprocs: int, tracer=None, on_kill=None):
+    def __init__(self, plan: FaultPlan, nprocs: int, tracer=None):
         self.plan = plan
         self.policy = plan.retry
         self.nprocs = nprocs
         self._tracer = tracer
-        #: ``on_kill(rank, ordinal)`` fires when a kill fault triggers,
-        #: *before* the InjectedFault propagates — the notification hook a
-        #: serving router uses to learn which rank died and start failover
-        self._on_kill = on_kill
         self._lock = threading.Lock()
         self._states = [
             _FaultState(f, plan.seed, i) for i, f in enumerate(plan.faults)
@@ -401,10 +397,6 @@ class FaultEngine:
                 self.stats["stalled"] += 1
                 stall_for = max(stall_for, f.seconds)
         if kill_ordinal is not None:
-            # notify outside the lock: the listener (a serving router's
-            # failover machinery) may do arbitrary bookkeeping
-            if self._on_kill is not None:
-                self._on_kill(rank, kill_ordinal)
             raise InjectedFault(rank, kill_ordinal)
         if stall_for > 0.0:
             time.sleep(stall_for)  # host time only; virtual clock untouched

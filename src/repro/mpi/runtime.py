@@ -101,7 +101,6 @@ class SpmdRuntime:
         trace: bool = False,
         faults=None,
         comm: Optional[str] = None,
-        on_kill=None,
     ) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
@@ -114,7 +113,7 @@ class SpmdRuntime:
         self.tracer = Tracer(enabled=trace)
         plan = as_plan(faults)
         self.faults: Optional[FaultEngine] = (
-            FaultEngine(plan, nprocs, tracer=self.tracer, on_kill=on_kill)
+            FaultEngine(plan, nprocs, tracer=self.tracer)
             if plan is not None
             else None
         )
@@ -185,7 +184,6 @@ def run_spmd(
     deadlock_timeout: float = 60.0,
     faults=None,
     comm: Optional[str] = None,
-    on_kill=None,
 ) -> SpmdResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` simulated ranks.
 
@@ -196,11 +194,8 @@ def run_spmd(
     :class:`~repro.mpi.faults.FaultPlan`, a spec string (see
     :meth:`FaultPlan.parse`), or a sequence of
     :class:`~repro.mpi.faults.Fault`; the plan carries its own receive
-    retry/backoff policy.  ``on_kill(rank, ordinal)`` is invoked
-    when a ``kill`` fault fires, before the job aborts — the
-    notification hook the serving router uses to drive failover.  A job
-    that completes under injection is bitwise identical to the
-    fault-free job.
+    retry/backoff policy.  A job that completes under injection is
+    bitwise identical to the fault-free job.
 
     Raises :class:`SpmdJobError` if any rank raised, and
     :class:`DeadlockError` if the job stopped making progress while ranks
@@ -209,7 +204,6 @@ def run_spmd(
     kwargs = kwargs or {}
     runtime = SpmdRuntime(
         nprocs, machine=machine, trace=trace, faults=faults, comm=comm,
-        on_kill=on_kill,
     )
     results: List[Any] = [None] * nprocs
     failures: Dict[int, BaseException] = {}

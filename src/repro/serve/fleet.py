@@ -153,8 +153,9 @@ class ShardGroup:
     on a host thread from construction until :meth:`close`.
 
     ``faults`` is the session's fault plan; ``spmd`` (``comm``,
-    ``deadlock_timeout``) is passed on to the job.  Construction raises
-    what the session raises before it can score (``nprocs > n_sv``).
+    ``trace``, ``deadlock_timeout``) is passed on to the job.
+    Construction raises what the session raises before it can score
+    (``nprocs > n_sv``).
     """
 
     def __init__(
@@ -297,6 +298,10 @@ class FleetResult:
     fleet: FleetStats
     schedule: Schedule
     registry: ModelRegistry
+    #: every cleanly closed shard-group session, in closing order (each
+    #: holds its job's rank stats and, under ``RunConfig.trace``, its
+    #: trace)
+    sessions: List[SpmdResult]
 
 
 def serve_fleet(
@@ -414,7 +419,7 @@ def serve_fleet(
             close_group(slot.slot_id)
         groups[slot.slot_id] = ShardGroup(
             registry.load(version), cfg.nprocs, machine=machine_eff,
-            faults=cfg.faults, comm=cfg.comm,
+            faults=cfg.faults, comm=cfg.comm, trace=cfg.trace,
             deadlock_timeout=cfg.deadlock_timeout,
         )
         slot.sharded_version = version
@@ -579,4 +584,5 @@ def serve_fleet(
         fleet=fleet_stats,
         schedule=schedule,
         registry=registry,
+        sessions=sessions,
     )

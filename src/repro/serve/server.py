@@ -10,24 +10,25 @@ discrete-event :func:`~repro.serve.batching.run_schedule` loop, probing
 the :class:`~repro.serve.cache.ResultCache` at admission; a fleet
 :class:`~repro.serve.fleet.ShardGroup` runs one for its whole life.
 
-Each rank scores through one :class:`ShardScorer`.  A wide shard is held
-as a :class:`~repro.sparse.csr.ColumnIndex`, so a dispatch gathers only
-the shard entries in the slab's distinct feature columns and costs
-O(shard rows × slab nnz), instead of re-scattering the whole shard into
-a dense ``256 × n_features`` tile for every slab; a shard whose tile is
-small stays plain CSR (:func:`~repro.sparse.csr.repeated_operand`).
+Each rank scores through one :class:`ShardScorer`, shard-major: as the
+paper recomputes kernel rows by walking the rows a rank stores against
+the samples it receives (§III-A), the shard is the left operand of
+``Kernel.block`` (:func:`~repro.core.model.weighted_slab`) and the
+slab's request rows are scattered into the dense tile, so nothing about
+the shard is rebuilt per slab.
 
 Bitwise determinism
 -------------------
 Each dispatch gathers the per-shard *weighted kernel sub-slabs* and
 concatenates them in rank order before a single full-width
-``np.add.reduce`` on rank 0.  Kernel entries are elementwise functions
-of per-row dot products (column-blocking the SV side of ``dot_csr_t``
-is bitwise-stable, and its column-indexed operand is bitwise equal to
-the plain one), so the assembled slab is bitwise identical to the one
-``SVMModel.decision_function`` builds — and the reduction then runs
-over the identical array.  Scores are therefore bitwise equal to direct
-scoring for ANY nprocs, batch size, arrival order, or cache state.
+``np.add.reduce`` on rank 0.  Kernel entry (i, j) is an elementwise
+function of one dot product, the segment sum over support vector j's
+own nonzeros against request i's dense tile row, whichever rank holds
+j and whichever rows share the slab; so the assembled slab is bitwise
+identical to the one ``SVMModel.decision_function`` builds with the
+same :func:`~repro.core.model.weighted_slab` — and the reduction then
+runs over the identical array.  Scores are therefore bitwise equal to direct scoring for ANY
+nprocs, batch size, arrival order, or cache state.
 
 Fault injection rides for free: the slab broadcast/gather use the same
 mailbox delivery path as training, so a ``RunConfig.faults`` plan (or
@@ -47,9 +48,9 @@ from ..config import RunConfig
 from ..mpi import SpmdResult, run_spmd
 from ..perfmodel.costs import dispatch_time
 from ..perfmodel.machine import MachineSpec
-from ..sparse.csr import CSRMatrix, repeated_operand
+from ..sparse.csr import CSRMatrix
 from ..sparse.partition import BlockPartition
-from ..core.model import SVMModel, _as_csr
+from ..core.model import SVMModel, _as_csr, weighted_slab
 from .batching import BatchPolicy, Schedule, run_schedule, validate_arrivals
 from .cache import ResultCache, request_key
 from .registry import model_fingerprint
@@ -58,14 +59,13 @@ from .stats import ServeStats, build_stats
 
 class ShardScorer:
     """One rank's support-vector shard ``[lo, hi)`` of ``model``,
-    indexed once, scoring one broadcast slab after another.
+    prepared once, scoring one broadcast slab after another.
 
-    Holds the shard as the right operand
-    :func:`~repro.sparse.csr.repeated_operand` picks for it (a
-    :class:`~repro.sparse.csr.ColumnIndex` when it is wide), and its
-    squared norms, coefficients and bounds.  :meth:`score` is the slab
-    body every serving path runs: this rank's weighted kernel sub-slab,
-    gathered in rank order, and on rank 0 the full-width reduction.
+    Holds the shard (a zero-copy row slice of the model's support
+    vectors), its squared norms, coefficients and bounds.  :meth:`score`
+    is the slab body every serving path runs: this rank's weighted
+    kernel sub-slab, gathered in rank order, and on rank 0 the
+    full-width reduction.
     """
 
     def __init__(
@@ -74,7 +74,7 @@ class ShardScorer:
         self.model = model
         self.machine = machine
         self.lo, self.hi = lo, hi
-        self.shard = repeated_operand(model.sv_X.row_slice(lo, hi))
+        self.shard = model.sv_X.row_slice(lo, hi)
         self.norms = model._sv_norms[lo:hi]
         self.coef = model.sv_coef[lo:hi]
         self.avg_nnz = model.sv_X.avg_row_nnz or 1.0
@@ -86,8 +86,10 @@ class ShardScorer:
 
         Returns the decision values on rank 0 and ``None`` elsewhere.
         """
-        sub = self.model.kernel.block(rows, row_norms, self.shard, self.norms)
-        sub *= self.coef
+        sub = weighted_slab(
+            self.model.kernel, self.shard, self.norms, self.coef, rows,
+            row_norms,
+        )
         comm.charge_kernel_evals(
             rows.shape[0] * (self.hi - self.lo), self.avg_nnz
         )

@@ -9,9 +9,8 @@ exactly the operations the solvers need, all vectorized with numpy:
   contiguous row slices (block partitioning),
 - sparse-matrix * sparse-vector products (the gradient-update hot path),
 - a tiled sparse × sparseᵀ product producing a dense block of pairwise
-  row inner products (the blocked kernel-evaluation engine), whose right
-  operand may be a :class:`ColumnIndex` built once for a matrix that is
-  multiplied many times (a serving rank's support-vector shard),
+  row inner products (the blocked kernel-evaluation engine), with the
+  rows a rank stores on the left and the rows it is handed on the right,
 - squared row norms (RBF kernel precomputation),
 - compact binary (de)serialization (the ring exchange payload).
 """
@@ -19,31 +18,23 @@ exactly the operations the solvers need, all vectorized with numpy:
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 _MAGIC = b"RCSR"
 _HEADER = struct.Struct("<4sqqq")  # magic, nrows, ncols, nnz
 
-#: default tile width of :meth:`CSRMatrix.dot_csr_t` against a plain
-#: CSR operand — bounds the per-tile dense scratch at roughly
-#: ``tile_rows × max(ncols, nnz)`` doubles while keeping the tile loop
-#: out of the Python-overhead regime
+#: default tile width of :meth:`CSRMatrix.dot_csr_t` — keeps the tile
+#: loop out of the Python-overhead regime
 DEFAULT_TILE_ROWS = 256
 
-#: cap on the per-tile ``(tile_rows, nnz)`` gather scratch of
-#: :meth:`CSRMatrix.dot_csr_t`, in doubles (512K ≈ 4 MiB) — same-sized
-#: tiles recycle through the allocator instead of page-faulting fresh
-#: tens-of-MiB blocks when the left operand is large
+#: cap on each per-tile scratch array of :meth:`CSRMatrix.dot_csr_t`,
+#: the ``(tile_rows, ncols)`` dense tile and the ``(tile_rows, nnz)``
+#: gather, in doubles (512K ≈ 4 MiB) — same-sized tiles recycle through
+#: the allocator instead of page-faulting fresh tens-of-MiB blocks when
+#: an operand is large or wide
 TILE_BUDGET_ELEMS = 1 << 19
-
-#: smallest dense tile (``min(nrows, DEFAULT_TILE_ROWS) × ncols``
-#: doubles, 1 MiB) that :func:`repeated_operand` replaces by a
-#: :class:`ColumnIndex`: below it the tile is cheap to fill and the
-#: indexed path's extra numpy calls cost more than they save (on the
-#: registry stand-ins, slabs of 1–3 rows break even near 2^17)
-INDEX_MIN_TILE_ELEMS = 1 << 17
 
 
 class CSRError(ValueError):
@@ -306,46 +297,33 @@ class CSRMatrix:
         return _segment_sums(prod, self.indptr)
 
     def dot_csr_t(
-        self,
-        other: Union["CSRMatrix", "ColumnIndex"],
-        *,
-        tile_rows: Optional[int] = None,
+        self, other: "CSRMatrix", *, tile_rows: Optional[int] = None
     ) -> np.ndarray:
         """Dense ``self @ otherᵀ`` — every pairwise row inner product.
 
-        Against a plain CSR ``other`` the product is computed
-        tile-at-a-time over ``other``'s rows: each tile is scattered into
-        a dense ``(t, ncols)`` scratch, the nonzeros of ``self`` are
-        gathered against it, and per-row segment sums produce ``t``
-        output columns at once.  ``tile_rows`` is an upper bound
-        (default :data:`DEFAULT_TILE_ROWS`) — the effective tile width
-        also caps the ``(t, nnz)`` gather scratch at
-        :data:`TILE_BUDGET_ELEMS` doubles, so a very dense ``self``
-        shrinks the tiles instead of blowing past the allocator's reuse
-        threshold (the tiling never affects the result, bitwise; see
-        below).
+        The product is computed tile-at-a-time over ``other``'s rows:
+        each tile is scattered into a dense ``(t, ncols)`` scratch, the
+        nonzeros of ``self`` are gathered against it, and per-row
+        segment sums produce ``t`` output columns at once.  ``tile_rows``
+        is an upper bound (default :data:`DEFAULT_TILE_ROWS`); the
+        effective tile width also caps both the dense tile and the
+        ``(t, nnz)`` gather at :data:`TILE_BUDGET_ELEMS` doubles (at
+        least one row a tile), so a very dense ``self`` or a very wide
+        ``other`` shrinks the tiles instead of blowing past the
+        allocator's reuse threshold.
 
-        Against a :class:`ColumnIndex` of ``other`` (its transpose,
-        built once), only ``other``'s entries in the distinct columns of
-        ``self`` are gathered, into a ``(t, distinct columns)`` panel
-        that stands in for the dense tile.  Per call, work and scratch
-        grow with ``other.nrows × self.nnz`` and never with ``ncols``;
-        the tiles are bounded by :data:`TILE_BUDGET_ELEMS` alone (and by
-        ``tile_rows`` when given).  Building the index costs a few
-        tile-path calls on a small ``self``, so it pays only for an
-        operand that is multiplied many times, and whose dense tile is
-        large (:func:`repeated_operand`): a wide serving shard, not a
-        training pair column used once.
-
-        Both paths hand their panel to the same take / multiply /
-        segment-sum tail, and a panel column holds exactly the values of
-        the dense tile's column it stands for (zeros included), so the
-        two products are bitwise identical.  Column ``j`` of the result
-        is produced by exactly the same scatter / gather / segment-sum
-        sequence as ``self.dot_sparse_vec(*other.row(j))``, so the
-        blocked product is *bitwise* identical to the row-at-a-time path
-        — the property that lets the solvers batch kernel evaluations
-        without perturbing their deterministic iteration sequences.
+        Column ``j`` of the result is produced by exactly the same
+        scatter / gather / segment-sum sequence as
+        ``self.dot_sparse_vec(*other.row(j))``, so the blocked product
+        is *bitwise* identical to the row-at-a-time path for any tiling
+        — the property that lets the solvers and the scorers batch
+        kernel evaluations without perturbing their results.  Entry
+        ``(i, j)`` is the segment sum over row ``i``'s own nonzeros
+        against row ``j``'s dense tile row, so it does not depend on
+        which other rows share ``self`` or the tile.  Callers put the
+        rows they store (a training block, a support-vector shard) on
+        the left and the rows they are handed on the right, the way the
+        paper recomputes kernel rows (§III-A).
         """
         if other.shape[1] != self.shape[1]:
             raise CSRError(
@@ -357,107 +335,32 @@ class CSRMatrix:
         out = np.zeros((n, m))
         if n == 0 or m == 0 or self.nnz == 0:
             return out
-        budget = max(1, TILE_BUDGET_ELEMS // self.nnz)
-        if isinstance(other, ColumnIndex):
-            self._dot_indexed(other.columns, min(budget, tile_rows or m), out)
-            return out
-        tile = min(budget, tile_rows or DEFAULT_TILE_ROWS)
+        tile = min(
+            max(1, TILE_BUDGET_ELEMS // self.nnz),
+            max(1, TILE_BUDGET_ELEMS // self.shape[1]),
+            tile_rows or DEFAULT_TILE_ROWS,
+        )
         for lo in range(0, m, tile):
             hi = min(lo + tile, m)
-            a, b = int(other.indptr[lo]), int(other.indptr[hi])
-            dense = np.zeros((hi - lo, self.shape[1]))
-            rows = np.repeat(
-                np.arange(hi - lo), np.diff(other.indptr[lo : hi + 1])
-            )
-            dense[rows, other.indices[a:b]] = other.data[a:b]
-            out[:, lo:hi] = self._panel_dots(dense, self.indices)
+            out[:, lo:hi] = self._tile_dots(other, lo, hi).T
         return out
 
-    def _dot_indexed(
-        self, columns: "CSRMatrix", tile: int, out: np.ndarray
-    ) -> None:
-        """``out[:] = self @ otherᵀ`` from ``columns = otherᵀ``, in
-        product tiles of ``tile`` rows of ``other``."""
-        cols, inv = np.unique(self.indices, return_inverse=True)
-        u = cols.size
-        starts = columns.indptr[cols]
-        lens = columns.indptr[cols + 1] - starts
-        gather = _range_gather(starts, lens, int(lens.sum()))
-        rows = columns.indices[gather]
-        # flat position of each gathered entry in an (m, u) panel
-        flat = rows * u + np.repeat(np.arange(u, dtype=np.int64), lens)
-        vals = columns.data[gather]
-        m = out.shape[1]
-        # the panel is built in blocks of at most TILE_BUDGET_ELEMS
-        # (one block for a serving shard); product tiles are row views
-        step = max(tile, TILE_BUDGET_ELEMS // u)
-        for plo in range(0, m, step):
-            phi = min(plo + step, m)
-            panel = np.zeros((phi - plo) * u)
-            if phi - plo == m:
-                panel[flat] = vals
-            else:
-                sel = (rows >= plo) & (rows < phi)
-                panel[flat[sel] - plo * u] = vals[sel]
-            panel = panel.reshape(phi - plo, u)
-            for lo in range(plo, phi, tile):
-                hi = min(lo + tile, phi)
-                out[:, lo:hi] = self._panel_dots(panel[lo - plo : hi - plo], inv)
-
-    def _panel_dots(self, panel: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The ``(nrows, t)`` dots of this matrix's rows with the ``t``
-        rows of ``panel``, where ``panel[:, cols[k]]`` holds the right
-        operand's values in the column of this matrix's ``k``-th
-        nonzero — the tail both :meth:`dot_csr_t` paths share."""
-        prod = panel.take(cols, axis=1)
-        prod *= self.data
-        return _segment_sums_2d(prod, self.indptr).T
-
-    def dot_rows(self, i: int, j: int) -> float:
-        """<x_i, x_j> between two rows of this matrix."""
-        ai, av = self.row(i)
-        bi, bv = self.row(j)
-        return sparse_sparse_dot(ai, av, bi, bv)
-
-    def matmul_dense(self, dense: np.ndarray) -> np.ndarray:
-        """X @ D for a dense (ncols, k) matrix; returns (nrows, k)."""
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim == 1:
-            return self.dot_dense_vec(dense)
-        out = np.empty((self.shape[0], dense.shape[1]))
-        for k in range(dense.shape[1]):
-            out[:, k] = self.dot_dense_vec(dense[:, k])
-        return out
-
-    def transpose(self) -> "CSRMatrix":
-        """The transpose, as a new CSR matrix (CSC view of this one).
-
-        §III-A notes the paper sticks to basic CSR and leaves other
-        formats to future work; the transpose enables the column-wise
-        operations (feature statistics, CSC-style access) that
-        motivated that discussion.
-        """
-        nrows, ncols = self.shape
-        if self.nnz == 0:
-            return CSRMatrix(
-                np.empty(0),
-                np.empty(0, np.int64),
-                np.zeros(ncols + 1, np.int64),
-                (ncols, nrows),
-                check=False,
-            )
+    def _tile_dots(self, other: "CSRMatrix", lo: int, hi: int) -> np.ndarray:
+        """The ``(hi - lo, nrows)`` dots of rows ``[lo, hi)`` of ``other``
+        with this matrix's rows, through one dense tile.  The tile's
+        scratch dies with the call, before the next tile allocates its
+        own: held across tiles, two tiles' worth of it made a worker
+        thread's malloc arena trim and re-fault megabytes on every
+        multi-tile call."""
+        a, b = int(other.indptr[lo]), int(other.indptr[hi])
+        dense = np.zeros((hi - lo, self.shape[1]))
         rows = np.repeat(
-            np.arange(nrows, dtype=np.int64), np.diff(self.indptr)
+            np.arange(hi - lo), np.diff(other.indptr[lo : hi + 1])
         )
-        order = np.argsort(self.indices, kind="stable")
-        new_indices = rows[order]
-        new_data = self.data[order]
-        counts = np.bincount(self.indices, minlength=ncols)
-        new_indptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_indptr[1:])
-        return CSRMatrix(
-            new_data, new_indices, new_indptr, (ncols, nrows), check=False
-        )
+        dense[rows, other.indices[a:b]] = other.data[a:b]
+        prod = dense.take(self.indices, axis=1)
+        prod *= self.data
+        return _segment_sums_2d(prod, self.indptr)
 
     def col_nnz(self) -> np.ndarray:
         """Nonzero count per column."""
@@ -503,37 +406,6 @@ class CSRMatrix:
             and np.array_equal(self.indices, other.indices)
             and np.allclose(self.data, other.data, rtol=rtol)
         )
-
-
-class ColumnIndex:
-    """A CSR matrix indexed by column, as the right operand of
-    :meth:`CSRMatrix.dot_csr_t`.
-
-    Holds the matrix's transpose (``columns``; O(nnz + ncols) memory,
-    built once) and the matrix's own ``shape``.  ``A.dot_csr_t(
-    ColumnIndex(B))`` is bitwise equal to ``A.dot_csr_t(B)`` but skips
-    the plain path's per-call dense tiles (``min(B.nrows, 256) × ncols``
-    zeros and a scatter of all of ``B``): its work grows with
-    ``B.nrows × A.nnz`` alone, which pays off when the same wide ``B``
-    meets many small ``A`` — a serving rank's support-vector shard
-    scoring one slab after another.
-    """
-
-    __slots__ = ("columns", "shape")
-
-    def __init__(self, matrix: CSRMatrix) -> None:
-        self.columns = matrix.transpose()
-        self.shape = matrix.shape
-
-
-def repeated_operand(matrix: CSRMatrix) -> Union[CSRMatrix, ColumnIndex]:
-    """The cheaper right operand of :meth:`CSRMatrix.dot_csr_t` for a
-    ``matrix`` that meets many left operands: its :class:`ColumnIndex`
-    when the dense tile the plain path would fill on every call holds at
-    least :data:`INDEX_MIN_TILE_ELEMS` doubles, else ``matrix`` itself.
-    Either way the products are bitwise the same."""
-    tile = min(matrix.shape[0], DEFAULT_TILE_ROWS) * matrix.shape[1]
-    return ColumnIndex(matrix) if tile >= INDEX_MIN_TILE_ELEMS else matrix
 
 
 def sparse_sparse_dot(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -319,6 +320,29 @@ def test_one_replica_fleet_is_serve_requests(served_model, requests_60,
     assert a.stats.total_bytes_sent == b.stats.total_bytes_sent
     if "cache_entries" in case:
         assert (b.status == CACHE_HIT).any()
+
+
+def test_fleet_honours_trace(sparse_model):
+    """``RunConfig.trace`` reaches every shard-group session: with one
+    replica the fleet's closed sessions record the events
+    ``serve_requests`` records, as a multiset of (rank, kind, op, peer,
+    nbytes)."""
+    model, requests = sparse_model
+    n = requests.shape[0]
+    arrivals = np.arange(n) * 150e-6
+    cfg = RunConfig(nprocs=2, trace=True)
+    a = serve_requests(model, requests, arrivals, policy=POLICY, config=cfg)
+    b = serve_fleet(model, requests, arrivals, policy=POLICY, config=cfg)
+
+    def events(results):
+        return Counter(
+            (e.rank, e.kind, e.op, e.peer, e.nbytes)
+            for r in results for e in r.tracer.events
+        )
+
+    assert len(b.sessions) == 1
+    assert sum(events([a.spmd]).values()) > 0
+    assert events(b.sessions) == events([a.spmd])
 
 
 def test_one_job_per_group_session(served_model, fleet_requests,

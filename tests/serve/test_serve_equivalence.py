@@ -5,9 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.config import RunConfig
-from repro.perfmodel.machine import MachineSpec
+from repro.core import SVMModel, decision_function_parallel
+from repro.core.model import weighted_slab
+from repro.kernels import LinearKernel, PolynomialKernel, RBFKernel
 from repro.serve import (
     BatchPolicy,
     SCORED,
@@ -15,9 +20,7 @@ from repro.serve import (
     poisson_arrivals,
     serve_requests,
 )
-from repro.serve.server import ShardScorer
-from repro.sparse import BlockPartition, CSRMatrix
-from repro.sparse.csr import ColumnIndex
+from repro.sparse import CSRMatrix
 from tests.conftest import same_bits
 
 
@@ -158,28 +161,12 @@ def test_modeled_batching_speedup(served_model, requests_60):
     assert throughput(60) >= 3.0 * throughput(1)
 
 
-def test_only_wide_shards_are_indexed(served_model, sparse_model):
-    """The wide sparse model's shards (at every nprocs the bitwise tests
-    below use) are column-indexed; the 3-feature blobs shard stays CSR."""
-    machine = MachineSpec.cascade()
-    narrow, _ = served_model
-    assert isinstance(
-        ShardScorer(narrow, 0, narrow.n_sv, machine).shard, CSRMatrix
-    )
-    wide, _ = sparse_model
-    for nprocs in (1, 2, 3):
-        part = BlockPartition(wide.n_sv, nprocs)
-        for rank in range(nprocs):
-            scorer = ShardScorer(wide, *part.bounds(rank), machine)
-            assert isinstance(scorer.shard, ColumnIndex)
-
-
 @pytest.mark.parametrize("nprocs", [1, 2, 3])
 @pytest.mark.parametrize("max_batch", [1, 64])
 def test_wide_sparse_shard_bitwise(sparse_model, nprocs, max_batch):
-    """Each rank scores slabs against its column-indexed shard of a wide
-    sparse SV set; scores stay bitwise those of ``decision_function``
-    (the plain-tile path), empty and SV-disjoint request rows included."""
+    """Each rank scores slabs shard-major against its part of a wide
+    sparse SV set; scores stay bitwise those of ``decision_function``,
+    empty and SV-disjoint request rows included."""
     model, requests = sparse_model
     n = requests.shape[0]
     res = serve_requests(
@@ -189,3 +176,97 @@ def test_wide_sparse_shard_bitwise(sparse_model, nprocs, max_batch):
     )
     assert np.all(res.status == SCORED)
     assert same_bits(res.scores, model.decision_function(requests))
+
+
+# ----------------------------------------------------------------------
+# differential: every scoring entry point, on adversarial inputs
+# ----------------------------------------------------------------------
+@st.composite
+def scoring_problems(draw):
+    """A random model and request set over ``d`` features.
+
+    Values are negative as often as positive; rows run from nearly
+    empty to nearly dense, so some segment sums are long enough (≥ 8
+    terms) for their summation order to show in the bits.  Each when
+    drawn: an empty (zero-norm) support vector, an empty request, a
+    request living only in the last two columns, which no support
+    vector uses, and a duplicated request.  Also a split of the SV
+    rows into shards, for the slab check."""
+    d = draw(st.integers(3, 24))
+    n_sv = draw(st.integers(1, 7))
+    n_req = draw(st.integers(1, 8))
+    cut = draw(st.sampled_from([1.0, 4.0, 7.0]))
+    value = st.floats(-8, 8, allow_nan=False).map(
+        lambda x: 0.0 if abs(x) < cut else x
+    )
+    sv = draw(arrays(np.float64, (n_sv, d), elements=value))
+    sv[:, -2:] = 0.0
+    if draw(st.booleans()):
+        sv[draw(st.integers(0, n_sv - 1))] = 0.0
+    req = draw(arrays(np.float64, (n_req, d), elements=value))
+    if draw(st.booleans()):
+        req = np.vstack([req, np.zeros(d)])
+    if draw(st.booleans()):
+        disjoint = np.zeros(d)
+        disjoint[-2:] = [-draw(st.floats(0.5, 8)), draw(st.floats(-8, 8))]
+        req = np.vstack([disjoint, req])
+    if draw(st.booleans()):
+        req = np.vstack([req, req[:1]])
+    kernel = draw(st.sampled_from([
+        RBFKernel(0.3), LinearKernel(), PolynomialKernel(2, 0.5, 1.0),
+    ]))
+    model = SVMModel(
+        sv_X=CSRMatrix.from_dense(sv),
+        sv_coef=draw(arrays(np.float64, n_sv, elements=st.floats(-10, 10))),
+        sv_indices=np.arange(n_sv),
+        beta=draw(st.floats(-2, 2)),
+        kernel=kernel,
+    )
+    cuts = sorted(draw(st.sets(st.integers(1, n_sv), max_size=3)) | {n_sv})
+    return model, CSRMatrix.from_dense(req), cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=scoring_problems())
+def test_scoring_entry_points_agree_bitwise(problem):
+    """``serve_requests`` ≡ ``decision_function`` ≡
+    ``decision_function_parallel``, bit for bit, at every p × max_batch;
+    ``decision_function`` does not depend on ``block_rows``; and its
+    ``weighted_slab`` is the hstack of per-shard slabs for any split of
+    the support vectors, each row the row-at-a-time kernel row of its
+    request, weighted."""
+    model, X, cuts = problem
+    n = X.shape[0]
+    direct = model.decision_function(X)
+    for block_rows in (1, 2, 3):
+        assert same_bits(model.decision_function(X, block_rows=block_rows), direct)
+
+    kernel, sv, coef = model.kernel, model.sv_X, model.sv_coef
+    norms, sv_norms = X.row_norms_sq(), sv.row_norms_sq()
+    slab = weighted_slab(kernel, sv, sv_norms, coef, X, norms)
+    assert same_bits(np.add.reduce(slab, axis=1) - model.beta, direct)
+    shards = np.hstack([
+        weighted_slab(
+            kernel, sv.row_slice(lo, hi), sv_norms[lo:hi], coef[lo:hi],
+            X, norms,
+        )
+        for lo, hi in zip([0] + cuts[:-1], cuts)
+    ])
+    assert same_bits(shards, slab)
+    for i in range(n):
+        row = kernel.row_against_block(sv, sv_norms, *X.row(i), norms[i])
+        assert same_bits(slab[i], row * coef)
+
+    for p in (1, 2, 3):
+        out = decision_function_parallel(model, X, config=RunConfig(nprocs=p))
+        assert same_bits(out.decision_values, direct)
+        if p > model.n_sv:
+            continue
+        for max_batch in (1, 3, 64):
+            res = serve_requests(
+                model, X, burst_arrivals(n),
+                policy=BatchPolicy(max_batch=max_batch, max_delay=0.0),
+                config=RunConfig(nprocs=p),
+            )
+            assert np.all(res.status == SCORED)
+            assert same_bits(res.scores, direct)

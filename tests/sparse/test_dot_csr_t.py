@@ -4,11 +4,9 @@
 its contract is stronger than numerical agreement: every column must be
 *bitwise* identical to the row-at-a-time ``dot_sparse_vec`` path, for
 any tiling, so the solvers can batch without perturbing their
-deterministic iteration sequences.  A column-indexed right operand
-(``ColumnIndex``, the serving shards' form) must give the same bits.
+deterministic iteration sequences.  The tiling is bounded by a scratch
+budget in both of the operands' dimensions, and never changes a bit.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.sparse import CSRMatrix
-from repro.sparse.csr import (
-    INDEX_MIN_TILE_ELEMS,
-    TILE_BUDGET_ELEMS,
-    ColumnIndex,
-    CSRError,
-    repeated_operand,
-)
+from repro.sparse.csr import CSRError
 from tests.conftest import same_bits
 
 
@@ -116,86 +108,46 @@ def test_validation():
         A.dot_csr_t(A, tile_rows=0)
 
 
-# ----------------------------------------------------------------------
-# the column-indexed right operand
-# ----------------------------------------------------------------------
-@st.composite
-def indexed_operands(draw):
-    """(A, B) sharing ``d`` columns, with negative values, and — each
-    when drawn — an empty row on either side, a column present in A but
-    absent from B, and a row of A repeated (so its columns recur across
-    left rows)."""
-    d = draw(st.integers(1, 9))
-    da = draw(dense_matrices(max_d=9)).copy()[:, :d]
-    db = draw(dense_matrices(max_d=9)).copy()[:, :d]
-    da = np.pad(da, ((0, 0), (0, d - da.shape[1])))
-    db = np.pad(db, ((0, 0), (0, d - db.shape[1])))
-    if draw(st.booleans()):
-        da = np.vstack([da, np.zeros(d)])
-    if draw(st.booleans()):
-        db = np.vstack([np.zeros(d), db])
-    if draw(st.booleans()):
-        db[:, draw(st.integers(0, d - 1))] = 0.0
-    if draw(st.booleans()):
-        da = np.vstack([da, da[:1]])
-    return CSRMatrix.from_dense(da), CSRMatrix.from_dense(db)
+class _ZerosSpy:
+    """Stands in for ``numpy`` inside ``repro.sparse.csr``, recording the
+    shape of every ``np.zeros`` scratch array it hands out."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, *args, **kwargs):
+        out = np.zeros(shape, *args, **kwargs)
+        self.shapes.append(out.shape)
+        return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    ab=indexed_operands(),
-    tile=st.one_of(st.none(), st.integers(1, 15)),
-    budget=st.one_of(st.none(), st.integers(1, 40)),
-)
-def test_indexed_operand_bitwise_equals_tile_product(ab, tile, budget):
-    """Any tile size and scratch budget (a small budget splits the
-    indexed panel into blocks too)."""
-    A, B = ab
-    reference = A.dot_csr_t(B)
-    with mock.patch(
-        "repro.sparse.csr.TILE_BUDGET_ELEMS", budget or TILE_BUDGET_ELEMS
-    ):
-        indexed = A.dot_csr_t(ColumnIndex(B), tile_rows=tile)
-        assert same_bits(indexed, A.dot_csr_t(B, tile_rows=tile))
-    assert same_bits(indexed, reference)
-
-
-def test_indexed_operand_tiles_under_the_budget(monkeypatch):
-    """A budget smaller than one panel row forces one shard row a tile;
-    the product is unchanged, bit for bit."""
+@pytest.mark.parametrize("budget", [1, 7, 40, 100, 333, 10_000])
+def test_dense_tiles_stay_under_the_budget(monkeypatch, budget):
+    """A wide right operand is scattered into tiles of at most
+    ``max(budget, n_features)`` doubles (at least one row a tile), and
+    the product is bitwise the row-at-a-time one for every budget.  The
+    left operand holds 4 nonzeros, so the ``(t, nnz)`` gather alone
+    would allow tiles of ``budget // 4`` rows."""
     rng = np.random.default_rng(2)
-    A = CSRMatrix.from_dense(rng.normal(size=(9, 40)) * (rng.random((9, 40)) < 0.3))
-    B = CSRMatrix.from_dense(rng.normal(size=(30, 40)) * (rng.random((30, 40)) < 0.2))
-    whole = A.dot_csr_t(ColumnIndex(B))
-    monkeypatch.setattr("repro.sparse.csr.TILE_BUDGET_ELEMS", A.nnz)
-    assert same_bits(A.dot_csr_t(ColumnIndex(B)), whole)
-    assert same_bits(A.dot_csr_t(B), whole)
-
-
-def test_indexed_operand_shape_and_validation():
-    B = CSRMatrix.from_dense(np.array([[0.0, 1, 0], [2, 0, 0]]))
-    idx = ColumnIndex(B)
-    assert idx.shape == (2, 3)
-    assert idx.columns.shape == (3, 2)
-    A = CSRMatrix.from_dense(np.ones((2, 4)))
-    with pytest.raises(CSRError):
-        A.dot_csr_t(idx)
-    with pytest.raises(ValueError):
-        B.dot_csr_t(idx, tile_rows=0)
-    empty = CSRMatrix.empty(3)
-    assert B.dot_csr_t(ColumnIndex(empty)).shape == (2, 0)
-    assert empty.dot_csr_t(idx).shape == (0, 2)
-
-
-def test_repeated_operand_indexes_only_wide_tiles():
-    """Indexed exactly when the plain path's per-call dense tile
-    (at most DEFAULT_TILE_ROWS rows × ncols) reaches the threshold."""
-    wide = CSRMatrix.from_dense(np.ones((64, INDEX_MIN_TILE_ELEMS // 64)))
-    assert isinstance(repeated_operand(wide), ColumnIndex)
-    narrow = wide.row_slice(0, 63)
-    assert repeated_operand(narrow) is narrow
-    tall = CSRMatrix.from_dense(np.ones((1000, INDEX_MIN_TILE_ELEMS // 256 - 1)))
-    assert repeated_operand(tall) is tall
+    d = 41  # no other scratch array has 41 columns
+    A = CSRMatrix.from_rows(
+        [([3, 40], [1.5, -2.0]), ([], []), ([0], [0.25]), ([17], [-3.0])], d
+    )
+    B = CSRMatrix.from_dense(
+        rng.normal(size=(30, d)) * (rng.random((30, d)) < 0.3)
+    )
+    reference = rowwise_reference(A, B)
+    spy = _ZerosSpy()
+    monkeypatch.setattr("repro.sparse.csr.TILE_BUDGET_ELEMS", budget)
+    monkeypatch.setattr("repro.sparse.csr.np", spy)
+    out = A.dot_csr_t(B)
+    tiles = [shape[0] for shape in spy.shapes if shape[1:] == (d,)]
+    assert sum(tiles) == B.shape[0]
+    assert all(rows * d <= max(budget, d) for rows in tiles)
+    assert same_bits(out, reference)
 
 
 # ----------------------------------------------------------------------
