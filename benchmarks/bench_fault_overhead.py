@@ -32,8 +32,9 @@ configuration's minimum over all rounds instead compared fits from
 different host states: on a 2-vCPU VM it read the idle overhead
 anywhere from −12% to +26% on the same code.)
 
-Results land in ``BENCH_fault_overhead.json`` at the repo root (or
-``--out``).  Run either way::
+The script writes ``BENCH_fault_overhead.json`` at the repo root (or
+``--out``); the pytest entry writes its report under pytest's
+``tmp_path``.  Run either way::
 
     python benchmarks/bench_fault_overhead.py [--out PATH]
     pytest benchmarks/bench_fault_overhead.py --benchmark-only
@@ -177,9 +178,10 @@ def main(out: Path = OUT_PATH) -> dict:
     return payload
 
 
-def test_fault_overhead(benchmark):
+def test_fault_overhead(benchmark, tmp_path):
     payload = benchmark.pedantic(
-        main, iterations=1, rounds=1, warmup_rounds=0
+        main, args=(tmp_path / OUT_PATH.name,),
+        iterations=1, rounds=1, warmup_rounds=0,
     )
     assert payload["claim_holds"], (
         f"idle fault engine costs {payload['idle_engine_overhead']:.1%} "

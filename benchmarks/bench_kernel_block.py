@@ -22,8 +22,10 @@ equivalent but for the two serving-slab orientations (see
    the two orientations sum in different orders, so they are asserted
    ``allclose`` only.
 
-Results land in ``BENCH_kernel_block.json`` at the repo root
-(machine-readable problem sizes + speedup factors).  Run either way::
+The script writes ``BENCH_kernel_block.json`` at the repo root
+(machine-readable problem sizes + speedup factors); the pytest entry
+writes its report under pytest's ``tmp_path`` instead.  Run either
+way::
 
     python benchmarks/bench_kernel_block.py [--quick] [--out PATH]
     pytest benchmarks/bench_kernel_block.py --benchmark-only
@@ -285,8 +287,8 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     return report
 
 
-def test_blocked_engine_speedup(results_dir):
-    report = run_bench()
+def test_blocked_engine_speedup(tmp_path):
+    report = run_bench(out=tmp_path / OUT_PATH.name)
     recon = report["reconstruction_fold"]
     assert recon["contributing_samples"] >= 1000
     assert recon["nprocs"] == 4
@@ -296,9 +298,6 @@ def test_blocked_engine_speedup(results_dir):
     # prediction mainly gains bounded scratch memory; the loose bound
     # only guards against a real regression (timer noise spans ~±20%)
     assert report["prediction"]["speedup"] >= 0.8
-    (results_dir / "kernel_block.txt").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def main() -> int:

@@ -91,9 +91,8 @@ def test_ring_exchange(benchmark):
             left = (comm.rank - 1) % comm.size
             cur = payload
             for _ in range(comm.size - 1):
-                req = comm.irecv(source=left, tag=0)
-                comm.isend(cur, dest=right, tag=0)
-                cur = req.wait()
+                comm.send(cur, dest=right, tag=0)
+                cur = comm.recv(source=left, tag=0)
             return len(cur)
 
         return run_spmd(prog, 4)

@@ -9,8 +9,9 @@ throughput ≥ 3× single-request throughput in BOTH modeled virtual time
 and host wall time.  Also replays a duplicate-heavy workload through
 the result cache and a fault-injected run on the serving path.
 
-Results land in ``BENCH_serve.json`` at the repo root (``--out``
-writes elsewhere).  Run either way::
+The script writes ``BENCH_serve.json`` at the repo root (``--out``
+writes elsewhere); the pytest entry writes its reports under pytest's
+``tmp_path``.  Run either way::
 
     python benchmarks/bench_serve.py [--quick] [--out PATH]
     pytest benchmarks/bench_serve.py --benchmark-only
@@ -34,12 +35,12 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     return report
 
 
-def test_serve_speedup(results_dir):
-    report = run_bench()
+def test_serve_speedup(tmp_path):
+    report = run_bench(out=tmp_path / OUT_PATH.name)
     # every swept configuration asserted bitwise equality inside the
     # sweep; here we hold the throughput and cache bars
     check_bars(report)
-    (results_dir / "serve.txt").write_text(
+    (tmp_path / "serve.txt").write_text(
         format_report(report) + "\n", encoding="utf-8"
     )
 

@@ -15,10 +15,11 @@ miniature:
   scorers or cache.
 
 Also records the analytic fleet projection
-(``repro.perfmodel.project_fleet``) at each swept geometry.  Results
-land in ``BENCH_serve_fleet.json`` at the repo root, or at ``--out``
-(strict JSON — the report convention maps non-finite floats to null).
-Run either way::
+(``repro.perfmodel.project_fleet``) at each swept geometry.  The
+script writes ``BENCH_serve_fleet.json`` at the repo root, or at
+``--out`` (strict JSON — the report convention maps non-finite floats
+to null); the pytest entry writes its reports under pytest's
+``tmp_path``.  Run either way::
 
     python benchmarks/bench_serve_fleet.py [--quick] [--out PATH]
     pytest benchmarks/bench_serve_fleet.py --benchmark-only
@@ -49,13 +50,13 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     return report
 
 
-def test_fleet_recovery(results_dir):
-    report = run_bench()
+def test_fleet_recovery(tmp_path):
+    report = run_bench(out=tmp_path / OUT_PATH.name)
     # every scenario asserted completion / exactly-once / bitwise
     # equality inside the run; here we hold the failover and
     # zero-staleness bars
     check_fleet_bars(report)
-    (results_dir / "serve_fleet.txt").write_text(
+    (tmp_path / "serve_fleet.txt").write_text(
         format_fleet_report(report) + "\n", encoding="utf-8"
     )
 

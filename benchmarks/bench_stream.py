@@ -10,9 +10,11 @@ A trace-driven projection then prices one warm refresh step (gamma
 seeding + warm refit + fleet re-shard) against a cold retrain at
 p = 16..256 on the multi-node machine model.
 
-Results land in ``BENCH_stream.json`` at the repo root.  Run either way::
+The script writes ``BENCH_stream.json`` at the repo root (``--out``
+writes elsewhere); the pytest entry writes its reports under pytest's
+``tmp_path``.  Run either way::
 
-    python benchmarks/bench_stream.py [--quick]
+    python benchmarks/bench_stream.py [--quick] [--out PATH]
     pytest benchmarks/bench_stream.py --benchmark-only
 """
 
@@ -28,18 +30,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_stream.json"
 
 
-def run_bench(quick: bool = False) -> dict:
+def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     report = run_stream_bench(quick=quick)
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
-def test_stream_eval_reduction(results_dir):
-    report = run_bench()
+def test_stream_eval_reduction(tmp_path):
+    report = run_bench(out=tmp_path / OUT_PATH.name)
     # every refit already asserted equivalence inside the scenario run;
     # here we hold the kernel-eval-reduction and projection bars
     check_bars(report)
-    (results_dir / "stream.txt").write_text(
+    (tmp_path / "stream.txt").write_text(
         format_report(report) + "\n", encoding="utf-8"
     )
 
@@ -53,12 +55,11 @@ def main(argv=None) -> int:
                     help="report path (default: repo root)")
     args = ap.parse_args(argv)
 
-    report = run_stream_bench(quick=args.quick)
+    out = Path(args.out)
+    report = run_bench(quick=args.quick, out=out)
     print(format_report(report))
     if not args.quick:
         check_bars(report)
-    out = Path(args.out)
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
 

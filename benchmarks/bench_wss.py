@@ -28,8 +28,9 @@ Invariants asserted on every run:
   for again: ``mvp`` produces more columns there than at the roomy
   budget, on every miniature.
 
-Results land in ``BENCH_wss.json`` at the repo root (``--out`` writes
-elsewhere).  Run either way::
+The script writes ``BENCH_wss.json`` at the repo root (``--out`` writes
+elsewhere); the pytest entry writes its report under pytest's
+``tmp_path``.  Run either way::
 
     python benchmarks/bench_wss.py [--quick] [--out PATH]
     pytest benchmarks/bench_wss.py --benchmark-only
@@ -192,8 +193,8 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     return report
 
 
-def test_wss_policy_sweep(results_dir):
-    report = run_bench()
+def test_wss_policy_sweep(tmp_path):
+    report = run_bench(out=tmp_path / OUT_PATH.name)
     assert report["bar_cleared_on"]  # >= 1 miniature clears the bar
     for d in report["datasets"]:
         by = {(r["wss"], r["cache_mb"]): r for r in d["runs"]}
@@ -201,9 +202,6 @@ def test_wss_policy_sweep(results_dir):
         assert by[("second_order", 0.0)]["wss_elections"] > 0
         # the column store counted its traffic under a real budget
         assert by[("second_order", 4.0)]["cache_hits"] > 0
-    (results_dir / "wss.txt").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def main(argv=None) -> int:

@@ -7,16 +7,17 @@ bound SVs that are themselves currently shrunk.
 
 Each rank packs its α>0 samples (CSR block + coefficients α_j·y_j) and
 the blocks circulate around a ring of p steps (``Isend``/``Irecv``/
-``Waitall`` in the paper; eager nonblocking sends here).  Each block
-travels as a typed frame, whose CRC32 protects it in transit.  Every
-rank buffers the p visiting blocks and folds them into the gradients of
-its own shrunk samples in *global rank order*, so the floating-point
-summation order — and therefore the reconstructed γ, bitwise — is
-independent of the process count.  The buffer costs Θ(|{α>0}|) memory
-per rank (the support set), where the paper's ring streams one visiting
-block at a time.  After the ring, γ_i = Σ_j α_j y_j Φ(x_j, x_i) − y_i
-exactly, all samples are re-activated, and fresh β_up/β_low are
-computed by the caller.
+``Waitall`` in the paper).  Sends are eager here, so each step is a
+``send`` to the right neighbour followed by a ``recv`` from the left
+one.  Each block travels as a typed frame, whose CRC32 protects it in
+transit.  Every rank buffers the p visiting blocks and folds them into
+the gradients of its own shrunk samples in *global rank order*, so the
+floating-point summation order — and therefore the reconstructed γ,
+bitwise — is independent of the process count.  The buffer costs
+Θ(|{α>0}|) memory per rank (the support set), where the paper's ring
+streams one visiting block at a time.  After the ring,
+γ_i = Σ_j α_j y_j Φ(x_j, x_i) − y_i exactly, all samples are
+re-activated, and fresh β_up/β_low are computed by the caller.
 
 Communication moves Θ(|{α>0}|) samples per rank per step — the paper's
 Θ(|X − Ȧ| · G) bandwidth bound — instead of an Allgather needing a
@@ -48,10 +49,6 @@ from .trace import RankTrace, ReconEvent
 #: re-requested — the receiver can never confuse the step-``s``
 #: retransmission with the step-``s+1`` chunk already queued behind it.
 TAG_RING = 3
-
-#: ring-level recovery attempts per step before giving up (each
-#: attempt re-requests the pristine chunk from the fault-engine ledger)
-RING_MAX_RETRIES = 3
 
 #: visiting-block rows folded per blocked step — bounds the dense kernel
 #: slab at FOLD_TILE_ROWS × |local shrunk set| doubles
@@ -87,35 +84,22 @@ def _verify_chunk(chunk, source: int) -> None:
         )
 
 
-def _ring_recv(comm, recv_req, source: int, tag: int, step: int):
-    """Complete one ring receive with integrity-checked recovery.
+def _ring_recv(comm, source: int, tag: int, step: int):
+    """Receive and check one visiting chunk.
 
-    A chunk that fails deserialization or CRC verification is
-    re-requested from the left neighbor (via the fault-engine ledger —
-    the simulator's stand-in for a retransmit protocol) up to
-    :data:`RING_MAX_RETRIES` times.  Exhausted retries, or a chunk the
-    message layer reports as lost, raise a structured
-    :class:`~repro.mpi.errors.RingRecoveryError` naming the rank, tag
-    and ring step.
+    ``comm.recv`` already re-requests a chunk whose frame fails its CRC
+    from the fault-engine ledger (the simulator's stand-in for a
+    retransmit protocol), a bounded number of times.  A chunk that is
+    still corrupt, is malformed, or that the message layer reports as
+    lost raises a structured :class:`~repro.mpi.errors.RingRecoveryError`
+    naming the rank, tag and ring step.
     """
-    attempts = 0
-    req = recv_req
-    while True:
-        try:
-            chunk = req.wait()
-            _verify_chunk(chunk, source)
-            return chunk
-        except CorruptMessageError as exc:
-            attempts += 1
-            if attempts > RING_MAX_RETRIES or not comm.rerequest(source, tag):
-                raise RingRecoveryError(
-                    comm.rank, tag, step, attempts, exc
-                ) from exc
-            req = comm.irecv(source=source, tag=tag)
-        except MessageLostError as exc:
-            raise RingRecoveryError(
-                comm.rank, tag, step, attempts, exc
-            ) from exc
+    try:
+        chunk = comm.recv(source, tag)
+        _verify_chunk(chunk, source)
+    except (CorruptMessageError, MessageLostError) as exc:
+        raise RingRecoveryError(comm.rank, tag, step, exc) from exc
+    return chunk
 
 
 def _apply_chunk(
@@ -183,10 +167,8 @@ def gradient_reconstruction(
         buffered[(comm.rank - step) % p] = chunk
         if step < p - 1:
             tag = TAG_RING + step
-            recv_req = comm.irecv(source=left, tag=tag)
-            send_req = comm.isend(chunk, right, tag=tag)
-            chunk = _ring_recv(comm, recv_req, left, tag, step)
-            send_req.wait()
+            comm.send(chunk, right, tag)
+            chunk = _ring_recv(comm, left, tag, step)
     # exact wire bytes this rank pushed into the ring (clock delta: the
     # ring is the only sender between the two snapshots)
     bytes_sent = comm.clock.stats.bytes_sent - b0

@@ -78,7 +78,8 @@ def up_low_at(alpha: float, y: float, C: float) -> "tuple[bool, bool]":
     """:func:`up_low_masks` for one sample: the same bound tests on
     Python floats, so the two flags equal the masks' entries bit for
     bit (NaN included).  Used to refresh maintained masks after an α
-    write without rescanning the arrays."""
+    write without rescanning the arrays, and by the planning-ahead
+    pool to check one pair's eligibility."""
     at_zero = alpha <= C * _BOUND_RTOL
     at_c = alpha >= C * (1.0 - _BOUND_RTOL)
     if y > 0:

@@ -55,7 +55,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .sets import _BOUND_RTOL
+from .sets import up_low_at
 from .wss import NO_INDEX, TAU
 
 #: cap on consecutive zero-communication reuses (planning_ahead) —
@@ -165,21 +165,6 @@ def second_order_best(
 # ----------------------------------------------------------------------
 # planning-ahead working-set reuse
 # ----------------------------------------------------------------------
-def up_eligible(alpha: float, y: float, C: float) -> bool:
-    """Scalar membership in I0 ∪ I1 ∪ I2 (same bound tests as
-    :func:`repro.core.sets.up_mask`)."""
-    if y > 0:
-        return alpha < C * (1.0 - _BOUND_RTOL)
-    return alpha > C * _BOUND_RTOL
-
-
-def low_eligible(alpha: float, y: float, C: float) -> bool:
-    """Scalar membership in I0 ∪ I3 ∪ I4."""
-    if y > 0:
-        return alpha > C * _BOUND_RTOL
-    return alpha < C * (1.0 - _BOUND_RTOL)
-
-
 @dataclass
 class PoolSample:
     """One tracked sample: broadcast row + redundantly maintained state.
@@ -302,8 +287,9 @@ class ReusePool:
                 gap_ab = b.gamma - a.gamma  # orientation up=a, low=b
                 gap_ba = -gap_ab
                 if gap_ab > 2.0 * phase_eps:
-                    if up_eligible(a.alpha, a.y, a.C) and low_eligible(
-                        b.alpha, b.y, b.C
+                    if (
+                        up_low_at(a.alpha, a.y, a.C)[0]
+                        and up_low_at(b.alpha, b.y, b.C)[1]
                     ):
                         curv = (
                             self.k(a, a) + self.k(b, b) - 2.0 * self.k(a, b)
@@ -314,8 +300,9 @@ class ReusePool:
                         if best is None or gain > best[0]:
                             best = (gain, a, b)
                 elif gap_ba > 2.0 * phase_eps:
-                    if up_eligible(b.alpha, b.y, b.C) and low_eligible(
-                        a.alpha, a.y, a.C
+                    if (
+                        up_low_at(b.alpha, b.y, b.C)[0]
+                        and up_low_at(a.alpha, a.y, a.C)[1]
                     ):
                         curv = (
                             self.k(a, a) + self.k(b, b) - 2.0 * self.k(a, b)

@@ -68,20 +68,16 @@ class KernelRowCache:
         self._rows[index] = row
         self._bytes += row.nbytes
 
-    def simulate_misses(self, keys, row_nbytes) -> list:
+    def simulate_misses(self, keys, row_nbytes: int) -> list:
         """Which of ``keys`` would miss if fetched via get/put in order?
 
         Pure lookahead for batched row production: replays the exact
         get-then-put-on-miss sequence (recency updates, evictions, the
-        too-big-to-cache rule) against a shadow of the current state.
-        ``row_nbytes`` is either one uniform size for every newly
-        produced row, or a per-key callable ``key -> nbytes`` — the
-        active set shrinks over a solve, so post-shrink columns are
-        narrower than their predecessors and a uniform size would
-        mispredict evictions.  Nothing is mutated; counters are
-        untouched.
+        too-big-to-cache rule) against a shadow of the current state,
+        every newly produced row taking ``row_nbytes``.  Nothing is
+        mutated; counters are untouched.
         """
-        size_of = row_nbytes if callable(row_nbytes) else (lambda _k: row_nbytes)
+        nb = int(row_nbytes)
         sizes = {k: r.nbytes for k, r in self._rows.items()}  # LRU→MRU order
         used = self._bytes
         miss = []
@@ -91,7 +87,6 @@ class KernelRowCache:
                 sizes[k] = sizes.pop(k)  # move_to_end
                 continue
             miss.append(k)
-            nb = int(size_of(k))
             if nb > self.capacity_bytes:
                 continue
             while used + nb > self.capacity_bytes and sizes:

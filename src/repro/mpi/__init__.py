@@ -2,11 +2,12 @@
 
 This package stands in for MPI + mpi4py on the paper's cluster (see
 DESIGN.md §2): ranks run as threads inside one process, point-to-point
-messages rendezvous through per-rank mailboxes, and collectives are built
-from point-to-point using the textbook algorithms (binomial tree,
-recursive doubling, ring, dissemination).  Per-rank virtual clocks track
-the time the job would take on a modeled machine
-(:class:`repro.perfmodel.MachineSpec`).
+messages (one eager ``send``, one blocking ``recv``) rendezvous through
+per-rank mailboxes, and collectives with mpi4py's lower-case names are
+built from point-to-point using the textbook algorithms (binomial tree,
+recursive doubling, ring, dissemination).  ``topology.carve`` builds
+sub-communicators.  Per-rank virtual clocks track the time the job
+would take on a modeled machine (:class:`repro.perfmodel.MachineSpec`).
 
 Quick example::
 
@@ -21,7 +22,7 @@ Quick example::
 """
 
 from .clock import ClockStats, VirtualClock
-from .communicator import IN_PLACE, Comm
+from .communicator import Comm
 from .datatypes import ANY_SOURCE, ANY_TAG, TAG_UB
 from .errors import (
     CommError,
@@ -35,7 +36,6 @@ from .errors import (
     RingRecoveryError,
     SpmdAborted,
     SpmdJobError,
-    TruncationError,
 )
 from .faults import Fault, FaultEngine, FaultPlan, RetryPolicy
 from .reduceops import (
@@ -51,9 +51,7 @@ from .reduceops import (
     SUM,
     ReduceOp,
 )
-from .request import Request
 from .runtime import RankStats, SpmdResult, SpmdRuntime, run_spmd
-from .status import Status
 from .topology import (
     COMMUNICATORS,
     FlatCollectives,
@@ -80,7 +78,6 @@ __all__ = [
     "FaultPlan",
     "FlatCollectives",
     "HierarchicalCollectives",
-    "IN_PLACE",
     "InjectedFault",
     "LAND",
     "LOR",
@@ -96,17 +93,14 @@ __all__ = [
     "RetryPolicy",
     "RingRecoveryError",
     "ReduceOp",
-    "Request",
     "SpmdAborted",
     "SpmdJobError",
     "SpmdResult",
     "SpmdRuntime",
-    "Status",
     "SUM",
     "TAG_UB",
     "TraceEvent",
     "Tracer",
-    "TruncationError",
     "VirtualClock",
     "create_communicator",
     "resolve_comm",

@@ -1,10 +1,14 @@
 """The communicator: point-to-point primitives plus collective entry points.
 
-API shape mirrors mpi4py: lower-case methods move Python objects (as
-typed frames when the frame protocol covers them, pickled otherwise),
-upper-case methods move numpy buffers in place.  All communication is
-matched through per-rank mailboxes owned by the :class:`SpmdRuntime`;
-virtual time advances according to the runtime's :class:`MachineSpec`.
+Point-to-point is one eager :meth:`Comm.send` and one blocking
+:meth:`Comm.recv`; each moves a Python object, as a typed frame when the
+frame protocol covers it and pickled otherwise.  The collectives take
+the mpi4py lower-case names and move objects the same way;
+:meth:`Comm.allreduce_buffer` moves a small numpy buffer raw.  A
+sub-communicator is carved with :func:`repro.mpi.topology.carve`.  All
+communication is matched through per-rank mailboxes owned by the
+:class:`SpmdRuntime`; virtual time advances according to the runtime's
+:class:`MachineSpec`.
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ import numpy as np
 from . import frames
 from .clock import VirtualClock
 from .datatypes import ANY_SOURCE, ANY_TAG, TAG_UB, as_array, check_tag
-from .errors import CommError, CorruptMessageError, RankError, TruncationError
+from .errors import CorruptMessageError, RankError
 from .message import Envelope
 from .reduceops import SUM, ReduceOp
-from .request import RecvRequest, Request, SendRequest
-from .status import Status
 
 #: first tag reserved for internal collective traffic
 _COLL_TAG_BASE = TAG_UB + 1
@@ -45,7 +47,6 @@ class Comm:
         self._rank = rank
         self._context = context
         self._coll_seq = 0
-        self._split_seq = 0
         self._clock: VirtualClock = runtime.clocks[group[rank]]
         self._mailbox = runtime.mailboxes[group[rank]]
         self._machine = runtime.machine
@@ -66,12 +67,6 @@ class Comm:
     @property
     def size(self) -> int:
         return len(self._group)
-
-    def Get_rank(self) -> int:
-        return self._rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     @property
     def vtime(self) -> float:
@@ -174,7 +169,7 @@ class Comm:
                 self._rank, "recv", "recv", env.src, env.nbytes, t0, clock.now
             )
 
-    def _decode_with_recovery(self, env: Envelope) -> Tuple[Envelope, Any]:
+    def _decode_with_recovery(self, env: Envelope) -> Any:
         """Decode a matched envelope's payload, re-requesting pristine
         retransmissions of corrupt frames from the fault ledger (bounded
         attempts) before surfacing :class:`CorruptMessageError`.
@@ -186,7 +181,7 @@ class Comm:
         attempts = 0
         while True:
             try:
-                return env, env.decode()
+                return env.decode()
             except CorruptMessageError:
                 attempts += 1
                 if attempts > _RECV_MAX_RETRIES or not self.rerequest(
@@ -198,113 +193,31 @@ class Comm:
                 )
 
     # ------------------------------------------------------------------
-    # point-to-point: typed (numpy buffers)
-    # ------------------------------------------------------------------
-    def Send(self, buf: Any, dest: int, tag: int = 0) -> None:
-        self._check_peer(dest)
-        check_tag(tag)
-        self._post_send_typed(as_array(buf), dest, tag)
-
-    def Recv(
-        self,
-        buf: Any,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Optional[Status] = None,
-    ) -> None:
-        self._check_peer(source, allow_any=True)
-        check_tag(tag, allow_any=True)
-        arr = as_array(buf)
-        env = self._mailbox.take(source, tag, self._context, block=True)
-        self._complete_recv(env)
-        if not env.typed:
-            raise CommError("typed Recv matched an object message")
-        data = env.payload.reshape(-1)
-        if data.size > arr.size:
-            raise TruncationError(
-                f"message of {data.size} elements truncates buffer of {arr.size}"
-            )
-        arr[: data.size] = data.astype(arr.dtype, copy=False)
-        if status is not None:
-            status.source, status.tag = env.src, env.tag
-            status.count, status.nbytes = int(data.size), env.nbytes
-
-    def Isend(self, buf: Any, dest: int, tag: int = 0) -> Request:
-        self.Send(buf, dest, tag)
-        return SendRequest()
-
-    def Irecv(self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        self._check_peer(source, allow_any=True)
-        check_tag(tag, allow_any=True)
-        return RecvRequest(self, source, tag, as_array(buf))
-
-    def Sendrecv(
-        self,
-        sendbuf: Any,
-        dest: int,
-        sendtag: int = 0,
-        recvbuf: Any = None,
-        source: int = ANY_SOURCE,
-        recvtag: int = ANY_TAG,
-        status: Optional[Status] = None,
-    ) -> None:
-        req = self.Irecv(recvbuf, source, recvtag)
-        self.Send(sendbuf, dest, sendtag)
-        req.wait(status)
-
-    # ------------------------------------------------------------------
-    # point-to-point: Python objects (framed or pickled)
+    # point-to-point
     # ------------------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Send ``obj`` to ``dest``: eager, so it returns once the
+        envelope is posted, and later writes to ``obj`` do not reach
+        the receiver."""
         self._check_peer(dest)
         check_tag(tag)
         self._post_send_object(obj, dest, tag)
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Optional[Status] = None,
-    ) -> Any:
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+        """Block until a matching message arrives and return its
+        object; a frame that fails its CRC is re-requested (bounded
+        attempts) before :class:`CorruptMessageError` surfaces."""
         self._check_peer(source, allow_any=True)
         check_tag(tag, allow_any=True)
         env = self._mailbox.take(source, tag, self._context, block=True)
         self._complete_recv(env)
-        env, obj = self._decode_with_recovery(env)
-        if status is not None:
-            status.source, status.tag = env.src, env.tag
-            status.count = status.nbytes = env.nbytes
-        return obj
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)
-        return SendRequest()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        self._check_peer(source, allow_any=True)
-        check_tag(tag, allow_any=True)
-        return RecvRequest(self, source, tag, None)
-
-    def sendrecv(
-        self, sendobj: Any, dest: int, sendtag: int = 0,
-        source: int = ANY_SOURCE, recvtag: int = ANY_TAG,
-    ) -> Any:
-        req = self.irecv(source, recvtag)
-        self.send(sendobj, dest, sendtag)
-        return req.wait()
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking probe for a matching pending message."""
-        return (
-            self._mailbox.probe(source, tag, self._context) is not None
-        )
+        return self._decode_with_recovery(env)
 
     def rerequest(self, source: int, tag: int) -> bool:
         """Ask the fault engine to retransmit the pristine original of a
         corrupted message.
 
-        Integrity-checking protocols (frame decoding, the reconstruction
-        ring) call this after detecting a corrupt payload; the pristine
+        A receive whose frame fails its CRC calls this; the pristine
         envelope — if the engine ledgered one — is re-injected into this
         rank's mailbox ahead of any later message of its stream.
         (Dropped messages need no call: the mailbox recovers them as
@@ -343,7 +256,7 @@ class Comm:
         self._complete_recv(env)
         if env.typed:  # a raw buffer: nothing to decode
             return env.payload
-        return self._decode_with_recovery(env)[1]
+        return self._decode_with_recovery(env)
 
     def _collective(self, op: str, run, *args) -> Any:
         """Run one collective algorithm (``run(self, *args)``); when
@@ -361,12 +274,10 @@ class Comm:
         return out
 
     # ------------------------------------------------------------------
-    # collectives (object path; typed wrappers below)
+    # collectives
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         self._collective("Barrier", self._suite.barrier)
-
-    Barrier = barrier
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         self._check_peer(root)
@@ -383,9 +294,8 @@ class Comm:
         """Allreduce a small numpy buffer over the typed envelope path.
 
         Unlike :meth:`allreduce` the operands move as raw buffers (no
-        pickling) and are combined with the op's array path; unlike
-        :meth:`Allreduce` the result is returned rather than written
-        in place.  Reduction tree and combine order are identical to
+        framing or pickling) and are combined with the op's array path.
+        Reduction tree and combine order are identical to
         :meth:`allreduce`, so (value, location) elections produce the
         same winners on either path.  The operand is not copied: sends
         snapshot it and combines return new arrays (a one-rank
@@ -427,117 +337,6 @@ class Comm:
             "Reduce_scatter", self._suite.reduce_scatter, objs, op
         )
 
-    # ------------------------------------------------------------------
-    # collectives: typed wrappers (in-place numpy buffers)
-    # ------------------------------------------------------------------
-    def Bcast(self, buf: Any, root: int = 0) -> None:
-        arr = as_array(buf)
-        if self._rank == root:
-            self.bcast(arr.copy(), root=root)
-        else:
-            data = self.bcast(None, root=root)
-            if data.size != arr.size:
-                raise TruncationError(
-                    f"Bcast of {data.size} elements into buffer of {arr.size}"
-                )
-            arr[:] = data.astype(arr.dtype, copy=False)
-
-    def Allreduce(self, sendbuf: Any, recvbuf: Any, op: ReduceOp = SUM) -> None:
-        if sendbuf is IN_PLACE:
-            out = as_array(recvbuf)
-            result = self._suite.allreduce(self, out.copy(), op, arrays=True)
-        else:
-            src = as_array(sendbuf)
-            out = as_array(recvbuf)
-            if src.size != out.size:
-                raise CommError("Allreduce send/recv buffer size mismatch")
-            result = self._suite.allreduce(self, src.copy(), op, arrays=True)
-        out[:] = result.astype(out.dtype, copy=False)
-
-    def Reduce(
-        self, sendbuf: Any, recvbuf: Any, op: ReduceOp = SUM, root: int = 0
-    ) -> None:
-        src = as_array(sendbuf).copy()
-        result = self._suite.reduce(self, src, op, root, arrays=True)
-        if self._rank == root:
-            out = as_array(recvbuf)
-            out[:] = result.astype(out.dtype, copy=False)
-
-    def Gather(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
-        src = as_array(sendbuf).copy()
-        parts = self._suite.gather(self, src, root)
-        if self._rank == root:
-            out = as_array(recvbuf)
-            flat = np.concatenate([np.asarray(p).reshape(-1) for p in parts])
-            if flat.size != out.size:
-                raise TruncationError("Gather buffer size mismatch")
-            out[:] = flat.astype(out.dtype, copy=False)
-
-    def Allgather(self, sendbuf: Any, recvbuf: Any) -> None:
-        src = as_array(sendbuf).copy()
-        parts = self._suite.allgather(self, src)
-        out = as_array(recvbuf)
-        flat = np.concatenate([np.asarray(p).reshape(-1) for p in parts])
-        if flat.size != out.size:
-            raise TruncationError("Allgather buffer size mismatch")
-        out[:] = flat.astype(out.dtype, copy=False)
-
-    def Allgatherv(self, sendbuf: Any, recvbuf: Any) -> None:
-        # identical to Allgather with per-rank counts inferred from payloads
-        self.Allgather(sendbuf, recvbuf)
-
-    def Scatter(self, sendbuf: Any, recvbuf: Any, root: int = 0) -> None:
-        out = as_array(recvbuf)
-        if self._rank == root:
-            src = as_array(sendbuf)
-            if src.size != out.size * self.size:
-                raise CommError("Scatter buffer size mismatch")
-            chunks = [
-                src[i * out.size : (i + 1) * out.size].copy()
-                for i in range(self.size)
-            ]
-        else:
-            chunks = None
-        part = self._suite.scatter(self, chunks, root)
-        out[:] = np.asarray(part).reshape(-1).astype(out.dtype, copy=False)
-
-    # ------------------------------------------------------------------
-    # communicator management
-    # ------------------------------------------------------------------
-    def Split(self, color: int, key: int = 0) -> Optional["Comm"]:
-        """Partition the communicator by ``color``, order by ``(key, rank)``."""
-        triples = self.allgather((color, key, self._rank))
-        self._split_seq += 1
-        if color is None or color < 0:
-            return None
-        members = sorted(
-            (k, r) for (c, k, r) in triples if c == color
-        )
-        group = tuple(self._global(r) for (_, r) in members)
-        new_rank = [r for (_, r) in members].index(self._rank)
-        ctx = self._runtime.allocate_context(
-            (self._context, self._split_seq, color)
-        )
-        return Comm(self._runtime, group, new_rank, ctx)
-
-    def Dup(self) -> "Comm":
-        self._split_seq += 1
-        ctx = self._runtime.allocate_context(
-            (self._context, self._split_seq, "dup")
-        )
-        # Dup is collective: synchronize so all ranks agree on the sequence.
-        self.barrier()
-        return Comm(self._runtime, self._group, self._rank, ctx)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Comm(rank={self._rank}, size={self.size}, ctx={self._context})"
 
-
-class _InPlace:
-    """Sentinel mirroring ``MPI.IN_PLACE``."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "IN_PLACE"
-
-
-IN_PLACE = _InPlace()

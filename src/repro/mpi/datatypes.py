@@ -1,9 +1,8 @@
-"""Buffer handling for the typed (upper-case) communication API.
+"""Tags, wildcards and the operand check of the raw typed path.
 
-The simulated runtime accepts the same buffer specifications as mpi4py's
-upper-case methods: a contiguous numpy array, or a ``(array, count)`` /
-``(array, count, datatype)`` tuple.  Datatypes are numpy dtypes; automatic
-discovery reads them off the array.
+:meth:`repro.mpi.communicator.Comm.allreduce_buffer` moves numpy
+buffers as raw envelopes; :func:`as_array` checks and flattens its
+operand.  Datatypes are numpy dtypes, read off the array.
 """
 
 from __future__ import annotations
@@ -33,47 +32,19 @@ def check_tag(tag: int, *, allow_any: bool = False) -> int:
 
 
 def as_array(buf: Any) -> np.ndarray:
-    """Resolve a buffer spec to a contiguous 1-D numpy view.
+    """Resolve a numpy buffer to a contiguous 1-D view of its memory.
 
-    Accepts an ndarray or an ``(array,)`` / ``(array, count)`` tuple/list.
-    The returned view aliases the caller's memory so receives fill it
-    in place; a contiguous 1-D array comes back as itself.
+    The operand of a raw typed send must have a non-object dtype and be
+    C-contiguous; a contiguous 1-D array comes back as itself.
     """
     if (
         type(buf) is np.ndarray and buf.ndim == 1
         and buf.flags.c_contiguous and not buf.dtype.hasobject
     ):
         return buf
-    count = None
-    if isinstance(buf, (tuple, list)):
-        if len(buf) == 1:
-            (buf,) = buf
-        elif len(buf) == 2:
-            buf, count = buf
-        else:
-            raise CommError(
-                f"buffer spec must be array or (array, count); got {len(buf)} items"
-            )
     arr = np.asarray(buf)
     if arr.dtype == object:
         raise CommError("typed communication requires a non-object dtype")
     if not arr.flags.c_contiguous:
         raise CommError("typed communication requires a C-contiguous buffer")
-    flat = arr.reshape(-1)
-    if count is not None:
-        count = int(count)
-        if count < 0 or count > flat.size:
-            raise CommError(
-                f"count {count} invalid for buffer of {flat.size} elements"
-            )
-        flat = flat[:count]
-    return flat
-
-
-def nbytes_of(arr: np.ndarray) -> int:
-    return int(arr.size) * int(arr.dtype.itemsize)
-
-
-def object_nbytes(payload: bytes) -> int:
-    """Size accounting for pickled-object messages."""
-    return len(payload)
+    return arr.reshape(-1)

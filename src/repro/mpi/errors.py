@@ -13,22 +13,11 @@ class MpiError(Exception):
 
 
 class CommError(MpiError):
-    """Malformed communication call (bad rank, tag, buffer, or count)."""
-
-
-class TruncationError(CommError):
-    """A received message is larger than the posted receive buffer.
-
-    Mirrors ``MPI_ERR_TRUNCATE``: MPI does not silently drop bytes.
-    """
+    """Malformed communication call (bad rank, tag or buffer)."""
 
 
 class RankError(CommError):
     """Peer rank out of range for the communicator."""
-
-
-class TagError(CommError):
-    """Tag outside the valid range ``[0, TAG_UB]`` (wildcards excepted)."""
 
 
 class DeadlockError(MpiError):
@@ -101,22 +90,22 @@ class MessageLostError(FaultInjectionError):
 class RingRecoveryError(FaultInjectionError):
     """Gradient-reconstruction ring recovery gave up on a visiting block.
 
-    Attributes: ``rank``, ``tag``, ``step`` (ring step), ``attempts``.
+    Attributes: ``rank``, ``tag``, ``step`` (ring step), ``cause`` (the
+    receive's error, which counts its own attempts).
     """
 
     def __init__(
-        self, rank: int, tag: int, step: int, attempts: int,
+        self, rank: int, tag: int, step: int,
         cause: BaseException | None = None,
     ):
         self.rank = rank
         self.tag = tag
         self.step = step
-        self.attempts = attempts
         self.cause = cause
         detail = f": {cause}" if cause is not None else ""
         super().__init__(
             f"rank {rank}: ring recovery failed at step {step} "
-            f"(tag {tag}) after {attempts} attempt(s){detail}"
+            f"(tag {tag}){detail}"
         )
 
 

@@ -75,8 +75,8 @@ class Mailbox:
     """One rank's inbox and the matching state of its receives.
 
     :meth:`put`, :meth:`withhold`, :meth:`wake`, :meth:`wait_state` and
-    :attr:`delivered` may be called from any thread; :meth:`take`,
-    :meth:`probe` and :meth:`restore` only from the rank's own thread.
+    :attr:`delivered` may be called from any thread; :meth:`take` and
+    :meth:`restore` only from the rank's own thread.
     """
 
     def __init__(self, rank: int, abort_event: threading.Event, engine=None):
@@ -171,14 +171,6 @@ class Mailbox:
         if self._seen is not None:
             self._seen.add(env.seq)
         self._pending.insert(0, env)
-
-    def probe(self, src: Optional[int], tag: Optional[int], context: int):
-        """Non-blocking match test; returns the envelope without removing."""
-        inbox = self._inbox
-        while not inbox.empty():  # the only reader: get() cannot block
-            self._absorb(inbox.get())
-        i = self._find(src, tag, context)
-        return None if i is None else self._pending[i]
 
     def take(
         self,

@@ -127,7 +127,8 @@ class SpmdRuntime:
         self._next_context = 1  # 0 is COMM_WORLD
 
     def allocate_context(self, key: Any) -> int:
-        """Deterministically map a split/dup key to a fresh context id."""
+        """Deterministically map a :func:`~repro.mpi.topology.carve`
+        key to a fresh context id (the same key, the same id)."""
         with self._context_lock:
             ctx = self._contexts.get(key)
             if ctx is None:

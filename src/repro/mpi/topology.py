@@ -43,7 +43,7 @@ def node_layout(comm) -> Tuple[List[List[int]], List[int], List[int]]:
     occupied node (ascending), ``leaders[n]`` is that node's lowest
     local rank, and ``node_idx_by_rank[r]`` maps a local rank to its
     node's index.  Placement follows the machine's block layout over
-    *global* ranks, so a Split sub-communicator keeps its physical
+    *global* ranks, so a carved sub-communicator keeps its physical
     node structure.  Cached on the communicator (the group is
     immutable).
     """
@@ -244,11 +244,12 @@ def carve(comm, members: Sequence[int]):
     :class:`~repro.mpi.communicator.Comm` with its own context, so the
     whole solver stack (point-to-point, collectives under either suite,
     fault injection, tag sequencing) runs unchanged inside the carved
-    group.  Unlike ``Comm.Split`` there is no allgather: every member
-    is required to compute the *same* ``members`` list redundantly
-    (the SPMD idiom the DC outer loop uses), and the runtime's
-    deterministic context allocation keyed on ``(parent ctx, group)``
-    guarantees all members agree on the new context id.
+    group.  It sends nothing: every member is required to compute the
+    *same* ``members`` list redundantly (the SPMD idiom the DC outer
+    loop uses), and the runtime's deterministic context allocation
+    keyed on ``(parent ctx, group)`` guarantees all members agree on
+    the new context id.  The id differs from the parent's, so a message
+    on one never matches a receive on the other.
 
     Returns ``None`` on ranks outside ``members``.
     """

@@ -3,11 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core.reconstruction import gradient_reconstruction
+from repro.core.reconstruction import (
+    TAG_RING,
+    _ring_recv,
+    gradient_reconstruction,
+)
 from repro.core.state import make_blocks
 from repro.core.trace import RankTrace
 from repro.kernels import RBFKernel
-from repro.mpi import run_spmd
+from repro.mpi import (
+    CorruptMessageError,
+    MessageLostError,
+    RingRecoveryError,
+    run_spmd,
+)
 from repro.sparse import BlockPartition
 
 from ..conftest import dense_kernel_matrix, make_blobs
@@ -144,3 +153,38 @@ def test_deterministic_mode_is_p_invariant():
         results[p] = np.concatenate(run_spmd(prog, p).results)
     assert np.array_equal(results[1], results[2])
     assert np.array_equal(results[1], results[5])
+
+
+class _FailingComm:
+    """A rank-1 communicator whose ``recv`` raises or returns ``outcome``."""
+
+    rank = 1
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def recv(self, source, tag):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        CorruptMessageError("frame CRC mismatch"),
+        MessageLostError(1, 0, TAG_RING + 2, 3),
+        (b"blob", np.ones(1)),  # a malformed chunk: not a 3-tuple
+    ],
+    ids=["corrupt", "lost", "malformed"],
+)
+def test_ring_recv_failure_names_rank_tag_and_step(outcome):
+    """A chunk ``recv`` could not deliver intact becomes a
+    RingRecoveryError naming the rank, tag and ring step, with the
+    receive's own error as its cause."""
+    with pytest.raises(RingRecoveryError) as ei:
+        _ring_recv(_FailingComm(outcome), 0, TAG_RING + 2, 2)
+    err = ei.value
+    assert (err.rank, err.tag, err.step) == (1, TAG_RING + 2, 2)
+    assert isinstance(err.cause, (CorruptMessageError, MessageLostError))
+    assert err.__cause__ is err.cause

@@ -81,16 +81,10 @@ def test_negative_capacity_rejected():
         KernelRowCache(-1)
 
 
-def test_simulate_misses_uniform_vs_callable():
-    """A per-key size callable predicts evictions a uniform size gets
-    wrong: post-shrink columns are narrower, so more of them fit."""
+def test_simulate_misses_is_pure_lookahead():
     c = KernelRowCache(100)
-    seq = [1, 2, 3, 1]
-    # uniform 40-byte rows: inserting 3 evicts LRU key 1 -> 1 re-misses
-    assert c.simulate_misses(seq, 40) == [1, 2, 3, 1]
-    # per-key sizes: key 3 is a narrow post-shrink column, all fit
-    sizes = {1: 40, 2: 40, 3: 10}
-    assert c.simulate_misses(seq, lambda k: sizes[k]) == [1, 2, 3]
+    # 40-byte rows: inserting 3 evicts LRU key 1 -> 1 re-misses
+    assert c.simulate_misses([1, 2, 3, 1], 40) == [1, 2, 3, 1]
     # pure lookahead: nothing was actually cached and no counters moved
     assert len(c) == 0 and c.hits == 0 and c.misses == 0
 
@@ -102,7 +96,7 @@ def test_simulate_misses_replays_current_state():
     c.put(2, row(fill=2))
     hits_before, misses_before = c.hits, c.misses
     # 1 and 2 are resident; 3 evicts the shadow's LRU (1)
-    assert c.simulate_misses([1, 2, 3, 1], lambda _k: r.nbytes) == [3, 1]
+    assert c.simulate_misses([1, 2, 3, 1], r.nbytes) == [3, 1]
     # the real cache is untouched by the shadow replay
     assert c.get(1) is not None and c.get(2) is not None
     assert c.hits == hits_before + 2 and c.misses == misses_before

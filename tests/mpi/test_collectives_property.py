@@ -78,9 +78,8 @@ def test_ring_shift_invariant(p, seed):
         right = (comm.rank + 1) % comm.size
         left = (comm.rank - 1) % comm.size
         for _ in range(comm.size):
-            req = comm.irecv(source=left, tag=1)
-            comm.isend(cur, dest=right, tag=1)
-            cur = req.wait()
+            comm.send(cur, dest=right, tag=1)
+            cur = comm.recv(source=left, tag=1)
         return cur
 
     res = run_spmd(prog, p).results

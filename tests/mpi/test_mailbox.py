@@ -62,15 +62,6 @@ def test_nonblocking_take_returns_none():
     assert mb.take(0, 0, 0, block=False) is None
 
 
-def test_probe_does_not_remove():
-    mb = Mailbox(1, threading.Event())
-    a = env()
-    mb.put(a)
-    assert mb.probe(0, 0, 0) is a
-    assert mb.probe(0, 0, 0) is a
-    assert mb.take(0, 0, 0) is a
-
-
 def test_abort_wakes_blocked_take():
     abort = threading.Event()
     mb = Mailbox(1, abort)
@@ -176,7 +167,6 @@ def test_envelope_pulled_during_another_receive_stays_matchable():
     mb.put(c)
     t.join(timeout=5.0)
     assert got == [c]
-    assert mb.probe(0, 1, 0) is a
     assert mb.take(0, 1, 0) is a
     assert mb.take(0, 1, 0) is b
     assert mb.take(0, 1, 0, block=False) is None

@@ -8,10 +8,7 @@ from repro.mpi import (
     ANY_TAG,
     CommError,
     RankError,
-    Request,
     SpmdJobError,
-    Status,
-    TruncationError,
     run_spmd,
 )
 
@@ -29,45 +26,6 @@ def test_object_send_recv_roundtrip():
 
     res = spmd(prog, 2)
     assert res.results[1] == {"a": [1, 2, 3], "b": "x"}
-
-
-def test_typed_send_recv_roundtrip():
-    def prog(comm):
-        buf = np.zeros(10)
-        if comm.rank == 0:
-            comm.Send(np.arange(10.0), dest=1)
-        else:
-            comm.Recv(buf, source=0)
-        return buf
-
-    res = spmd(prog, 2)
-    assert np.array_equal(res.results[1], np.arange(10.0))
-
-
-def test_typed_recv_smaller_message_ok():
-    def prog(comm):
-        buf = np.full(10, -1.0)
-        if comm.rank == 0:
-            comm.Send(np.ones(4), dest=1)
-        else:
-            comm.Recv(buf, source=0)
-        return buf
-
-    out = spmd(prog, 2).results[1]
-    assert np.array_equal(out[:4], np.ones(4))
-    assert np.array_equal(out[4:], np.full(6, -1.0))
-
-
-def test_truncation_raises():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.Send(np.ones(10), dest=1)
-        else:
-            comm.Recv(np.zeros(3), source=0)
-
-    with pytest.raises(SpmdJobError) as ei:
-        spmd(prog, 2)
-    assert isinstance(ei.value.failures[1], TruncationError)
 
 
 def test_message_ordering_same_source_tag():
@@ -107,64 +65,18 @@ def test_any_source_any_tag():
     assert spmd(prog, 3).results[0] == [10, 20]
 
 
-def test_status_fields():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send([1, 2], dest=1, tag=9)
-            return None
-        st = Status()
-        comm.recv(source=ANY_SOURCE, tag=ANY_TAG, status=st)
-        return (st.Get_source(), st.Get_tag(), st.nbytes > 0)
+def test_send_recv_ring():
+    """Each rank sends to its right neighbour, then receives from its
+    left one (the reconstruction ring's step): eager sends cannot
+    deadlock the ring."""
 
-    assert spmd(prog, 2).results[1] == (0, 9, True)
-
-
-def test_isend_irecv_waitall_ring():
     def prog(comm):
         p, r = comm.size, comm.rank
-        right, left = (r + 1) % p, (r - 1) % p
-        rreq = comm.irecv(source=left, tag=0)
-        sreq = comm.isend(r, dest=right, tag=0)
-        got, _ = Request.waitall([rreq, sreq])
-        return got
+        comm.send(r, dest=(r + 1) % p, tag=0)
+        return comm.recv(source=(r - 1) % p, tag=0)
 
     res = spmd(prog, 5)
     assert res.results == [(r - 1) % 5 for r in range(5)]
-
-
-def test_irecv_test_polls():
-    def prog(comm):
-        if comm.rank == 0:
-            req = comm.irecv(source=1, tag=0)
-            while not req.test():
-                pass
-            return req.wait()
-        comm.send("ping", dest=0, tag=0)
-        return None
-
-    assert spmd(prog, 2).results[0] == "ping"
-
-
-def test_sendrecv_exchange():
-    def prog(comm):
-        peer = 1 - comm.rank
-        return comm.sendrecv(comm.rank, dest=peer, sendtag=0,
-                             source=peer, recvtag=0)
-
-    assert spmd(prog, 2).results == [1, 0]
-
-
-def test_typed_sendrecv_exchange():
-    def prog(comm):
-        peer = 1 - comm.rank
-        out = np.zeros(3)
-        comm.Sendrecv(np.full(3, float(comm.rank)), dest=peer,
-                      recvbuf=out, source=peer)
-        return out
-
-    res = spmd(prog, 2)
-    assert np.array_equal(res.results[0], np.ones(3))
-    assert np.array_equal(res.results[1], np.zeros(3))
 
 
 def test_bad_rank_raises():
@@ -185,25 +97,15 @@ def test_bad_tag_raises():
 
 
 def test_object_dtype_rejected_for_typed():
+    """The raw typed path (``allreduce_buffer``) refuses an object
+    array instead of shipping references."""
+
     def prog(comm):
-        comm.Send(np.array([object()]), dest=0)
+        comm.allreduce_buffer(np.array([object()]))
 
     with pytest.raises(SpmdJobError) as ei:
         spmd(prog, 2)
     assert isinstance(list(ei.value.failures.values())[0], CommError)
-
-
-def test_probe():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send(1, dest=1, tag=4)
-            return None
-        while not comm.probe(source=0, tag=4):
-            pass
-        assert not comm.probe(source=0, tag=99)
-        return comm.recv(source=0, tag=4)
-
-    assert spmd(prog, 2).results[1] == 1
 
 
 def test_send_buffer_reuse_is_safe():
@@ -212,13 +114,11 @@ def test_send_buffer_reuse_is_safe():
     def prog(comm):
         if comm.rank == 0:
             buf = np.arange(5.0)
-            comm.Send(buf, dest=1)
+            comm.send(buf, dest=1)
             buf[:] = -1.0
             comm.send("done", dest=1, tag=9)
             return None
-        out = np.zeros(5)
         comm.recv(source=0, tag=9)
-        comm.Recv(out, source=0)
-        return out
+        return comm.recv(source=0)
 
     assert np.array_equal(spmd(prog, 2).results[1], np.arange(5.0))

@@ -9,12 +9,13 @@ from repro.mpi import (
     COMMUNICATORS,
     FlatCollectives,
     HierarchicalCollectives,
+    SpmdRuntime,
     create_communicator,
     resolve_comm,
     run_spmd,
 )
 from repro.mpi.reduceops import ELECTION_SLOTS, MAX, MIN, MINLOC_MAXLOC, SUM
-from repro.mpi.topology import node_layout
+from repro.mpi.topology import carve, node_layout
 from repro.perfmodel import MachineSpec
 
 
@@ -203,15 +204,76 @@ class TestEquality:
             assert rf["exscan"] == rh["exscan"]
             np.testing.assert_array_equal(rf["rs"], rh["rs"])
 
-    def test_split_subcomm_under_hierarchical(self):
-        def prog(comm):
-            sub = comm.Split(color=comm.rank % 2, key=comm.rank)
-            total = sub.allreduce(comm.rank)
-            return total
 
-        flat, hier = _run_both(prog, 6, 2)
+class TestCarve:
+    """``carve`` is the only way to build a sub-communicator."""
+
+    @pytest.mark.parametrize("p", [6, 7])  # 7: a ragged last node
+    def test_carved_groups_run_collectives(self, p):
+        """Even and odd ranks each carve their own group; collectives
+        inside it see only its members, in ``members`` order, and the
+        flat and hierarchical suites agree."""
+
+        def prog(comm):
+            members = [r for r in range(comm.size) if r % 2 == comm.rank % 2]
+            sub = carve(comm, members)
+            return (
+                sub.rank, sub.size, sub.allreduce(comm.rank),
+                sub.allgather(comm.rank),
+                sub.bcast(comm.rank if sub.rank == 0 else None, root=0),
+            )
+
+        flat, hier = _run_both(prog, p, 2)
         assert flat.results == hier.results
-        assert flat.results[0] == 0 + 2 + 4
+        for r, (rank, size, total, gathered, root) in enumerate(flat.results):
+            group = [q for q in range(p) if q % 2 == r % 2]
+            assert rank == group.index(r)
+            assert size == len(group)
+            assert total == sum(group)
+            assert gathered == group
+            assert root == group[0]
+
+    def test_ranks_outside_members_get_none(self):
+        def prog(comm):
+            sub = carve(comm, [3, 1, 2])
+            if sub is None:
+                return None
+            # local ranks follow the members order: 3 -> 0, 1 -> 1, 2 -> 2
+            return sub.rank, sub.size, sub.allgather(comm.rank)
+
+        res = run_spmd(prog, 4).results
+        assert res[0] is None
+        assert res[1:] == [(1, 3, [3, 1, 2]), (2, 3, [3, 1, 2]),
+                           (0, 3, [3, 1, 2])]
+
+    def test_carve_isolates_traffic(self):
+        """A message on a carved communicator never matches a receive on
+        the parent with the same source and tag, even when the carved
+        group is the whole parent."""
+
+        def prog(comm):
+            sub = carve(comm, [0, 1])
+            if comm.rank == 0:
+                sub.send("on-sub", dest=1, tag=2)
+                comm.send("on-world", dest=1, tag=2)
+                return None
+            return comm.recv(source=0, tag=2), sub.recv(source=0, tag=2)
+
+        assert run_spmd(prog, 2).results[1] == ("on-world", "on-sub")
+
+    @pytest.mark.parametrize(
+        "members, match",
+        [
+            ([], "empty"),
+            ([0, 1, 0], "duplicate"),
+            ([0, 2], "out of range"),
+            ([-1, 0], "out of range"),
+        ],
+    )
+    def test_bad_members_raise(self, members, match):
+        comm = SpmdRuntime(2).world(0)
+        with pytest.raises(ValueError, match=match):
+            carve(comm, members)
 
 
 class TestTrafficShape:

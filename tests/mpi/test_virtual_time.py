@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.mpi import SUM, run_spmd
+from repro.mpi import SUM, frames, run_spmd
 from repro.mpi.clock import VirtualClock
 from repro.perfmodel import MachineSpec
 
@@ -38,20 +38,35 @@ def test_sync_to_only_moves_forward():
 
 
 def test_recv_charges_latency_and_bandwidth():
-    nbytes = 8 * 1000
+    # an array travels as a typed frame: its exact wire size is charged
+    nbytes = frames.frame_nbytes(np.zeros(1000))
 
     def prog(comm):
         if comm.rank == 0:
-            comm.Send(np.zeros(1000), dest=1)
+            comm.send(np.zeros(1000), dest=1)
         else:
-            buf = np.zeros(1000)
-            comm.Recv(buf, source=0)
-        return comm.vtime
+            comm.recv(source=0)
+        return comm.vtime, comm.clock.stats.bytes_sent
 
     res = run_spmd(prog, 2, machine=M)
-    t_recv = res.results[1]
+    t_recv = res.results[1][0]
     expect = M.send_overhead + M.latency + nbytes * M.byte_time
     assert t_recv == pytest.approx(expect, rel=1e-9)
+    assert res.results[0][1] == nbytes
+
+
+def test_raw_buffer_charges_its_bytes():
+    """A raw typed envelope (``allreduce_buffer``) costs exactly the
+    buffer's bytes on the wire: at p=2 each rank sends one."""
+
+    def prog(comm):
+        comm.allreduce_buffer(np.zeros(1000))
+        return comm.vtime, comm.clock.stats.bytes_sent
+
+    for t, sent in run_spmd(prog, 2, machine=M).results:
+        assert sent == 8 * 1000
+        expect = M.send_overhead + M.latency + 8 * 1000 * M.byte_time
+        assert t == pytest.approx(expect, rel=1e-9)
 
 
 def test_receiver_waits_for_late_sender():
@@ -119,9 +134,8 @@ def test_ring_time_scales_with_bytes():
             p, r = comm.size, comm.rank
             data = np.zeros(nelem)
             for _ in range(p - 1):
-                req = comm.irecv(source=(r - 1) % p, tag=0)
-                comm.isend(data, dest=(r + 1) % p, tag=0)
-                req.wait()
+                comm.send(data, dest=(r + 1) % p, tag=0)
+                comm.recv(source=(r - 1) % p, tag=0)
             return comm.vtime
 
         return prog

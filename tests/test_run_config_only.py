@@ -143,7 +143,6 @@ SLAB_ARGS = (None, 1, 1, 1.0, 1)
     "entry, args, keyword",
     [
         pytest.param(Comm.send, (None, b"x", 1), "wire", id="send-wire"),
-        pytest.param(Comm.isend, (None, b"x", 1), "wire", id="isend-wire"),
         pytest.param(run_spmd, (None, 1), "retry", id="run_spmd-retry"),
         pytest.param(SpmdRuntime, (1,), "retry", id="SpmdRuntime-retry"),
         pytest.param(
