@@ -6,11 +6,14 @@ and single solver iterations.  These are the λ / l / G measurements
 backing DESIGN.md's calibration notes.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
+from repro.data import DATASETS, load_dataset
 from repro.kernels import RBFKernel
 from repro.mpi import SUM, run_spmd
 from repro.mpi.reduceops import MINLOC_MAXLOC
@@ -115,3 +118,35 @@ def test_solver_end_to_end_small(benchmark, heuristic):
         return fit_parallel(Xs, y, params, config=RunConfig(heuristic=heuristic))
 
     benchmark.pedantic(job, iterations=1, rounds=3, warmup_rounds=1)
+
+
+def test_smo_iteration_p2(benchmark):
+    """Host cost of one SMO iteration at p=2: the process CPU of a
+    multi5pc fit of perfbench ``train``'s input (the forest stand-in at
+    scale 1e-3, its training rows without the seed's jitter) divided
+    by its iterations.  The two rank threads share the process, so the
+    figure covers both ranks' work per iteration (election allreduce,
+    pair fetch, γ update)."""
+    ds = load_dataset("forest", scale=1e-3)
+    labels = np.unique(ds.y_train)
+    y = np.where(ds.y_train == labels[-1], 1.0, -1.0)
+    cut = ds.X_train.shape[0] - ds.X_train.shape[0] // 5
+    Xs, y = ds.X_train.row_slice(0, cut), y[:cut]
+    entry = DATASETS["forest"]
+    params = SVMParams(
+        C=entry.C, kernel=RBFKernel.from_sigma_sq(entry.sigma_sq), eps=1e-3,
+    )
+    config = RunConfig(heuristic="multi5pc", nprocs=2)
+    cpu = []
+
+    def job():
+        c0 = time.process_time()
+        fr = fit_parallel(Xs, y, params, config=config)
+        cpu.append(time.process_time() - c0)
+        return fr
+
+    fr = benchmark.pedantic(job, iterations=1, rounds=5, warmup_rounds=1)
+    benchmark.extra_info["iterations"] = fr.iterations
+    benchmark.extra_info["cpu_us_per_iteration"] = (
+        1e6 * min(cpu) / fr.iterations
+    )

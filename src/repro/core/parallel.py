@@ -224,10 +224,35 @@ class PackedRankSolver:
         # scalar label into its box with numpy, twice per iteration
         self._box_pos = params.box_for(1.0)
         self._box_neg = params.box_for(-1.0)
+        # read once per solve: none of these changes while it runs
+        self._reuse = self.wss.reuse_eta is not None
+        self._max_iter = params.max_iter
+        self._rank0 = comm.rank == 0
+        self._price_epoch()
 
     def _box_of(self, y: float) -> float:
         """``params.box_for(y)`` for a scalar label."""
         return self._box_pos if y > 0 else self._box_neg
+
+    def _price_epoch(self) -> None:
+        """Price what depends only on the active set: the election scan
+        (8 flops a row), phase B's scoring (12 a row) and an iteration's
+        kernel evals (Algorithm 2's 2·|A|+3; 3 under a column budget,
+        whose columns :meth:`_columns` charges as it produces them).
+
+        Runs once per compaction: here at construction, after the
+        first one, and in :meth:`_bump_epoch`, which follows every
+        later rebuild.  Each value is the float expression a per-call
+        charge would compute, so charging it bumps every clock and
+        statistic bucket by the same bits.
+        """
+        machine = self.comm.machine
+        n = self.compact.n_active
+        self._n_act = n
+        self._elect_s = machine.time_flops(8.0 * n)
+        self._phase_b_s = machine.time_flops(12.0 * n)
+        self._iter_evals = 3 if self._budget else 2 * n + 3
+        self._iter_evals_s = self._eval_seconds(self._iter_evals)
 
     # ------------------------------------------------------------------
     # election
@@ -239,7 +264,7 @@ class PackedRankSolver:
         policies run the two-phase election, and ``planning_ahead``
         first tries a zero-communication reuse of the previous pair.
         """
-        if self.wss.reuse_eta is not None:
+        if self._reuse:
             viol = self._take_reuse()
             if viol is not None:
                 return viol
@@ -280,10 +305,10 @@ class PackedRankSolver:
     def _select_mvp(self) -> Violators:
         """One fused typed Allreduce elects the pair (and settles a
         pending shrink's δ when one rode along)."""
-        cs, comm = self.compact, self.comm
+        comm = self.comm
         pending = self._pending
         up, low, tail = self._candidates()
-        comm.advance(comm.machine.time_flops(8.0 * cs.n_active))
+        comm.advance(self._elect_s)
         out = comm.allreduce_buffer(
             self._election_buffer(up, low, tail), MINLOC_MAXLOC
         )
@@ -310,7 +335,7 @@ class PackedRankSolver:
         cs, comm = self.compact, self.comm
         pending = self._pending
         up, low, tail = self._candidates()
-        comm.advance(comm.machine.time_flops(8.0 * cs.n_active))
+        comm.advance(self._elect_s)
         out = comm.allreduce_buffer(
             self._election_buffer(up, low, tail), MINLOC_MAXLOC
         )
@@ -335,7 +360,7 @@ class PackedRankSolver:
         ent_up = self._fetch_sample(i_up)
         (kcol_up,) = self._columns(ent_up)
         diag = self._diag(cs.norms)
-        comm.advance(comm.machine.time_flops(12.0 * cs.n_active))
+        comm.advance(self._phase_b_s)
         gain, j, gamma_j = second_order_best(
             cs.gamma, low, kcol_up, diag, ent_up.k_self, beta_up, cs.gidx
         )
@@ -377,9 +402,7 @@ class PackedRankSolver:
             # path)
             self.trace.shrunk_per_event.append(0)
             self.delta_c = max(1.0, self._initial_threshold)
-            self.comm.advance(
-                self.comm.machine.time_flops(8.0 * cs.n_active)
-            )
+            self.comm.advance(self._elect_s)
             return self.comm.allreduce_buffer(
                 self._election_buffer(cs.up, cs.low, None), MINLOC_MAXLOC
             )
@@ -442,13 +465,19 @@ class PackedRankSolver:
         — identical on every rank, so the virtual clocks stay aligned)."""
         n = self._pool.take_new_evals()
         if n:
-            self._charge_evals(n)
+            self._charge_evals(n, self._eval_seconds(n))
 
-    def _charge_evals(self, n: int) -> None:
-        """Book ``n`` kernel evaluations of the iteration loop."""
-        self.trace.kernel_evals += n
-        self.trace.iter_kernel_evals += n
-        self.comm.charge_kernel_evals(n, self.avg_nnz)
+    def _eval_seconds(self, n: int) -> float:
+        """Modeled time of ``n`` kernel evaluations of the active rows."""
+        return self.comm.machine.time_kernel_evals(n, self.avg_nnz)
+
+    def _charge_evals(self, n: int, seconds: float) -> None:
+        """Book ``n`` kernel evaluations of the iteration loop, priced
+        at ``seconds`` (:meth:`_eval_seconds`)."""
+        trace = self.trace
+        trace.kernel_evals += n
+        trace.iter_kernel_evals += n
+        self.comm.advance(seconds)
 
     def _observe_pair(
         self, viol, row_up, row_low, yu, yl, new_up, new_low,
@@ -575,7 +604,8 @@ class PackedRankSolver:
                 for e in need:
                     self._lru[e.gidx] = e
                     self._held_bytes += e.kcol.nbytes
-                self._charge_evals(len(need) * int(cs.n_active))
+                n = len(need) * int(cs.n_active)
+                self._charge_evals(n, self._eval_seconds(n))
         return [e.kcol for e in ents]
 
     def _evict(self, request: list, nbytes: int) -> None:
@@ -614,7 +644,8 @@ class PackedRankSolver:
         if self._diag_memo is not None and self._diag_memo[0] == self._epoch:
             return self._diag_memo[1]
         d = self.kernel.diag(norms_active)
-        self._charge_evals(int(norms_active.shape[0]))
+        n = int(norms_active.shape[0])
+        self._charge_evals(n, self._eval_seconds(n))
         self._diag_memo = (self._epoch, d)
         return d
 
@@ -622,24 +653,30 @@ class PackedRankSolver:
     # the iteration
     # ------------------------------------------------------------------
     def iterate_once(self, viol: Violators, shrink_active: bool) -> None:
-        """One SMO step: α pair update, γ update, shrink countdown."""
-        comm, cs, kernel = self.comm, self.compact, self.kernel
+        """One SMO step: α pair update, γ update, shrink countdown.
+
+        What depends only on the active set is priced once per
+        compaction (:meth:`_price_epoch`); an iteration pays for the
+        pair, its two columns and the γ update.
+        """
+        cs, trace = self.compact, self.trace
+        i_up, i_low = viol.i_up, viol.i_low
         ent_up, ent_low = self.fetch_pair(viol)
         yu, au = ent_up.y, ent_up.alpha
         yl, al = ent_low.y, ent_low.alpha
 
         k_uu, k_ll = ent_up.k_self, ent_low.k_self
-        memo, key = self._pair_memo, (viol.i_up, viol.i_low)
+        memo, key = self._pair_memo, (i_up, i_low)
         k_ul = memo.get(key)
         if k_ul is None:
             if len(memo) >= PAIR_MEMO_MAX:
                 memo.clear()
-            k_ul = memo[key] = kernel.pair(
+            k_ul = memo[key] = self.kernel.pair(
                 (ent_up.idx, ent_up.vals, ent_up.norm),
                 (ent_low.idx, ent_low.vals, ent_low.norm),
             )
         else:
-            self.trace.pair_memo_hits += 1
+            trace.pair_memo_hits += 1
         new_up, new_low = solve_pair(
             k_uu, k_ll, k_ul, yu, yl, au, al,
             viol.gamma_up, viol.gamma_low,
@@ -648,17 +685,24 @@ class PackedRankSolver:
         d_up = new_up - au
         d_low = new_low - al
 
-        k_up_col, k_low_col = self._columns(ent_up, ent_low)
+        epoch = cs.epoch
+        if not self._budget and ent_up.epoch == epoch == ent_low.epoch:
+            # both columns resident for this compaction (an entry's
+            # epoch matches only while it holds its column)
+            k_up_col, k_low_col = ent_up.kcol, ent_low.kcol
+        else:
+            k_up_col, k_low_col = self._columns(ent_up, ent_low)
         apply_pair_update(cs.gamma, k_up_col, k_low_col, yu, yl, d_up, d_low)
-        if self.blk.owns_global(viol.i_up):
-            cs.set_alpha(cs.position_of_global(viol.i_up), new_up)
-        if self.blk.owns_global(viol.i_low):
-            cs.set_alpha(cs.position_of_global(viol.i_low), new_low)
+        blk = self.blk
+        if blk.owns_global(i_up):
+            cs.set_alpha(cs.position_of_global(i_up), new_up)
+        if blk.owns_global(i_low):
+            cs.set_alpha(cs.position_of_global(i_low), new_low)
         # every rank computed the update redundantly — keep the cached
         # payloads current so a repeat election moves no bytes
         ent_up.alpha = new_up
         ent_low.alpha = new_low
-        if self.wss.reuse_eta is not None:
+        if self._reuse:
             self._observe_pair(
                 viol,
                 (ent_up.idx, ent_up.vals, ent_up.norm),
@@ -666,8 +710,8 @@ class PackedRankSolver:
                 yu, yl, new_up, new_low, k_uu, k_ll, k_ul, d_up, d_low,
             )
 
-        # under a budget _columns charged the columns it produced
-        self._charge_evals(3 if self._budget else 2 * cs.n_active + 3)
+        # the iteration's kernel evals, priced for this compaction
+        self._charge_evals(self._iter_evals, self._iter_evals_s)
 
         if shrink_active:
             self.delta_c -= 1
@@ -682,13 +726,13 @@ class PackedRankSolver:
                     fire_iteration=self.iterations,
                 )
 
-        self.trace.record_iteration(cs.n_active)
-        if comm.rank == 0:
-            self.trace.gap_history.append(viol.gap())
+        trace.active_counts.append(self._n_act)
+        if self._rank0:
+            trace.gap_history.append(viol.gap())
         self.iterations += 1
-        if self.params.max_iter and self.iterations > self.params.max_iter:
+        if self._max_iter and self.iterations > self._max_iter:
             raise ConvergenceError(
-                f"parallel SMO exceeded max_iter={self.params.max_iter} "
+                f"parallel SMO exceeded max_iter={self._max_iter} "
                 f"(gap {viol.gap():.3e})"
             )
 
@@ -696,8 +740,9 @@ class PackedRankSolver:
     # event boundaries: flush packed state back into the block
     # ------------------------------------------------------------------
     def _bump_epoch(self) -> None:
-        """The active set changed: diag and reuse plan are stale, and so
-        is every kernel column a shrink did not carry.
+        """The active set changed: diag, reuse plan and the per-epoch
+        prices (:meth:`_price_epoch`) are stale, and so is every kernel
+        column a shrink did not carry.
 
         Resident samples keep their payloads — rows/y are immutable and
         α is refreshed redundantly after every pair update — but release
@@ -721,6 +766,7 @@ class PackedRankSolver:
                 (g, e) for g, e in self._lru.items() if e.kcol is not None
             )
             self._held_bytes = sum(e.kcol.nbytes for e in self._lru.values())
+        self._price_epoch()
 
     def reconstruct(self) -> Violators:
         """Algorithm 3, then a fresh violator election over all samples."""

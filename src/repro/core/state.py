@@ -143,13 +143,16 @@ class CompactActiveSet:
         self.Xa = blk.X.take_rows(lidx)
         self.up, self.low = up_low_masks(self.alpha, self.y, self.C)
         self._position = dict(zip(self.gidx.tolist(), range(lidx.size)))
+        # y and C as Python floats, for set_alpha's per-sample mask test
+        self._y_list = self.y.tolist()
+        self._C_list = self.C.tolist()
         self.epoch += 1
 
     def set_alpha(self, k: int, value: float) -> None:
         """Write α at packed position ``k`` and refresh its mask bits."""
         self.alpha[k] = value
         self.up[k], self.low[k] = up_low_at(
-            value, float(self.y[k]), float(self.C[k])
+            value, self._y_list[k], self._C_list[k]
         )
 
     def flush(self) -> None:

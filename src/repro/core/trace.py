@@ -70,9 +70,6 @@ class RankTrace:
     columns_carried: int = 0
     pair_memo_hits: int = 0
 
-    def record_iteration(self, n_active_local: int) -> None:
-        self.active_counts.append(n_active_local)
-
 
 @dataclass
 class SolveTrace:

@@ -71,11 +71,3 @@ class VirtualClock:
         if t > self.now:
             self.advance(t - self.now, kind=kind)
         return self.now
-
-    def record_send(self, nbytes: int) -> None:
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += int(nbytes)
-
-    def record_recv(self, nbytes: int) -> None:
-        self.stats.messages_received += 1
-        self.stats.bytes_received += int(nbytes)

@@ -111,49 +111,50 @@ class Comm:
     # ------------------------------------------------------------------
     # point-to-point: internal
     # ------------------------------------------------------------------
-    def _post_send_typed(self, arr: np.ndarray, dest: int, tag: int) -> None:
+    def _post_send(
+        self, obj: Any, dest: int, tag: int, typed: bool = False
+    ) -> None:
+        """Post ``obj`` to ``dest``: as a raw buffer when ``typed`` (the
+        election's exchange; ``obj`` is the contiguous array
+        ``as_array`` resolved), else as a typed frame when the frame
+        protocol covers it, pickled otherwise.
+
+        The one function that books a send, as :meth:`_complete_recv`
+        books every receive.  The clock and its statistics are updated
+        in place, with the float operations of
+        ``VirtualClock.advance(send_overhead, kind="comm")``.
+        """
         if self._faults is not None:  # stall/kill progress marks
             self._faults.before_send(self._group[self._rank])
         clock = self._clock
+        stats = clock.stats
         t0 = clock.now
-        clock.advance(self._machine.send_overhead, kind="comm")
-        env = Envelope.from_array(
-            self._rank, self._group[dest], tag, self._context, arr, clock.now
-        )
-        clock.record_send(env.nbytes)
-        self._runtime.deliver(env)
-        if self._tracer.enabled:
-            self._tracer.record(
-                self._rank, "send", "Send", dest, env.nbytes, t0, clock.now
-            )
-
-    def _post_send_object(self, obj: Any, dest: int, tag: int) -> None:
-        """Send a Python object: as a typed frame when the frame
-        protocol covers it, pickled otherwise."""
-        if self._faults is not None:  # stall/kill progress marks
-            self._faults.before_send(self._group[self._rank])
-        t0 = self._clock.now
-        self._clock.advance(self._machine.send_overhead, kind="comm")
-        blob = frames.encode(obj)
-        if blob is not None:
-            env = Envelope.from_frame(
-                self._rank, self._global(dest), tag, self._context,
-                blob, self._clock.now,
-            )
+        overhead = self._machine.send_overhead
+        clock.now = t1 = t0 + overhead
+        stats.comm_seconds += overhead
+        src, dst, ctx = self._rank, self._group[dest], self._context
+        if typed:
+            env = Envelope.from_array(src, dst, tag, ctx, obj, t1)
         else:
-            env = Envelope.from_object(
-                self._rank, self._global(dest), tag, self._context,
-                obj, self._clock.now,
-            )
-        self._clock.record_send(env.nbytes)
+            blob = frames.encode(obj)
+            if blob is not None:
+                env = Envelope.from_frame(src, dst, tag, ctx, blob, t1)
+            else:
+                env = Envelope.from_object(src, dst, tag, ctx, obj, t1)
+        stats.messages_sent += 1
+        stats.bytes_sent += env.nbytes
         self._runtime.deliver(env)
         if self._tracer.enabled:
             self._tracer.record(
-                self._rank, "send", "send", dest, env.nbytes, t0, self._clock.now
+                self._rank, "send", "Send" if typed else "send", dest,
+                env.nbytes, t0, t1,
             )
 
     def _complete_recv(self, env: Envelope) -> None:
-        """Clock/statistics bookkeeping once an envelope is matched."""
+        """Clock/statistics bookkeeping once an envelope is matched, for
+        every receive path, typed or framed.  The clock is synced in
+        place, with the float operations of ``VirtualClock.sync_to`` in
+        the same order, and the receive is counted."""
         clock = self._clock
         t0 = clock.now
         intra = self._intra.get(env.src)
@@ -161,12 +162,18 @@ class Comm:
             intra = self._intra[env.src] = self._machine.same_node(
                 self._group[env.src], self._group[self._rank]
             )
-        arrival = env.depart_time + self._machine.p2p_time(env.nbytes, intra=intra)
-        clock.sync_to(arrival, kind="comm")
-        clock.record_recv(env.nbytes)
+        nbytes = env.nbytes
+        arrival = env.depart_time + self._machine.p2p_time(nbytes, intra=intra)
+        stats = clock.stats
+        if arrival > t0:
+            wait = arrival - t0
+            clock.now = t0 + wait
+            stats.comm_seconds += wait
+        stats.messages_received += 1
+        stats.bytes_received += nbytes
         if self._tracer.enabled:
             self._tracer.record(
-                self._rank, "recv", "recv", env.src, env.nbytes, t0, clock.now
+                self._rank, "recv", "recv", env.src, nbytes, t0, clock.now
             )
 
     def _decode_with_recovery(self, env: Envelope) -> Any:
@@ -201,7 +208,7 @@ class Comm:
         the receiver."""
         self._check_peer(dest)
         check_tag(tag)
-        self._post_send_object(obj, dest, tag)
+        self._post_send(obj, dest, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Block until a matching message arrives and return its
@@ -243,13 +250,9 @@ class Comm:
         self._coll_seq += 1
         return tag
 
-    def _coll_send(
-        self, obj: Any, dest: int, tag: int, typed: bool = False
-    ) -> None:
-        if typed:
-            self._post_send_typed(obj, dest, tag)
-        else:
-            self._post_send_object(obj, dest, tag)
+    # the algorithms' send, paired with _coll_recv (``topology``'s
+    # sub-views implement the same two)
+    _coll_send = _post_send
 
     def _coll_recv(self, source: int, tag: int) -> Any:
         env = self._mailbox.take(source, tag, self._context)

@@ -48,6 +48,8 @@ from typing import Any, List, Optional
 
 import numpy as np
 
+from .errors import CorruptMessageError
+
 #: frame magic: "repro frame, revision 1"
 MAGIC = b"RFR1"
 
@@ -141,74 +143,122 @@ def frame_nbytes(obj: Any) -> Optional[int]:
     return None if blob is None else len(blob)
 
 
-class _Reader:
-    __slots__ = ("buf", "pos")
+#: ``np.dtype`` per wire dtype string, parsed once per process
+_DTYPES: dict = {}
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
+def _dtype(mv: memoryview, pos: int, end: int):
+    """The array/scalar dtype whose length-prefixed string starts at
+    ``pos``, and the position after it."""
+    if pos >= end:
+        raise ValueError("frame truncated")
+    stop = pos + 1 + mv[pos]
+    if stop > end:
+        raise ValueError("frame truncated")
+    key = mv[pos + 1 : stop].tobytes()
+    dtype = _DTYPES.get(key)
+    if dtype is None:
+        try:
+            dtype = np.dtype(key.decode("ascii"))
+        except (TypeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"bad frame dtype {key!r}") from exc
+        if dtype.kind not in _ARRAY_KINDS:
+            raise ValueError(f"frame dtype {dtype} not frameable")
+        _DTYPES[key] = dtype
+    return dtype, stop
+
+
+def _decode_node(mv: memoryview, pos: int, end: int):
+    """Decode the node at ``pos`` of the frame ``mv`` (which ends at
+    ``end``); returns it and the position after it.  Arrays and byte
+    blocks are copied once, straight out of the frame."""
+    if pos >= end:
+        raise ValueError("frame truncated")
+    tag = mv[pos]
+    pos += 1
+    if tag == 0x41:  # 'A'
+        dtype, pos = _dtype(mv, pos, end)
+        if pos >= end:
             raise ValueError("frame truncated")
-        chunk = self.buf[self.pos : end]
-        self.pos = end
-        return chunk
-
-
-def _decode_node(r: _Reader) -> Any:
-    tag = r.take(1)
-    if tag == b"A":
-        (dlen,) = struct.unpack("<B", r.take(1))
-        dtype = np.dtype(r.take(dlen).decode("ascii"))
-        (ndim,) = struct.unpack("<B", r.take(1))
-        shape = tuple(_I8.unpack(r.take(8))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if tag == b"S":
-        (dlen,) = struct.unpack("<B", r.take(1))
-        dtype = np.dtype(r.take(dlen).decode("ascii"))
-        return np.frombuffer(r.take(dtype.itemsize), dtype=dtype)[0]
-    if tag == b"B":
-        (n,) = _I8.unpack(r.take(8))
-        return r.take(n)
-    if tag == b"F":
-        return _F8.unpack(r.take(8))[0]
-    if tag == b"I":
-        return _I8.unpack(r.take(8))[0]
-    if tag == b"b":
-        return bool(struct.unpack("<B", r.take(1))[0])
-    if tag == b"N":
-        return None
-    if tag in (b"T", b"L"):
-        (n,) = _I8.unpack(r.take(8))
-        items = [_decode_node(r) for _ in range(n)]
-        return tuple(items) if tag == b"T" else items
-    raise ValueError(f"unknown frame tag {tag!r}")
+        ndim = mv[pos]
+        if ndim == 1:  # the common case: no reshape
+            shape = None
+            (count,) = _I8.unpack_from(mv, pos + 1)
+            dims = (count,)
+        else:
+            shape = dims = struct.unpack_from(f"<{ndim}q", mv, pos + 1)
+            count = 1
+            for dim in dims:
+                count *= dim
+        if min(dims, default=0) < 0:
+            raise ValueError(f"negative frame array dimension in {dims}")
+        pos += 1 + 8 * ndim
+        stop = pos + count * dtype.itemsize
+        if stop > end:
+            raise ValueError("frame truncated")
+        arr = np.frombuffer(mv, dtype, count, pos)
+        if shape is not None:
+            arr = arr.reshape(shape)
+        return arr.copy(), stop
+    if tag == 0x53:  # 'S'
+        dtype, pos = _dtype(mv, pos, end)
+        stop = pos + dtype.itemsize
+        if stop > end:
+            raise ValueError("frame truncated")
+        return np.frombuffer(mv, dtype, 1, pos)[0], stop
+    if tag == 0x42:  # 'B'
+        (n,) = _I8.unpack_from(mv, pos)
+        pos += 8
+        if n < 0 or pos + n > end:
+            raise ValueError("frame truncated")
+        return mv[pos : pos + n].tobytes(), pos + n
+    if tag == 0x46:  # 'F'
+        return _F8.unpack_from(mv, pos)[0], pos + 8
+    if tag == 0x49:  # 'I'
+        return _I8.unpack_from(mv, pos)[0], pos + 8
+    if tag == 0x62:  # 'b'
+        if pos >= end:
+            raise ValueError("frame truncated")
+        return bool(mv[pos]), pos + 1
+    if tag == 0x4E:  # 'N'
+        return None, pos
+    if tag == 0x54 or tag == 0x4C:  # 'T', 'L'
+        (n,) = _I8.unpack_from(mv, pos)
+        pos += 8
+        items = []
+        for _ in range(n):
+            item, pos = _decode_node(mv, pos, end)
+            items.append(item)
+        return (tuple(items) if tag == 0x54 else items), pos
+    raise ValueError(f"unknown frame tag {bytes([tag])!r}")
 
 
 def decode(blob: Any) -> Any:
     """Decode one frame; raises
     :class:`~repro.mpi.errors.CorruptMessageError` on any integrity or
-    structure failure (CRC mismatch, truncation, unknown tag)."""
-    from .errors import CorruptMessageError
+    structure failure (bad magic, CRC mismatch, truncation, unknown
+    tag, trailing bytes).
 
-    data = bytes(blob)
+    Reads the frame in place through one ``memoryview``: nothing is
+    copied but each array and byte block, once, into its result.
+    """
+    mv = memoryview(blob).cast("B")
+    end = len(mv)
     try:
-        if len(data) < HEADER_BYTES:
+        if end < HEADER_BYTES:
             raise ValueError("frame shorter than header")
-        magic, crc = _HEAD.unpack_from(data, 0)
+        magic, crc = _HEAD.unpack_from(mv, 0)
         if magic != MAGIC:
             raise ValueError(f"bad frame magic {magic!r}")
-        body = data[HEADER_BYTES:]
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
+        if zlib.crc32(mv[HEADER_BYTES:]) != crc:
             raise ValueError("frame CRC32 mismatch")
-        r = _Reader(body)
-        obj = _decode_node(r)
-        if r.pos != len(body):
+        obj, pos = _decode_node(mv, HEADER_BYTES, end)
+        if pos != end:
             raise ValueError("trailing bytes after frame body")
         return obj
+    except struct.error as exc:  # a fixed-size field ran past the end
+        raise CorruptMessageError(
+            f"typed frame failed to decode: frame truncated ({exc})"
+        ) from exc
     except ValueError as exc:
         raise CorruptMessageError(f"typed frame failed to decode: {exc}") from exc

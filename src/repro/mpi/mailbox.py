@@ -200,14 +200,17 @@ class Mailbox:
         inbox = self._inbox
         try:
             while True:
-                if inbox.empty():
+                try:
+                    item = inbox.get_nowait()
+                except queue.Empty:
+                    # nothing queued: only now set up a blocking wait
                     if not block:
                         return None
                     if self._abort.is_set():
                         raise self._aborted()
                     if self._waiting is None:
                         self._waiting = (src, tag, context, time.monotonic())
-                item = inbox.get()
+                    item = inbox.get()
                 self._pulled += 1
                 if item is _WAKE:
                     if self._abort.is_set():

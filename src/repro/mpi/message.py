@@ -58,7 +58,9 @@ class Envelope:
         arr: np.ndarray,
         depart_time: float,
     ) -> "Envelope":
-        copy = np.array(arr, copy=True)  # snapshot: sender may reuse buffer
+        # snapshot (the sender may reuse its buffer); ``arr`` is the
+        # contiguous 1-D array ``as_array`` resolved
+        copy = arr.copy()
         return cls(
             src, dest, tag, context, copy, True, copy.nbytes, depart_time,
             next(_seq),

@@ -76,22 +76,23 @@ def _fused_minloc_maxloc(a, b):
     The comparisons are exactly ``_pair_minloc``/``_pair_maxloc`` — value
     first, smallest location on ties — so a fused reduction elects the
     same winners, in the same reduction-tree order, as two separate
-    MINLOC/MAXLOC reductions over the same operands.
+    MINLOC/MAXLOC reductions over the same operands.  Operands may be
+    arrays or array-likes (the object path); the result is a new array
+    of ``a``'s dtype.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = a.copy()
+    if type(a) is not np.ndarray:
+        a = np.asarray(a)
     # Python floats compare and add like the float64 slots, without
-    # numpy scalar boxing or slice views
-    av = a.tolist()
-    bv = b.tolist()
-    if bv[0] < av[0] or (bv[0] == av[0] and bv[1] < av[1]):
+    # numpy scalar boxing; one tolist per operand, one array out
+    out = a.tolist()
+    bv = b.tolist() if type(b) is np.ndarray else np.asarray(b).tolist()
+    if bv[0] < out[0] or (bv[0] == out[0] and bv[1] < out[1]):
         out[0], out[1] = bv[0], bv[1]
-    if bv[2] > av[2] or (bv[2] == av[2] and bv[3] < av[3]):
+    if bv[2] > out[2] or (bv[2] == out[2] and bv[3] < out[3]):
         out[2], out[3] = bv[2], bv[3]
-    for k in range(ELECTION_SLOTS, len(av)):
-        out[k] = av[k] + bv[k]
-    return out
+    for k in range(ELECTION_SLOTS, len(out)):
+        out[k] += bv[k]
+    return np.array(out, dtype=a.dtype)
 
 
 def _maxloc_payload(a, b):

@@ -56,6 +56,14 @@ class MachineSpec:
     #: ``r // ranks_per_node``); ``None`` = one rank per core
     ranks_per_node: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # every send books this into the clock in place
+        # (``Comm._post_send``), past VirtualClock.advance's check
+        if not self.send_overhead >= 0:
+            raise ValueError(
+                f"send_overhead must be >= 0, got {self.send_overhead!r}"
+            )
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

@@ -393,6 +393,9 @@ def serve_fleet(
     status = np.zeros(n, dtype=np.int64)
     completion = np.full(n, np.nan)
     schedule = Schedule(status=status, completion=completion)
+    # the cache key of each queued request, built once at admission and
+    # stored with its score (none without a cache)
+    keys: Dict[int, Optional[bytes]] = {}
 
     fleet_stats = FleetStats(
         replicas=n_replicas,
@@ -472,9 +475,8 @@ def serve_fleet(
                 if not admission.admit(tenant, t):
                     status[i] = THROTTLED
                 else:
-                    value = cache.get(
-                        request_key(X, i), registry.fingerprint(active)
-                    )
+                    key = request_key(X, i) if cache.capacity else None
+                    value = cache.get(key, registry.fingerprint(active))
                     if value is not None:
                         status[i] = CACHE_HIT
                         completion[i] = t
@@ -487,6 +489,7 @@ def serve_fleet(
                         status[i] = REJECTED
                     else:
                         queue.append(i)
+                        keys[i] = key
                         admission.on_enqueue(tenant)
                         schedule.peak_queue_depth = max(
                             schedule.peak_queue_depth, len(queue)
@@ -538,8 +541,8 @@ def serve_fleet(
             status[ids] = SCORED
             completion[ids] = t_done
             ns = registry.fingerprint(slot.sharded_version)
-            for rid, value in zip(ids, values):
-                cache.put(request_key(X, int(rid)), float(value), ns)
+            for rid, value in zip(ids.tolist(), values.tolist()):
+                cache.put(keys.pop(rid), value, ns)
                 admission.on_dequeue(int(tenants[rid]))
             router.complete(slot, t_done)
             schedule.slabs.append(SlabRecord(t_dispatch, t_done, int(ids.size)))

@@ -39,6 +39,7 @@ plan applies per session.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple, Union
 
@@ -153,7 +154,8 @@ def run_session(
         scorer = ShardScorer(model, *part.bounds(comm.rank), machine)
         if comm.rank != 0:
             while (slab := comm.bcast(None, root=0)) is not None:
-                scorer.score(comm, *slab)
+                blob, row_norms = slab
+                scorer.score(comm, CSRMatrix.from_bytes(blob), row_norms)
             return
 
         def score(X, norms, ids, t_dispatch):
@@ -162,7 +164,8 @@ def run_session(
             comm.advance(dispatch_time(machine, ids.size))
             rows = X.take_rows(ids)
             row_norms = norms[ids]
-            comm.bcast((rows, row_norms), root=0)
+            # a typed frame, like the reconstruction ring's CSR blocks
+            comm.bcast((rows.to_bytes(), row_norms), root=0)
             return scorer.score(comm, rows, row_norms), comm.vtime
 
         driven.append(drive(score))
@@ -211,10 +214,16 @@ def serve_requests(
     # fingerprint: a shared cache can never serve another model's scores
     namespace = model_fingerprint(model)
     scores = np.full(n, np.nan)
+    # (id, cache key) of each request that missed, in arrival order: a
+    # key is built once, at admission, and stored with its score (none
+    # without a cache: a capacity-0 probe only counts the miss)
+    missed: deque = deque()
 
     def admit(i: int, t: float) -> bool:
-        value = cache.get(request_key(X, i), namespace)
+        key = request_key(X, i) if cache.capacity else None
+        value = cache.get(key, namespace)
         if value is None:
+            missed.append((i, key))
             return False
         scores[i] = value
         return True
@@ -223,8 +232,13 @@ def serve_requests(
         def dispatch(ids: np.ndarray, t_dispatch: float) -> float:
             values, t_done = score(X, norms, ids, t_dispatch)
             scores[ids] = values
-            for i, v in zip(ids, values):
-                cache.put(request_key(X, int(i)), float(v), namespace)
+            for i, v in zip(ids.tolist(), values.tolist()):
+                # the queue is FIFO: a miss older than the slab's head
+                # was refused at a full queue, and its key goes
+                j, key = missed.popleft()
+                while j != i:
+                    j, key = missed.popleft()
+                cache.put(key, v, namespace)
             return t_done
 
         return run_schedule(arrivals, policy, dispatch, admit=admit)

@@ -56,7 +56,7 @@ class CSRMatrix:
         internally-constructed matrices).
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape")
+    __slots__ = ("data", "indices", "indptr", "shape", "_segments")
 
     def __init__(
         self,
@@ -71,6 +71,9 @@ class CSRMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
+        #: the rows' segment structure as :meth:`dot_csr_t` reads it on
+        #: the left, computed on first use (see :meth:`_segment_starts`)
+        self._segments = None
         if check:
             self._validate()
 
@@ -332,14 +335,14 @@ class CSRMatrix:
         if tile_rows is not None and tile_rows < 1:
             raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
         n, m = self.shape[0], other.shape[0]
-        out = np.zeros((n, m))
         if n == 0 or m == 0 or self.nnz == 0:
-            return out
+            return np.zeros((n, m))
         tile = min(
             max(1, TILE_BUDGET_ELEMS // self.nnz),
             max(1, TILE_BUDGET_ELEMS // self.shape[1]),
             tile_rows or DEFAULT_TILE_ROWS,
         )
+        out = np.empty((n, m))  # every column is written by one tile
         for lo in range(0, m, tile):
             hi = min(lo + tile, m)
             out[:, lo:hi] = self._tile_dots(other, lo, hi).T
@@ -351,16 +354,70 @@ class CSRMatrix:
         scratch dies with the call, before the next tile allocates its
         own: held across tiles, two tiles' worth of it made a worker
         thread's malloc arena trim and re-fault megabytes on every
-        multi-tile call."""
+        multi-tile call.
+
+        Each row of the ``(t, nnz)`` product is summed per segment of
+        this matrix's rows by a *single* ``np.add.reduceat`` over the
+        flattened product, with the segment starts replicated at
+        offsets of ``nnz``.  Because ``indptr[0] == 0`` is always a
+        valid start, the last valid segment of tile row ``j`` ends
+        exactly at ``(j + 1) * nnz`` — the extent it has in the 1-D
+        call — so every ``(row, segment)`` pair is reduced over the same
+        elements with the same reduction as :func:`_segment_sums` on
+        that row alone, and every output element is bitwise identical
+        to the 1-D path.  (A 2-D ``reduceat`` along ``axis=1`` computes
+        the same thing but pays a large per-segment dispatch cost; the
+        flat form runs at the 1-D inner-loop speed.)
+        """
         a, b = int(other.indptr[lo]), int(other.indptr[hi])
-        dense = np.zeros((hi - lo, self.shape[1]))
-        rows = np.repeat(
-            np.arange(hi - lo), np.diff(other.indptr[lo : hi + 1])
-        )
-        dense[rows, other.indices[a:b]] = other.data[a:b]
+        t = hi - lo
+        dense = np.zeros((t, self.shape[1]))
+        if t == 1:
+            dense[0, other.indices[a:b]] = other.data[a:b]
+        else:
+            rows = np.repeat(
+                np.arange(t), np.diff(other.indptr[lo : hi + 1])
+            )
+            dense[rows, other.indices[a:b]] = other.data[a:b]
         prod = dense.take(self.indices, axis=1)
         prod *= self.data
-        return _segment_sums_2d(prod, self.indptr)
+        starts, valid, empty = self._segment_starts()
+        if t > 1:
+            starts = (
+                starts[None, :]
+                + (np.arange(t, dtype=np.intp) * self.nnz)[:, None]
+            ).ravel()
+        sums = np.add.reduceat(prod.reshape(-1), starts)
+        if valid is None:  # no empty row: one sum per row
+            return sums.reshape(t, self.shape[0])
+        out = np.zeros((t, self.shape[0]))
+        out[:, valid] = sums.reshape(t, -1)
+        # reduceat yields values[start] for empty segments; zero them
+        out[:, empty] = 0.0
+        return out
+
+    def _segment_starts(self):
+        """``(starts, valid, empty)``: the ``intp`` starts of the row
+        segments ``reduceat`` may take, and — only when some row is
+        empty — the masks of the rows those starts belong to and of the
+        empty rows (``None`` otherwise).  Computed once per matrix: the
+        solver's active rows are rebuilt once per compaction, and a
+        serving shard once per session.
+
+        ``reduceat`` rejects a start equal to ``nnz``; such starts
+        belong to trailing empty rows, which the empty mask zeroes.
+        """
+        seg = self._segments
+        if seg is None:
+            starts = self.indptr[:-1]
+            empty = self.indptr[1:] == starts
+            if empty.any():
+                valid = starts < self.nnz
+                seg = (starts[valid].astype(np.intp), valid, empty)
+            else:
+                seg = (starts.astype(np.intp), None, None)
+            self._segments = seg
+        return seg
 
     def col_nnz(self) -> np.ndarray:
         """Nonzero count per column."""
@@ -446,45 +503,6 @@ def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     empty = indptr[1:] == indptr[:-1]
     if empty.any():
         out[empty] = 0.0
-    return out
-
-
-def _segment_sums_2d(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Row-segmented sums of each row of a 2-D ``values`` array.
-
-    Each row of ``values`` is one flattened ``(nnz,)`` product vector;
-    the rows are summed with a *single* ``np.add.reduceat`` over the
-    flattened array, replicating the per-row segment starts at offsets
-    of ``nnz``.  Because ``indptr[0] == 0`` is always a valid start, the
-    last valid segment of row ``j`` ends exactly at ``(j + 1) * nnz`` —
-    the same extent it has in the 1-D call — so every ``(row, segment)``
-    pair is reduced over the same elements with the same reduction as
-    :func:`_segment_sums` on that row alone, and every output element is
-    bitwise identical to the 1-D path.  (A 2-D ``reduceat`` along
-    ``axis=1`` computes the same thing but pays a large per-segment
-    dispatch cost; the flat form runs at the 1-D inner-loop speed.)
-    """
-    t = values.shape[0]
-    nrows = indptr.shape[0] - 1
-    if nrows == 0:
-        return np.zeros((t, 0))
-    nnz = int(indptr[-1])
-    if nnz == 0 or t == 0:
-        return np.zeros((t, nrows))
-    starts = indptr[:-1]
-    # reduceat rejects indices == len(values); those belong to trailing
-    # empty rows, which the empty-row mask zeroes anyway
-    valid = starts < nnz
-    sv = starts[valid].astype(np.intp, copy=False)
-    starts_flat = (sv[None, :] + (np.arange(t, dtype=np.intp) * nnz)[:, None]).ravel()
-    flat = np.ascontiguousarray(values).reshape(-1)
-    seg = np.add.reduceat(flat, starts_flat).reshape(t, sv.size)
-    out = np.zeros((t, nrows))
-    out[:, valid] = seg
-    # reduceat yields values[start] for empty segments; zero them
-    empty = indptr[1:] == indptr[:-1]
-    if empty.any():
-        out[:, empty] = 0.0
     return out
 
 

@@ -238,3 +238,60 @@ class TestStats:
         assert tr.iterations == fr.iterations
         assert tr.active_counts.shape == (fr.iterations,)
         assert tr.active_counts.max() <= X.shape[0]
+
+
+class TestHotPathShape:
+    """The per-iteration call structure perfbench's per-layer spans
+    attribute host time by (``core.select``, ``core.fetch_pair``,
+    ``core.iterate``, ``mpi.collective``)."""
+
+    def test_calls_per_iteration(self, problem, monkeypatch):
+        from collections import Counter
+
+        from repro.core.parallel import PackedRankSolver
+        from repro.mpi.communicator import Comm
+
+        counts = Counter()
+        per_select = []  # allreduce_buffer calls inside each select
+
+        def spy(cls, name, rank_of):
+            original = getattr(cls, name)
+
+            def wrapped(self, *args, **kwargs):
+                counts[name, rank_of(self)] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        def solver_rank(solver):
+            return solver.comm.rank
+
+        for name in ("iterate_once", "fetch_pair", "reconstruct"):
+            spy(PackedRankSolver, name, solver_rank)
+        spy(Comm, "allreduce_buffer", lambda comm: comm.rank)
+        select = PackedRankSolver.select
+
+        def select_spy(self):
+            rank = self.comm.rank
+            before = counts["allreduce_buffer", rank]
+            out = select(self)
+            counts["select", rank] += 1
+            per_select.append(counts["allreduce_buffer", rank] - before)
+            return out
+
+        monkeypatch.setattr(PackedRankSolver, "select", select_spy)
+
+        X, y = problem
+        fr = fit_parallel(
+            X, y, PARAMS, config=RunConfig(heuristic="multi5pc", nprocs=2)
+        )
+        iters = fr.iterations
+        recon = counts["reconstruct", 0]
+        assert recon >= 1 and fr.trace.shrink_iters  # both paths ran
+        for rank in (0, 1):
+            assert counts["iterate_once", rank] == iters
+            assert counts["fetch_pair", rank] == iters
+            assert counts["reconstruct", rank] == recon
+            assert counts["select", rank] == iters + 1 + recon
+        # one fused election allreduce per mvp selection
+        assert per_select == [1] * len(per_select)

@@ -1,5 +1,7 @@
 """Typed-frame codec: exact round-trips, integrity, and wire accounting."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,104 @@ class TestIntegrity:
         blob[:4] = b"NOPE"
         with pytest.raises(CorruptMessageError):
             frames.decode(bytes(blob))
+
+
+# ----------------------------------------------------------------------
+# the whole vocabulary: exact round-trips, every prefix and flip caught
+# ----------------------------------------------------------------------
+#: one dtype string per frameable kind (b/i/u/f/c), both byte orders
+VOCAB_DTYPES = [
+    "?", "<i1", "<i4", "<i8", ">i2", "<u1", "<u2", ">u8",
+    "<f2", "<f4", "<f8", ">f8", "<c8", "<c16",
+]
+
+
+@st.composite
+def _arrays(draw):
+    from hypothesis.extra.numpy import array_shapes, arrays
+
+    dtype = np.dtype(draw(st.sampled_from(VOCAB_DTYPES)))
+    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    arr = draw(arrays(dtype, shape))
+    if arr.ndim and draw(st.booleans()):  # a non-contiguous view
+        arr = arr[::2] if arr.ndim == 1 else arr.T
+    return arr
+
+
+def _scalars():
+    from hypothesis.extra.numpy import arrays
+
+    return st.sampled_from(VOCAB_DTYPES).flatmap(
+        lambda d: arrays(np.dtype(d), ())
+    ).map(lambda a: a[()])
+
+
+def _buffers():
+    return _arrays() | st.binary(max_size=24)
+
+
+def _leaves():
+    return st.one_of(
+        _buffers(),
+        _scalars(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.booleans(),
+        st.none(),
+    )
+
+
+def _payloads():
+    """Any frameable object: nested tuples and lists of the vocabulary,
+    with at least one array or bytes section."""
+    tree = st.recursive(
+        _leaves(),
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple),
+        max_leaves=8,
+    )
+    return st.one_of(_buffers(), st.tuples(tree, _buffers()),
+                     st.lists(st.tuples(_buffers(), tree), min_size=1,
+                              max_size=2))
+
+
+def _same_bits(a, b):
+    """``b`` equals ``a`` in type, dtype, shape and bits."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+    elif isinstance(a, np.generic):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    elif isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b)
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _same_bits(x, y)
+    else:
+        assert a == b
+
+
+class TestVocabularyProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(obj=_payloads())
+    def test_roundtrip_exact(self, obj):
+        blob = frames.encode(obj)
+        assert blob is not None
+        _same_bits(obj, frames.decode(blob))
+
+    @settings(max_examples=40, deadline=None)
+    @given(obj=_payloads(), mask=st.integers(min_value=1, max_value=255))
+    def test_every_prefix_and_byte_flip_detected(self, obj, mask):
+        blob = frames.encode(obj)
+        for k in range(len(blob)):
+            with pytest.raises(CorruptMessageError):
+                frames.decode(blob[:k])
+            flipped = bytearray(blob)
+            flipped[k] ^= mask
+            with pytest.raises(CorruptMessageError):
+                frames.decode(bytes(flipped))
 
 
 class TestWireSelection:

@@ -43,3 +43,14 @@ def test_frozen():
     m = MachineSpec.cascade()
     with pytest.raises(Exception):
         m.latency = 0.0
+
+
+def test_negative_send_overhead_rejected():
+    """The typed send books the overhead into the clock in place, so a
+    machine that would move a clock backwards is refused up front."""
+    import dataclasses
+
+    with pytest.raises(ValueError, match="send_overhead"):
+        dataclasses.replace(MachineSpec.cascade(), send_overhead=-1e-7)
+    with pytest.raises(ValueError, match="send_overhead"):
+        dataclasses.replace(MachineSpec.cascade(), send_overhead=float("nan"))

@@ -203,3 +203,48 @@ def test_stale_model_hit_regression(served_model, requests_60):
     )
     assert again.stats.n_cache_hits == 60
     assert same_bits(again.scores, first.scores)
+
+
+# -------------------------------------------------------------------------
+# one key build per admitted request
+# -------------------------------------------------------------------------
+
+def _count_request_keys(monkeypatch):
+    """Count ``request_key`` calls through the module-level names the
+    serving entry points look up at call time."""
+    from repro.serve import fleet, server
+
+    calls = []
+
+    def spy(X, row):
+        calls.append(row)
+        return request_key(X, row)
+
+    monkeypatch.setattr(server, "request_key", spy)
+    monkeypatch.setattr(fleet, "request_key", spy)
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["serve_requests", "serve_fleet"])
+@pytest.mark.parametrize("capacity", [0, 16])
+def test_one_request_key_per_admitted_request(
+    served_model, requests_60, monkeypatch, entry, capacity
+):
+    """A request's cache key is built once, at admission, and reused
+    when its score is stored; without a cache none is built."""
+    from repro.serve import serve_fleet
+
+    model, _ = served_model
+    calls = _count_request_keys(monkeypatch)
+    arrivals = np.arange(60) * 150e-6
+    run = serve_requests if entry == "serve_requests" else serve_fleet
+    res = run(
+        model, requests_60, arrivals,
+        policy=BatchPolicy(max_batch=8, max_delay=200e-6),
+        config=RunConfig(nprocs=2), cache_entries=capacity,
+    )
+    if capacity == 0:
+        assert calls == []
+        return
+    assert sorted(calls) == list(range(60))  # every request is admitted
+    assert res.stats.cache["hits"] > 0  # the keys were used for puts too

@@ -270,3 +270,29 @@ def test_scoring_entry_points_agree_bitwise(problem):
             )
             assert np.all(res.status == SCORED)
             assert same_bits(res.scores, direct)
+
+
+def test_slab_broadcast_is_a_frame(served_model, requests_60, monkeypatch):
+    """A fault-free p=2 session pickles nothing but its closing
+    broadcast: each slab's rows travel as a CSR blob in a typed frame,
+    and the scores stay bitwise those of direct scoring."""
+    from repro.mpi.message import Envelope
+
+    model, _ = served_model
+    pickled = []
+    from_object = Envelope.from_object.__func__
+
+    def spy(cls, src, dest, tag, context, obj, depart_time):
+        pickled.append(obj)
+        return from_object(cls, src, dest, tag, context, obj, depart_time)
+
+    monkeypatch.setattr(Envelope, "from_object", classmethod(spy))
+    res = serve_requests(
+        model, requests_60, np.arange(60) * 150e-6,
+        policy=BatchPolicy(max_batch=8, max_delay=200e-6),
+        config=RunConfig(nprocs=2),
+    )
+    assert pickled == [None]
+    assert int(res.stats.n_slabs) > 1
+    direct = model.decision_function(requests_60)
+    assert same_bits(res.scores, direct)

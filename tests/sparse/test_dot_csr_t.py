@@ -151,6 +151,75 @@ def test_dense_tiles_stay_under_the_budget(monkeypatch, budget):
 
 
 # ----------------------------------------------------------------------
+# the product's contract: C order, bitwise, one tile or many
+# ----------------------------------------------------------------------
+def _sparse(rng, n, d, density=0.4, empty_rows=()):
+    dense = rng.normal(size=(n, d)) * (rng.random((n, d)) < density)
+    dense[:, 0] += 1.0  # no row empty unless asked
+    dense[list(empty_rows)] = 0.0
+    return CSRMatrix.from_dense(dense)
+
+
+LEFTS = {
+    "no-empty-row": dict(n=9),
+    "empty-rows": dict(n=9, empty_rows=(0, 4, 8)),  # first, middle, last
+    "trailing-empty": dict(n=9, empty_rows=(7, 8)),
+    "one-row": dict(n=1),
+}
+RIGHTS = {
+    "one-row": dict(n=1),
+    "one-empty-row": dict(n=1, empty_rows=(0,)),
+    "empty-rows": dict(n=7, empty_rows=(1, 6)),
+    "many": dict(n=13),
+}
+
+
+@pytest.mark.parametrize("tile", [None, 1, 3])
+@pytest.mark.parametrize("right", sorted(RIGHTS))
+@pytest.mark.parametrize("left", sorted(LEFTS))
+def test_product_is_c_contiguous_and_bitwise(left, right, tile):
+    """One tile (the default here) and many tiles both return a
+    C-contiguous product bitwise equal to the row-at-a-time one, with
+    and without empty rows on either side; a second product against
+    the same left operand reuses its segment structure."""
+    rng = np.random.default_rng(11)
+    A = _sparse(rng, d=6, **LEFTS[left])
+    B = _sparse(rng, d=6, **RIGHTS[right])
+    reference = rowwise_reference(A, B)
+    for _ in range(2):
+        out = A.dot_csr_t(B, tile_rows=tile)
+        assert out.flags.c_contiguous
+        assert out.shape == reference.shape
+        assert same_bits(out, reference)
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda X: X.row_slice(2, 7),
+        lambda X: X.row_slice(3, 4),
+        lambda X: X.take_rows(np.array([5, 0, 3, 3])),
+        lambda X: X.take_rows(np.array([1, 6, 2])),
+        lambda X: CSRMatrix.from_rows([X.row(i) for i in (6, 1, 2)], 6),
+    ],
+    ids=["row_slice", "row_slice-empty", "take_rows", "take_rows-empty",
+         "from_rows"],
+)
+def test_derived_matrix_has_its_own_segments(derive):
+    """A matrix derived from one whose segment structure was computed
+    (empty rows 1 and 3) gets its own: its products stay bitwise."""
+    rng = np.random.default_rng(5)
+    X = _sparse(rng, n=8, d=6, empty_rows=(1, 3))
+    B = _sparse(rng, n=5, d=6)
+    assert same_bits(X.dot_csr_t(B), rowwise_reference(X, B))
+    D = derive(X)
+    for right in (B, B.row_slice(0, 1)):
+        out = D.dot_csr_t(right)
+        assert out.flags.c_contiguous
+        assert same_bits(out, rowwise_reference(D, right))
+
+
+# ----------------------------------------------------------------------
 # row_slice
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
