@@ -1,33 +1,37 @@
 """Overhead of the fault-injection layer, idle and recovering drops.
 
-The fault layer adds a hook on every send (``before_send``), a routing
-decision on every delivery and a retry/backoff loop on every blocked
-receive.  All of them are dormant on a fault-free job — no engine is
-installed, mailboxes keep no seen-set and waits block plainly — so a
-``faults=None`` fit must cost (wall-clock) what it did before the layer
-existed.  This bench quantifies the claim two ways:
+The fault layer adds a hook on every send (``before_send``), and a
+routing decision plus, when the plan can re-deliver, a duplicate check
+on every delivery.  They are dormant on a fault-free job — no engine is
+installed and mailboxes keep no seen-set — and every receive is the
+same blocking take with or without an engine: its drop recovery costs
+a type test per pulled item and a test against an empty set per match.
+So a ``faults=None`` fit must cost (wall-clock) what it did before the
+layer existed.  This bench quantifies the claim two ways:
 
 1. **disabled** — ``faults=None`` vs the same fit re-run (the noise
    floor of the measurement itself);
 2. **installed-but-idle** — an engine installed from an *empty*
-   ``FaultPlan`` (every receive on the retry path, every send and
-   delivery through the engine's empty-plan fast path) vs
-   ``faults=None``.  This is the worst case a user can enable, and the
-   interesting number: it must stay under 5%.
+   ``FaultPlan`` (every send and delivery through the engine's
+   empty-plan fast path) vs ``faults=None``.  This is the worst case a
+   user can enable, and the interesting number: its median over
+   rounds must stay under 5%.
 
 A third row, **active drop**, fits under a seeded 2% drop plan and
 records its host seconds against the fault-free fit.  Drop recovery is
-event-driven, so it costs one immediate re-request per drop, not a
-host timeout.  Its checks are bitwise and count-based only: α, β and
-virtual time equal the fault-free fit's, and ``retries == dropped``
-(no host timeout fired).
+event-driven, so it costs one immediate re-request per drop; no
+receive has a host timeout.  Its checks are bitwise and count-based
+only: α, β and virtual time equal the fault-free fit's, and
+``retries == dropped`` (one ledger re-request per drop).
 
 Threaded fits are noisy (GIL scheduling, and hosts that run at
 different speeds for seconds at a time), so the configurations are timed
 *interleaved*, in rounds of disabled/idle/drop/disabled fits, with the
 process pinned to one CPU.  Each overhead is the median over rounds of
 a fit's time against the mean of the two disabled fits around it: the
-fits of one round see the same host state.  (Taking each
+fits of one round see the same host state.  The report records the
+quartiles of those per-round ratios beside each median, so a reader
+can see whether the spread resolves the 5% bar.  (Taking each
 configuration's minimum over all rounds instead compared fits from
 different host states: on a 2-vCPU VM it read the idle overhead
 anywhere from −12% to +26% on the same code.)
@@ -55,7 +59,7 @@ import numpy as np
 from repro.config import RunConfig
 from repro.core import SVMParams, fit_parallel
 from repro.kernels import RBFKernel
-from repro.mpi.faults import FaultPlan, RetryPolicy
+from repro.mpi.faults import FaultPlan
 from repro.sparse import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,12 +71,10 @@ NPROCS = 4
 REPEATS = 10
 PARAMS = SVMParams(C=10.0, kernel=RBFKernel(0.5), eps=1e-3, max_iter=500_000)
 
-#: an installed engine with nothing scheduled; the generous retry
-#: timeout keeps the per-poll budget from ever firing a re-request
-IDLE_PLAN = FaultPlan(faults=(), seed=0,
-                      retry=RetryPolicy(timeout=30.0, max_retries=1))
+#: an installed engine with nothing scheduled
+IDLE_PLAN = FaultPlan()
 
-#: the active row: a seeded 2% drop rate under the default retry policy
+#: the active row: a seeded 2% drop rate
 DROP_PLAN = "seed=5;drop:prob=0.02"
 
 
@@ -128,16 +130,20 @@ def run() -> dict:
         _fit(X, y, None)  # warm-up (JIT-free, but caches)
         rounds = [[_one_fit(X, y, f) for f in configs] for _ in range(REPEATS)]
 
-    def overhead(col: int) -> float:
-        return statistics.median(
-            r[col] / ((r[0] + r[3]) / 2) for r in rounds
-        ) - 1.0
+    def overheads(col: int) -> list:
+        """Per-round overhead of column ``col``: its fit's time against
+        the mean of the round's two disabled fits, minus one."""
+        return [r[col] / ((r[0] + r[3]) / 2) - 1.0 for r in rounds]
+
+    def quartiles(col: int) -> list:
+        q1, _, q3 = statistics.quantiles(overheads(col), n=4)
+        return [q1, q3]
 
     def seconds(*cols: int) -> float:
         return statistics.median(r[c] for r in rounds for c in cols)
 
     noise = statistics.median(abs(r[0] / r[3] - 1.0) for r in rounds)
-    idle = overhead(1)
+    idle = statistics.median(overheads(1))
 
     # correctness side-conditions: the idle engine is bitwise invisible,
     # and every drop is recovered bitwise by one immediate re-request
@@ -155,12 +161,14 @@ def run() -> dict:
         "disabled_rerun_noise": noise,
         "idle_engine_seconds": seconds(1),
         "idle_engine_overhead": idle,
+        "idle_engine_overhead_quartiles": quartiles(1),
         "claim": "idle_engine_overhead < 0.05",
         "claim_holds": bool(idle < 0.05),
         "active_drop": {
             "faults": DROP_PLAN,
             "seconds": seconds(2),
-            "overhead": overhead(2),
+            "overhead": statistics.median(overheads(2)),
+            "overhead_quartiles": quartiles(2),
             "messages": active.stats.messages,
             "dropped": stats["dropped"],
             "retransmitted": stats["retransmitted"],

@@ -1,12 +1,14 @@
 """Benchmark: working-set-selection policies x kernel-column budget.
 
-End-to-end distributed solves of two registry miniatures, swept over
+End-to-end distributed solves of three registry miniatures, swept over
 the WSS policy registry (``mvp`` / ``second_order`` / ``planning_ahead``,
 see :mod:`repro.core.wss_policies`) and a range of per-rank
 kernel-column budgets.  The sweep demonstrates the point of the
 second-order election: fewer, better iterations, and hence fewer kernel
 evaluations, at the price of one extra typed MAXLOC allreduce per
-iteration.
+iteration.  The third miniature, cod-rna at ten times its registry C,
+is the large-C regime in which Glasmachers (arXiv:1307.8305) reports
+planning-ahead paying off.
 
 Every policy keeps its columns in the solver's one column store.  At
 budget 0 each iteration is charged Algorithm 2's 2·|A|+3 kernel
@@ -24,6 +26,9 @@ Invariants asserted on every run:
 - ``second_order`` reduces total kernel evaluations by >= 1.3x against
   ``mvp`` at budget 0 on at least one miniature (the acceptance bar;
   w7a clears it);
+- ``planning_ahead``'s modeled vtime at budget 0 is at most 0.9x
+  ``second_order``'s on at least one miniature (the bar that keeps the
+  policy; large-C cod-rna clears it);
 - in the full sweep, the middle budget evicts a column that is asked
   for again: ``mvp`` produces more columns there than at the roomy
   budget, on every miniature.
@@ -53,7 +58,12 @@ from repro.kernels import RBFKernel
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUT_PATH = REPO_ROOT / "BENCH_wss.json"
 
-MINIATURES = [("mushrooms", 0.02), ("w7a", 0.006)]
+#: (dataset, scale, C): C ``None`` keeps the registry's C
+MINIATURES = [
+    ("mushrooms", 0.02, None),
+    ("w7a", 0.006, None),
+    ("cod-rna", 0.006, 320.0),
+]
 POLICIES = ["mvp", "second_order", "planning_ahead"]
 #: 0 (unbounded, Algorithm 2 accounting), ~12 columns of a mushrooms
 #: rank (evicts), and room for every column of both miniatures
@@ -62,15 +72,17 @@ QUICK_BUDGETS_MB = [0.0, 4.0]
 HEURISTIC = "multi5pc"
 NPROCS = 2
 EVAL_REDUCTION_BAR = 1.3
+#: planning_ahead / second_order modeled vtime at budget 0
+PLANNING_AHEAD_BAR = 0.9
 
 
-def _problem(name: str, scale: float):
+def _problem(name: str, scale: float, C=None):
     ds = load_dataset(name, scale=scale)
     entry = DATASETS[name]
     classes = np.unique(ds.y_train)
     y = np.where(ds.y_train == classes[1], 1.0, -1.0)
     params = SVMParams(
-        C=entry.C,
+        C=entry.C if C is None else C,
         kernel=RBFKernel.from_sigma_sq(entry.sigma_sq),
         eps=1e-3,
         max_iter=500_000,
@@ -114,8 +126,9 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
     budgets = QUICK_BUDGETS_MB if quick else BUDGETS_MB
     datasets = []
     bar_cleared_on = []
-    for name, scale in MINIATURES:
-        X, y, params = _problem(name, scale)
+    planning_ahead_cleared_on = []
+    for name, scale, C in MINIATURES:
+        X, y, params = _problem(name, scale, C)
         rows = []
         baseline = {}
         for wss in POLICIES:
@@ -145,6 +158,11 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
         reduction = mvp_evals / so_evals if so_evals else float("inf")
         if reduction >= EVAL_REDUCTION_BAR:
             bar_cleared_on.append(name)
+        vtime_ratio = (
+            baseline["planning_ahead"].vtime / baseline["second_order"].vtime
+        )
+        if vtime_ratio <= PLANNING_AHEAD_BAR:
+            planning_ahead_cleared_on.append(name)
         by = {(r["wss"], r["cache_mb"]): r for r in rows}
         if len(budgets) > 2:
             middle, roomy = budgets[-2], budgets[-1]
@@ -158,9 +176,11 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
             {
                 "dataset": name,
                 "scale": scale,
+                "C": params.C,
                 "n": int(X.shape[0]),
                 "d": int(X.shape[1]),
                 "eval_reduction_second_order": reduction,
+                "vtime_ratio_planning_ahead": vtime_ratio,
                 # each policy's kernel evals under one equal budget
                 "kernel_evals_by_budget": {
                     f"{mb:g}": {
@@ -178,6 +198,8 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
         "cache_budgets_mb": budgets,
         "eval_reduction_bar": EVAL_REDUCTION_BAR,
         "bar_cleared_on": bar_cleared_on,
+        "planning_ahead_bar": PLANNING_AHEAD_BAR,
+        "planning_ahead_cleared_on": planning_ahead_cleared_on,
         "datasets": datasets,
     }
     if not bar_cleared_on:
@@ -189,6 +211,15 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
                 for d in datasets
             )
         )
+    if not planning_ahead_cleared_on:
+        raise AssertionError(
+            f"planning_ahead cleared the {PLANNING_AHEAD_BAR}x modeled-vtime "
+            "bar against second_order on no miniature: "
+            + ", ".join(
+                f"{d['dataset']}={d['vtime_ratio_planning_ahead']:.3f}x"
+                for d in datasets
+            )
+        )
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
@@ -196,6 +227,7 @@ def run_bench(quick: bool = False, out: Path = OUT_PATH) -> dict:
 def test_wss_policy_sweep(tmp_path):
     report = run_bench(out=tmp_path / OUT_PATH.name)
     assert report["bar_cleared_on"]  # >= 1 miniature clears the bar
+    assert report["planning_ahead_cleared_on"]
     for d in report["datasets"]:
         by = {(r["wss"], r["cache_mb"]): r for r in d["runs"]}
         # second-order elections were actually exercised
@@ -219,7 +251,8 @@ def main(argv=None) -> int:
         print(
             f"\n{d['dataset']} (n={d['n']}): second_order uses "
             f"{d['eval_reduction_second_order']:.2f}x fewer kernel evals "
-            f"than mvp at budget 0"
+            f"than mvp at budget 0; planning_ahead's modeled vtime is "
+            f"{d['vtime_ratio_planning_ahead']:.3f}x second_order's"
         )
         for mb, evals in d["kernel_evals_by_budget"].items():
             print(f"  kernel evals at {mb} MiB: " + ", ".join(
@@ -227,6 +260,8 @@ def main(argv=None) -> int:
             ))
     print(f"bar (>= {report['eval_reduction_bar']}x) cleared on: "
           f"{', '.join(report['bar_cleared_on'])}")
+    print(f"planning_ahead bar (<= {report['planning_ahead_bar']}x vtime) "
+          f"cleared on: {', '.join(report['planning_ahead_cleared_on'])}")
     print(f"wrote {out}")
     return 0
 

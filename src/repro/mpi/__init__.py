@@ -23,7 +23,7 @@ Quick example::
 
 from .clock import ClockStats, VirtualClock
 from .communicator import Comm
-from .datatypes import ANY_SOURCE, ANY_TAG, TAG_UB
+from .datatypes import TAG_UB
 from .errors import (
     CommError,
     CorruptMessageError,
@@ -37,7 +37,7 @@ from .errors import (
     SpmdAborted,
     SpmdJobError,
 )
-from .faults import Fault, FaultEngine, FaultPlan, RetryPolicy
+from .faults import Fault, FaultEngine, FaultPlan
 from .reduceops import (
     BAND,
     BOR,
@@ -62,8 +62,6 @@ from .topology import (
 from .tracing import TraceEvent, Tracer
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "BAND",
     "BOR",
     "COMMUNICATORS",
@@ -90,7 +88,6 @@ __all__ = [
     "PROD",
     "RankError",
     "RankStats",
-    "RetryPolicy",
     "RingRecoveryError",
     "ReduceOp",
     "SpmdAborted",

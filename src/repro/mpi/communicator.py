@@ -19,7 +19,7 @@ import numpy as np
 
 from . import frames
 from .clock import VirtualClock
-from .datatypes import ANY_SOURCE, ANY_TAG, TAG_UB, as_array, check_tag
+from .datatypes import TAG_UB, as_array, check_tag
 from .errors import CorruptMessageError, RankError
 from .message import Envelope
 from .reduceops import SUM, ReduceOp
@@ -96,9 +96,7 @@ class Comm:
     # ------------------------------------------------------------------
     # validation helpers
     # ------------------------------------------------------------------
-    def _check_peer(self, peer: int, *, allow_any: bool = False) -> int:
-        if peer == ANY_SOURCE and allow_any:
-            return peer
+    def _check_peer(self, peer: int) -> int:
         if not 0 <= peer < self.size:
             raise RankError(
                 f"rank {peer} out of range for communicator of size {self.size}"
@@ -210,12 +208,13 @@ class Comm:
         check_tag(tag)
         self._post_send(obj, dest, tag)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Block until a matching message arrives and return its
-        object; a frame that fails its CRC is re-requested (bounded
-        attempts) before :class:`CorruptMessageError` surfaces."""
-        self._check_peer(source, allow_any=True)
-        check_tag(tag, allow_any=True)
+    def recv(self, source: int, tag: int) -> Any:
+        """Block until the next message from ``source`` with ``tag``
+        arrives and return its object; a frame that fails its CRC is
+        re-requested (bounded attempts) before
+        :class:`CorruptMessageError` surfaces."""
+        self._check_peer(source)
+        check_tag(tag)
         env = self._mailbox.take(source, tag, self._context, block=True)
         self._complete_recv(env)
         return self._decode_with_recovery(env)

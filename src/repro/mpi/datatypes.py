@@ -1,4 +1,4 @@
-"""Tags, wildcards and the operand check of the raw typed path.
+"""Tags and the operand check of the raw typed path.
 
 :meth:`repro.mpi.communicator.Comm.allreduce_buffer` moves numpy
 buffers as raw envelopes; :func:`as_array` checks and flattens its
@@ -13,19 +13,11 @@ import numpy as np
 
 from .errors import CommError
 
-#: Wildcards, mirroring MPI constants.
-ANY_SOURCE: int = -1
-ANY_TAG: int = -1
-
 #: Upper bound for user tags (inclusive).  Mirrors a typical MPI_TAG_UB.
 TAG_UB: int = 2**20
 
 
-def check_tag(tag: int, *, allow_any: bool = False) -> int:
-    if tag == ANY_TAG:
-        if allow_any:
-            return tag
-        raise CommError("ANY_TAG is only valid on receive operations")
+def check_tag(tag: int) -> int:
     if not 0 <= tag <= TAG_UB:
         raise CommError(f"tag {tag} outside valid range [0, {TAG_UB}]")
     return tag

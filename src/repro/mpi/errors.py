@@ -66,23 +66,20 @@ class InjectedFault(FaultInjectionError):
 
 
 class MessageLostError(FaultInjectionError):
-    """A receive exhausted its retry budget without a matching message.
+    """The fault ledger withheld a dropped message past the receive's
+    bounded re-requests.
 
-    Carries the structured context the ISSUE requires: the waiting rank,
-    the expected source and tag, and the number of re-request attempts.
+    Carries the waiting rank, the expected source and tag, and the
+    number of re-request attempts.
     """
 
-    def __init__(
-        self, rank: int, source: int | None, tag: int | None, attempts: int
-    ):
+    def __init__(self, rank: int, source: int, tag: int, attempts: int):
         self.rank = rank
         self.source = source
         self.tag = tag
         self.attempts = attempts
-        src = "ANY" if source is None or source < 0 else source
-        tg = "ANY" if tag is None or tag < 0 else tag
         super().__init__(
-            f"rank {rank}: message from src={src} tag={tg} lost after "
+            f"rank {rank}: message from src={source} tag={tag} lost after "
             f"{attempts} retry attempt(s)"
         )
 

@@ -18,12 +18,14 @@ the delivery path (``SpmdRuntime.deliver``) and on the receive side
   (:meth:`~repro.mpi.mailbox.Mailbox.withhold`).  A receive that
   matches the withheld envelope re-requests it from the ledger
   (``re_request``) without sleeping, modeling receiver-driven
-  retransmission; a ``count=k`` drop is handed back on the k-th ask.
-  A re-injected envelope keeps its original departure stamp and is
-  matched before any later envelope of its (src, tag, context)
-  stream, so a run that completes under drops is bitwise identical —
-  virtual times and MPI message order included — to the fault-free
-  run;
+  retransmission; a ``count=k`` drop is handed back on the k-th ask,
+  and a receive gives up with
+  :class:`~repro.mpi.errors.MessageLostError` after
+  :data:`MAX_REREQUESTS` empty asks.  A re-injected envelope keeps its
+  original departure stamp and is matched before any later envelope
+  of its (src, tag, context) stream, so a run that completes under
+  drops is bitwise identical — virtual times and MPI message order
+  included — to the fault-free run;
 - *dup* delivers the same envelope twice; the mailbox discards the
   duplicate by sequence number;
 - *corrupt* delivers a tampered copy and stashes the pristine envelope
@@ -32,13 +34,17 @@ the delivery path (``SpmdRuntime.deliver``) and on the receive side
   :meth:`re_request`.  The stashed copy is not announced to the
   mailbox: it must not be matched before the tampered copy is consumed;
 - *stall* blocks the rank's thread in host time before its n-th send
-  (exercising peers' retry paths and the watchdog); *kill* raises
+  (its peers simply wait for its messages, and a stall longer than
+  the job's ``deadlock_timeout`` trips the watchdog); *kill* raises
   :class:`~repro.mpi.errors.InjectedFault` inside the rank, aborting
   the job with a structured :class:`~repro.mpi.errors.SpmdJobError`.
 
-The engine cannot see a stalled or killed sender, nor a message that
-was never sent; only those leave a receiver waiting out the
-:class:`RetryPolicy` host timeouts.
+Every recovery is driven by an event (a drop notice, a CRC failure, a
+duplicate's arrival, the job abort); no receive reads the host clock
+to decide anything.
+A message that is never sent leaves its receiver blocked until the job
+watchdog raises :class:`~repro.mpi.errors.DeadlockError`, as in a
+fault-free job.
 
 Invariant (asserted by the fault-matrix tests): any run that
 *completes* under fault injection produces bitwise-identical results
@@ -50,7 +56,7 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,37 +67,14 @@ from .message import Envelope, next_seq
 #: fault kinds understood by the engine
 KINDS = ("delay", "drop", "dup", "corrupt", "stall", "kill")
 
+#: empty ledger asks a receive makes for one dropped envelope before it
+#: raises :class:`~repro.mpi.errors.MessageLostError`
+MAX_REREQUESTS = 6
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry/backoff schedule for blocked receives.
 
-    A receive makes at most ``max_retries`` retries before raising
-    :class:`~repro.mpi.errors.MessageLostError`.  A receive matching a
-    dropped envelope re-requests it at once (one retry per ask); only
-    a receive waiting on something the engine cannot see (a stalled or
-    killed sender, a message never sent) waits ``timeout`` host
-    seconds, counts a retry, then waits ``timeout * backoff``, and so
-    on.  Only active while a fault engine is installed; fault-free
-    jobs keep the plain blocking behaviour (the watchdog covers
-    genuine deadlocks).
-    """
-
-    timeout: float = 0.25
-    backoff: float = 2.0
-    max_retries: int = 6
-
-    def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError(f"retry timeout must be positive, got {self.timeout}")
-        if self.backoff < 1.0:
-            raise ValueError(f"retry backoff must be >= 1, got {self.backoff}")
-        if self.max_retries < 1:
-            raise ValueError(f"need at least one retry, got {self.max_retries}")
-
-    def budget(self, attempt: int) -> float:
-        """Host-seconds to wait before re-request number ``attempt`` (1-based)."""
-        return self.timeout * self.backoff ** (attempt - 1)
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown fault kind {kind!r}; choose from {KINDS}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +107,7 @@ class Fault:
     after: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; choose from {KINDS}")
+        _check_kind(self.kind)
         if self.kind in ("stall", "kill") and self.rank is None:
             raise ValueError(f"{self.kind} fault requires rank=")
         if self.count < 1:
@@ -157,17 +139,11 @@ _FAULT_KEYS = {
     "nth": int, "count": int, "seconds": float, "prob": float,
     "rank": int, "after": int,
 }
-#: keys of a ``retry:`` clause -> (RetryPolicy field, parser)
-_RETRY_KEYS = {
-    "timeout": ("timeout", float),
-    "backoff": ("backoff", float),
-    "max": ("max_retries", int),
-}
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, deterministic set of faults plus the retry policy.
+    """A seeded, deterministic set of faults.
 
     Build programmatically::
 
@@ -177,17 +153,15 @@ class FaultPlan:
     or parse the CLI/bench spec grammar — semicolon-separated clauses,
     each ``kind:key=value,...``::
 
-        "seed=7;retry:timeout=0.1,max=4;drop:src=0,dest=1,tag=3,nth=1"
+        "seed=7;drop:src=0,dest=1,tag=3,nth=1"
     """
 
     faults: Tuple[Fault, ...] = ()
     seed: int = 0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         seed = 0
-        retry_kwargs: Dict[str, Any] = {}
         faults: List[Fault] = []
         for raw in spec.split(";"):
             clause = raw.strip()
@@ -202,7 +176,7 @@ class FaultPlan:
                 )
             kind, _, body = clause.partition(":")
             kind = kind.strip()
-            keys = _RETRY_KEYS if kind == "retry" else _FAULT_KEYS
+            _check_kind(kind)
             kv: Dict[str, str] = {}
             for item in body.split(","):
                 item = item.strip()
@@ -210,23 +184,16 @@ class FaultPlan:
                     continue
                 k, _, v = item.partition("=")
                 k = k.strip()
-                if k not in keys:
+                if k not in _FAULT_KEYS:
                     raise ValueError(
                         f"unknown key {k!r} in {kind} clause {clause!r}; "
-                        f"expected one of {', '.join(keys)}"
+                        f"expected one of {', '.join(_FAULT_KEYS)}"
                     )
                 kv[k] = v.strip()
-            if kind == "retry":
-                for k, v in kv.items():
-                    name, conv = _RETRY_KEYS[k]
-                    retry_kwargs[name] = conv(v)
-                continue
             faults.append(
                 Fault(kind=kind, **{k: _FAULT_KEYS[k](v) for k, v in kv.items()})
             )
-        return cls(
-            faults=tuple(faults), seed=seed, retry=RetryPolicy(**retry_kwargs)
-        )
+        return cls(faults=tuple(faults), seed=seed)
 
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
@@ -338,7 +305,6 @@ class FaultEngine:
 
     def __init__(self, plan: FaultPlan, nprocs: int, tracer=None):
         self.plan = plan
-        self.policy = plan.retry
         self.nprocs = nprocs
         self._tracer = tracer
         self._lock = threading.Lock()
@@ -468,8 +434,8 @@ class FaultEngine:
     def re_request(
         self,
         dest: int,
-        src: Optional[int],
-        tag: Optional[int],
+        src: int,
+        tag: int,
         context: int,
         seq: Optional[int] = None,
     ) -> Optional[Envelope]:
@@ -505,13 +471,6 @@ class FaultEngine:
                 # artifact, invisible to the modeled machine
                 return entry.env
         return None
-
-    def note_retry(self) -> None:
-        """Count a receive's retry after a host timeout on something
-        the engine cannot see (a stalled or killed sender, a message
-        never sent), which nothing in the ledger can answer."""
-        with self._lock:
-            self.stats["retries"] += 1
 
     def note_duplicate(self, env: Envelope) -> None:
         with self._lock:

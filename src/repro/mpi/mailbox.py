@@ -7,11 +7,13 @@ and every communicator of that rank runs on it, so that thread is the
 inbox's only reader: it keeps the envelopes it has pulled but not yet
 matched in a private *pending* list, in arrival order, with no lock.
 
-Matching follows MPI non-overtaking order: among envelopes from the
-same (source, tag, context), the earliest sent one is matched first.
-A sender puts its envelopes in program order, and a receive looks
-through everything it pulled before it pulls anything newer, so the
-first match in arrival order is the earliest of its stream.
+A receive names its source, tag and context, and matches exactly
+those.  Matching follows MPI non-overtaking order: among envelopes of
+the same (source, tag, context) stream, the earliest sent one is
+matched first.  A sender puts its envelopes in program order, and a
+receive looks through everything it pulled before it pulls anything
+newer, so the first match in arrival order is the earliest of its
+stream.
 
 Besides envelopes, two notices ride the inbox:
 
@@ -21,30 +23,28 @@ Besides envelopes, two notices ride the inbox:
   event before blocking never waits;
 - the drop announcement (:meth:`withhold`): when a fault engine drops
   an envelope into its ledger, the sender's thread puts a notice in
-  the envelope's place.  The notice is pending like the envelope
-  would have been, so a receive that matches it re-requests it from
-  the ledger at once (no host sleep), before any later envelope of
-  its stream — FIFO order, not a lock, keeps the announcement ahead
-  of the sender's next message and wakes a receiver already blocked.
+  the envelope's place.  A receive that matches the notice, pending
+  or freshly pulled, re-requests the envelope from the ledger at once
+  by sequence number, before any later envelope of its stream — FIFO
+  order, not a lock, keeps the announcement ahead of the sender's
+  next message and wakes a receiver already blocked.  A ``count=k``
+  drop is handed back on the k-th ask; past
+  :data:`~repro.mpi.faults.MAX_REREQUESTS` empty asks the receive
+  raises :class:`~repro.mpi.errors.MessageLostError`.
 
-When a fault engine is installed (see :mod:`repro.mpi.faults`) a
-receive also follows a bounded retry/backoff schedule for what the
-engine cannot see (a stalled or killed sender, a message never sent):
-it waits the policy's timeout, counts a retry, doubles the wait, and
-after ``max_retries`` retries of either kind raises a structured
-:class:`~repro.mpi.errors.MessageLostError` instead of hanging into
-the 60 s job watchdog.  A timed-out receive never re-requests anything
-from the ledger: only a matched drop notice is re-requested (by
-sequence number), and the pristine original of a corrupted envelope
-is re-requested by the receive that decoded its tampered copy
+Every receive, with or without a fault engine, is the same
+:meth:`Mailbox.take`: it blocks on its inbox with no timeout and never
+reads the host clock to decide anything.  A stalled sender's message
+is simply waited for, a killed sender's job abort wakes the receive,
+and a message that is never sent is reported by the job watchdog
+(:class:`~repro.mpi.errors.DeadlockError`), as in a fault-free job.
+The pristine original of a corrupted envelope is re-requested by the
+receive that decoded its tampered copy
 (:meth:`~repro.mpi.communicator.Comm.rerequest`), which puts it back
-at the head of the pending list (:meth:`restore`).  Re-deliveries of an
-already-seen envelope (the ``dup`` fault) are discarded on delivery,
-by sequence number, preserving exactly-once matching.
-
-Fault-free jobs receive through the same inbox with none of that
-bookkeeping: no seen-set, no retry budget, and a blocking ``get`` with
-no timeout.
+at the head of the pending list (:meth:`restore`).  Re-deliveries of
+an already-seen envelope (the ``dup`` fault) are discarded on
+delivery, by sequence number, preserving exactly-once matching;
+fault-free jobs keep no seen-set.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import time
 from typing import List, Optional, Set, Tuple
 
 from .errors import MessageLostError, SpmdAborted
+from .faults import MAX_REREQUESTS
 from .message import Envelope
 
 
@@ -102,7 +103,7 @@ class Mailbox:
         self._withheld: Set[int] = set()
         #: (src, tag, context, host-monotonic start) of the receive this
         #: rank is currently blocked in, for watchdog diagnostics.
-        self._waiting: Optional[Tuple[Optional[int], Optional[int], int, float]] = None
+        self._waiting: Optional[Tuple[int, int, int, float]] = None
 
     @property
     def delivered(self) -> int:
@@ -139,29 +140,6 @@ class Mailbox:
             f"rank {self.rank}: job aborted while waiting for a message"
         )
 
-    def _absorb(self, item) -> bool:
-        """File one inbox item; True when it joined the pending list (an
-        envelope or drop notice), False for a wake-up (which raises once
-        the job is aborted)."""
-        self._pulled += 1
-        if item is _WAKE:
-            if self._abort.is_set():
-                raise self._aborted()
-            return False
-        if type(item) is _Withheld:
-            item = item.env
-            self._withheld.add(item.seq)
-        self._pending.append(item)
-        return True
-
-    def _find(
-        self, src: Optional[int], tag: Optional[int], context: int
-    ) -> Optional[int]:
-        for i, env in enumerate(self._pending):
-            if env.matches(src, tag, context):
-                return i
-        return None
-
     def restore(self, env: Envelope) -> None:
         """Re-inject a corrupted envelope's pristine original, fetched
         from the fault ledger after its tampered copy was taken: it is
@@ -172,29 +150,41 @@ class Mailbox:
             self._seen.add(env.seq)
         self._pending.insert(0, env)
 
-    def take(
-        self,
-        src: Optional[int],
-        tag: Optional[int],
-        context: int,
-        *,
-        block: bool = True,
-    ) -> Optional[Envelope]:
-        """Remove and return the first matching envelope.
+    def _re_request(self, env: Envelope) -> Envelope:
+        """Fetch the dropped ``env`` back from the fault ledger by
+        sequence number, asking at once up to :data:`MAX_REREQUESTS`
+        times (a ``count=k`` drop answers the k-th ask)."""
+        for _ in range(MAX_REREQUESTS):
+            got = self._engine.re_request(
+                self.rank, env.src, env.tag, env.context, seq=env.seq
+            )
+            if got is not None:
+                self._seen.add(env.seq)
+                return got
+        raise MessageLostError(self.rank, env.src, env.tag, MAX_REREQUESTS)
 
-        Blocks until one arrives when ``block`` is true.  Raises
-        :class:`SpmdAborted` if the job was cancelled while waiting.
-        Under fault injection, a matching envelope the engine withheld
-        is re-requested at once; otherwise waits follow the engine
-        policy's bounded retry/backoff schedule.  Either way
-        :class:`MessageLostError` is raised once the retry budget is
-        exhausted.
+    def take(
+        self, src: int, tag: int, context: int, *, block: bool = True
+    ) -> Optional[Envelope]:
+        """Remove and return the first envelope of the (src, tag,
+        context) stream.
+
+        Blocks until one arrives when ``block`` is true, with no
+        timeout.  Raises :class:`SpmdAborted` if the job was cancelled
+        while waiting.  A matching envelope the fault engine dropped is
+        re-requested from its ledger at once; :class:`MessageLostError`
+        is raised when the ledger withholds it past
+        :data:`MAX_REREQUESTS` asks.
         """
-        if self._engine is not None:
-            return self._take_faulted(src, tag, context, block)
         pending = self._pending
+        withheld = self._withheld
         for i, env in enumerate(pending):
             if env.matches(src, tag, context):
+                if env.seq in withheld:
+                    got = self._re_request(env)
+                    withheld.discard(env.seq)
+                    del pending[i]
+                    return got
                 del pending[i]
                 return env
         inbox = self._inbox
@@ -216,77 +206,16 @@ class Mailbox:
                     if self._abort.is_set():
                         raise self._aborted()
                     continue
+                if type(item) is _Withheld:
+                    env = item.env
+                    if env.matches(src, tag, context):
+                        return self._re_request(env)
+                    withheld.add(env.seq)
+                    pending.append(env)
+                    continue
                 if item.matches(src, tag, context):
                     return item
                 pending.append(item)
-        finally:
-            self._waiting = None
-
-    def _take_faulted(
-        self, src: Optional[int], tag: Optional[int], context: int, block: bool
-    ) -> Optional[Envelope]:
-        """:meth:`take` on a job with a fault engine installed: the same
-        scan-then-pull as the fault-free receive, plus drop recovery and
-        the retry budget.  The budget is spent only while nothing
-        matching is pending or in the inbox."""
-        engine = self._engine
-        policy = engine.policy
-        pending = self._pending
-        inbox = self._inbox
-        attempt = 0
-        started = budget = None
-        i = self._find(src, tag, context) if pending else None
-        try:
-            while True:
-                if i is not None:
-                    env = pending[i]
-                    if env.seq not in self._withheld:
-                        del pending[i]
-                        return env
-                    # a dropped envelope: re-request it by sequence
-                    # number, before anything later of its stream
-                    attempt += 1
-                    if attempt > policy.max_retries:
-                        raise MessageLostError(self.rank, src, tag, attempt - 1)
-                    got = engine.re_request(
-                        self.rank, env.src, env.tag, context, seq=env.seq
-                    )
-                    if got is None:
-                        continue  # a count=k drop: ask again at once
-                    del pending[i]
-                    self._withheld.discard(env.seq)
-                    self._seen.add(env.seq)
-                    return got
-                if inbox.empty():
-                    if not block:
-                        return None
-                    if self._abort.is_set():
-                        raise self._aborted()
-                    if started is None:
-                        started = time.monotonic()
-                        budget = policy.budget(1)
-                        self._waiting = (src, tag, context, started)
-                    remaining = budget - (time.monotonic() - started)
-                    if remaining <= 0:
-                        # nothing matching arrived within the budget: a
-                        # stalled or killed sender, or a message never sent
-                        attempt += 1
-                        if attempt > policy.max_retries:
-                            raise MessageLostError(
-                                self.rank, src, tag, attempt - 1
-                            )
-                        engine.note_retry()
-                        started = time.monotonic()
-                        budget = policy.budget(attempt + 1)
-                        continue
-                    try:
-                        item = inbox.get(timeout=remaining)
-                    except queue.Empty:
-                        continue
-                else:
-                    item = inbox.get()  # the only reader: cannot block
-                if self._absorb(item) and pending[-1].matches(src, tag, context):
-                    i = len(pending) - 1
         finally:
             self._waiting = None
 
@@ -297,10 +226,8 @@ class Mailbox:
         if waiting is None:
             return None
         src, tag, context, since = waiting
-        fmt = lambda v: "ANY" if v is None or v < 0 else str(v)  # noqa: E731
         queued = len(self._pending) + self._inbox.qsize()
         return (
-            f"blocked in recv(src={fmt(src)}, tag={fmt(tag)}, "
-            f"ctx={context}) for {time.monotonic() - since:.1f}s "
-            f"({queued} unmatched queued)"
+            f"blocked in recv(src={src}, tag={tag}, ctx={context}) for "
+            f"{time.monotonic() - since:.1f}s ({queued} unmatched queued)"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -135,12 +135,7 @@ class Envelope:
             return frames.decode(self.payload)
         return self.unpickle()
 
-    def matches(self, src: Optional[int], tag: Optional[int], context: int) -> bool:
-        """MPI matching rule with wildcard support (-1 = any)."""
-        if self.context != context:
-            return False
-        if src is not None and src >= 0 and self.src != src:
-            return False
-        if tag is not None and tag >= 0 and self.tag != tag:
-            return False
-        return True
+    def matches(self, src: int, tag: int, context: int) -> bool:
+        """MPI matching rule: every receive names its source, tag and
+        communicator context, and matches exactly those."""
+        return self.src == src and self.tag == tag and self.context == context

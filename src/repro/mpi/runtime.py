@@ -17,10 +17,11 @@ Jobs can run under an adversarial delivery schedule: pass ``faults`` (a
 :func:`run_spmd` and the runtime installs a
 :class:`~repro.mpi.faults.FaultEngine` on the delivery path.  When the
 engine drops an envelope, the runtime tells the destination mailbox at
-once, so the receiver recovers it without a host-clock wait; receives
-that wait on something the engine cannot see (a stall, a kill) follow a
-bounded retry/backoff policy instead of blocking indefinitely.  The job
-result carries the engine's fault report.
+once, so the receiver recovers it without a host-clock wait.  Receives
+keep their fault-free shape under a plan: one that waits on a stalled
+sender waits for its message, a kill aborts the job and wakes every
+mailbox, and one that waits on a message never sent is ended by the
+watchdog.  The job result carries the engine's fault report.
 """
 
 from __future__ import annotations
@@ -194,9 +195,8 @@ def run_spmd(
     ``faults`` enables deterministic fault injection: a
     :class:`~repro.mpi.faults.FaultPlan`, a spec string (see
     :meth:`FaultPlan.parse`), or a sequence of
-    :class:`~repro.mpi.faults.Fault`; the plan carries its own receive
-    retry/backoff policy.  A job that completes under injection is
-    bitwise identical to the fault-free job.
+    :class:`~repro.mpi.faults.Fault`.  A job that completes under
+    injection is bitwise identical to the fault-free job.
 
     Raises :class:`SpmdJobError` if any rank raised, and
     :class:`DeadlockError` if the job stopped making progress while ranks

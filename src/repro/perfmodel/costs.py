@@ -30,10 +30,6 @@ def bcast_time(m: MachineSpec, nbytes: float, p: int) -> float:
     return log2ceil(p) * p2p_time(m, nbytes)
 
 
-def reduce_time(m: MachineSpec, nbytes: float, p: int) -> float:
-    return log2ceil(p) * p2p_time(m, nbytes)
-
-
 def allreduce_time(m: MachineSpec, nbytes: float, p: int) -> float:
     """Recursive doubling: log2(p) exchange rounds (plus the fold round
     for non-powers of two, folded into the ceil)."""
@@ -47,10 +43,6 @@ def barrier_time(m: MachineSpec, p: int) -> float:
 def ring_exchange_time(m: MachineSpec, chunk_bytes: float, p: int) -> float:
     """p−1 steps each moving one chunk between neighbours."""
     return max(0, p - 1) * p2p_time(m, chunk_bytes)
-
-
-def allgather_ring_time(m: MachineSpec, chunk_bytes: float, p: int) -> float:
-    return ring_exchange_time(m, chunk_bytes, p)
 
 
 def allgather_time(m: MachineSpec, total_bytes: float, p: int) -> float:
@@ -104,14 +96,6 @@ def hier_allreduce_time(m: MachineSpec, nbytes: float, p: int) -> float:
     )
 
 
-def hier_barrier_time(m: MachineSpec, p: int) -> float:
-    k, nn = node_geometry(m, p)
-    if nn <= 1 or k <= 1:
-        return barrier_time(m, p)
-    lat = m.intra_latency if m.intra_latency is not None else m.latency
-    return 2 * log2ceil(k) * lat + log2ceil(nn) * m.latency
-
-
 def allreduce_messages(p: int) -> int:
     """Total messages of one recursive-doubling allreduce at ``p``."""
     pof2 = 1
@@ -119,11 +103,6 @@ def allreduce_messages(p: int) -> int:
         pof2 *= 2
     rem = p - pof2
     return pof2 * log2ceil(pof2) + 2 * rem
-
-
-def bcast_messages(p: int) -> int:
-    """Total messages of one binomial broadcast (any tree shape)."""
-    return max(0, p - 1)
 
 
 def hier_allreduce_messages(m: MachineSpec, p: int) -> int:

@@ -138,11 +138,6 @@ class MachineSpec:
     def same_node(self, a: int, b: int) -> bool:
         return self.node_of(a) == self.node_of(b)
 
-    @property
-    def has_hierarchy(self) -> bool:
-        """True when intra-node messages are priced differently."""
-        return self.intra_latency is not None or self.intra_byte_time is not None
-
     # ------------------------------------------------------------------
     # derived costs
     # ------------------------------------------------------------------

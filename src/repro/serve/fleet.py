@@ -129,9 +129,7 @@ def _kill_plan(base, kill: KillReplica) -> FaultPlan:
     """A one-slab session's fault plan: the session plan + the kill."""
     plan = as_plan(base) or FaultPlan()
     fault = Fault(kind="kill", rank=kill.rank, after=kill.after)
-    return FaultPlan(
-        faults=plan.faults + (fault,), seed=plan.seed, retry=plan.retry
-    )
+    return FaultPlan(faults=plan.faults + (fault,), seed=plan.seed)
 
 
 def _raise_failure(exc: BaseException) -> None:

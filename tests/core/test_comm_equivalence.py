@@ -29,8 +29,7 @@ MACHINE = MachineSpec.multinode(ranks_per_node=2)
 #: typed envelopes are silently tamperable by design, frames carry the
 #: CRC that makes corruption detectable and recoverable
 FRAME_FAULTS = (
-    "seed=13;retry:timeout=0.05,max=3;"
-    "corrupt:tag=3,nth=1;drop:tag=4,nth=1;dup:nth=7"
+    "seed=13;corrupt:tag=3,nth=1;drop:tag=4,nth=1;dup:nth=7"
 )
 
 PARAMS = SVMParams(C=10.0, kernel=RBFKernel(0.5), eps=1e-3, max_iter=200_000)

@@ -10,6 +10,8 @@ reconstruction ring, ``nprocs > n_samples`` partitions, the
 shrink-to-empty guard, and the final-β NaN guard.
 """
 
+import queue
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,12 @@ from repro.mpi.errors import (
     RingRecoveryError,
     SpmdJobError,
 )
-from repro.mpi.faults import Fault, FaultPlan, RetryPolicy
+from repro.mpi.faults import Fault, FaultPlan
 from repro.sparse.partition import BlockPartition
 
 from ..conftest import make_blobs
 
 PARAMS = SVMParams(C=10.0, kernel=RBFKernel(0.5), eps=1e-3, max_iter=200_000)
-FAST = RetryPolicy(timeout=0.05, backoff=1.5, max_retries=3)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ class TestFaultMatrix:
             kind, tag=TAG_RING, nth=1,
             seconds=0.05 if kind == "delay" else 0.0,
         )
-        fr = _fit_with(problem, p, FaultPlan((fault,), seed=7, retry=FAST))
+        fr = _fit_with(problem, p, FaultPlan((fault,), seed=7))
         stats = fr.spmd.fault_stats["stats"]
         counter = {"delay": "delayed", "drop": "dropped",
                    "dup": "duplicated", "corrupt": "corrupted"}[kind]
@@ -113,7 +114,7 @@ class TestFaultMatrix:
             kind, dest=p - 1, nth=3,
             seconds=0.05 if kind == "delay" else 0.0,
         )
-        fr = _fit_with(problem, p, FaultPlan((fault,), seed=11, retry=FAST))
+        fr = _fit_with(problem, p, FaultPlan((fault,), seed=11))
         ref = reference[p]
         assert np.array_equal(fr.alpha, ref.alpha)
         assert fr.model.beta == ref.model.beta
@@ -121,18 +122,13 @@ class TestFaultMatrix:
             assert fr.vtime == ref.vtime
 
     def test_rank_stall_recovered_bitwise(self, problem, reference):
-        plan = FaultPlan(
-            (Fault("stall", rank=1, after=2, seconds=0.2),),
-            seed=1, retry=RetryPolicy(timeout=0.5, max_retries=4),
-        )
+        plan = FaultPlan((Fault("stall", rank=1, after=2, seconds=0.2),), seed=1)
         fr = _fit_with(problem, 2, plan)
         assert fr.spmd.fault_stats["stats"]["stalled"] == 1
         _assert_identical(fr, reference[2])
 
     def test_rank_kill_structured_error(self, problem):
-        plan = FaultPlan(
-            (Fault("kill", rank=1, after=5),), seed=1, retry=FAST
-        )
+        plan = FaultPlan((Fault("kill", rank=1, after=5),), seed=1)
         with pytest.raises(SpmdJobError) as ei:
             _fit_with(problem, 2, plan)
         assert any(
@@ -140,11 +136,8 @@ class TestFaultMatrix:
         )
 
     def test_unrecoverable_ring_loss_structured_error(self, problem):
-        # suppress 99 delivery attempts: retry budget exhausts first
-        plan = FaultPlan(
-            (Fault("drop", tag=TAG_RING, nth=1, count=99),),
-            seed=1, retry=FAST,
-        )
+        # suppress 99 delivery attempts: the re-request bound is hit first
+        plan = FaultPlan((Fault("drop", tag=TAG_RING, nth=1, count=99),), seed=1)
         with pytest.raises(SpmdJobError) as ei:
             _fit_with(problem, 2, plan)
         assert any(
@@ -153,11 +146,32 @@ class TestFaultMatrix:
         )
 
     def test_same_plan_same_fit(self, problem):
-        plan = "seed=13;retry:timeout=0.05,max=3;drop:tag=3,nth=1;dup:nth=7"
+        plan = "seed=13;drop:tag=3,nth=1;dup:nth=7"
         a = _fit_with(problem, 2, plan)
         b = _fit_with(problem, 2, plan)
         assert a.spmd.fault_stats["schedule"] == b.spmd.fault_stats["schedule"]
         assert np.array_equal(a.alpha, b.alpha)
+
+    def test_faulted_fit_waits_without_host_timer(self, problem, monkeypatch):
+        """Every receive of a p=3 fit under drops, duplicates and a
+        corrupted ring chunk blocks on its inbox with no timeout, and
+        the fit equals the fault-free fit bit for bit."""
+        timeouts = []
+
+        class RecordingQueue(queue.SimpleQueue):
+            def get(self, block=True, timeout=None):
+                timeouts.append(timeout)
+                return super().get(block, timeout)
+
+        ref = _fit_with(problem, 3, None)
+        monkeypatch.setattr(queue, "SimpleQueue", RecordingQueue)
+        fr = _fit_with(
+            problem, 3, "seed=13;drop:prob=0.05;dup:nth=7;corrupt:tag=3,nth=1"
+        )
+        stats = fr.spmd.fault_stats["stats"]
+        assert stats["dropped"] and stats["duplicated"] and stats["corrupted"]
+        assert timeouts and set(timeouts) == {None}
+        _assert_identical(fr, ref)
 
 
 class TestRingChunkIntegrity:

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi.datatypes import (
-    ANY_TAG,
-    TAG_UB,
-    as_array,
-    check_tag,
-)
+from repro.mpi.datatypes import TAG_UB, as_array, check_tag
 from repro.mpi.errors import CommError
 
 
@@ -50,9 +45,4 @@ class TestTags:
     def test_above_ub_rejected(self):
         with pytest.raises(CommError):
             check_tag(TAG_UB + 1)
-
-    def test_any_tag_only_on_receive(self):
-        assert check_tag(ANY_TAG, allow_any=True) == ANY_TAG
-        with pytest.raises(CommError):
-            check_tag(ANY_TAG)
 

@@ -3,13 +3,12 @@ per-kind behaviour of the runtime under an adversarial delivery schedule.
 
 Every completing job must be bitwise identical to its fault-free run —
 results *and* virtual times — and every non-completing job must fail
-with a structured error (never a watchdog hang: all timeouts here are
-tight).
+with a structured error.
 
-Drop recovery is event-driven, so the drop tests run under
-:data:`EVENT`: a 30 s retry timeout behind a 5 s watchdog.  A receiver
-that misses its wake-up fails the test with a ``DeadlockError`` instead
-of passing slowly.
+Recovery is event-driven and no receive has a host timeout, so the
+drop tests run behind a :data:`WATCHDOG` of a few seconds: a receiver
+that misses its wake-up fails the test with a ``DeadlockError``
+instead of passing slowly.
 """
 
 import sys
@@ -25,16 +24,12 @@ from repro.mpi.errors import (
     MessageLostError,
     SpmdJobError,
 )
-from repro.mpi.faults import Fault, FaultPlan, RetryPolicy, as_plan
+from repro.mpi.faults import MAX_REREQUESTS, Fault, FaultPlan, as_plan
 
 pytestmark = pytest.mark.faults
 
-#: fast-failing policy so nothing in this module waits long
-FAST = RetryPolicy(timeout=0.05, backoff=1.5, max_retries=3)
-
-#: a host timeout far beyond the watchdog: only event-driven recovery
-#: can complete a job before :data:`WATCHDOG` seconds without progress
-EVENT = RetryPolicy(timeout=30.0)
+#: host seconds without message progress before the job watchdog ends
+#: a test's job with a ``DeadlockError``
 WATCHDOG = 5.0
 
 
@@ -54,11 +49,9 @@ def ring_allreduce(comm):
 
 class TestPlanParsing:
     def test_round_trip(self):
-        spec = "seed=7;retry:timeout=0.1,max=4;drop:src=0,dest=1,tag=3,nth=1"
+        spec = "seed=7;drop:src=0,dest=1,tag=3,nth=1"
         plan = FaultPlan.parse(spec)
         assert plan.seed == 7
-        assert plan.retry.timeout == 0.1
-        assert plan.retry.max_retries == 4
         (f,) = plan.faults
         assert (f.kind, f.src, f.dest, f.tag, f.nth) == ("drop", 0, 1, 3, 1)
         assert FaultPlan.parse(plan.describe()).faults == plan.faults
@@ -79,20 +72,15 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="requires rank="):
             Fault("kill")
 
-    def test_retry_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=0)
-        assert RetryPolicy(timeout=0.1, backoff=2.0).budget(3) == pytest.approx(0.4)
+    def test_retry_clause_rejected(self):
+        # receives have no host-timer policy to configure
+        with pytest.raises(ValueError, match="unknown fault kind 'retry'"):
+            FaultPlan.parse("retry:timeout=0.1")
 
     @pytest.mark.parametrize("spec, key", [
         ("drop:p=0.02,seed=5", "p"),
         ("seed=5;drop:prob=0.02,probability=1", "probability"),
-        ("retry:timeout=0.1,retries=4", "retries"),
-    ], ids=["drop-p", "drop-probability", "retry-retries"])
+    ], ids=["drop-p", "drop-probability"])
     def test_unknown_key_rejected(self, spec, key):
         # a misspelt key used to be ignored: "drop:p=0.02,seed=5" parsed
         # as prob=1.0, seed=0 and dropped every message
@@ -114,8 +102,7 @@ class TestPlanParsing:
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
         plan = FaultPlan.parse(
-            "seed=11;retry:timeout=0.05,max=3;"
-            "drop:src=0,dest=1,tag=5,nth=1;dup:tag=6"
+            "seed=11;drop:src=0,dest=1,tag=5,nth=1;dup:tag=6"
         )
         reports = [
             run_spmd(pingpong, 2, faults=plan).fault_stats for _ in range(3)
@@ -144,7 +131,7 @@ class TestMessageFaults:
     def test_drop_recovered_bitwise(self, baseline):
         plan = FaultPlan(
             faults=(Fault("drop", src=0, dest=1, tag=5, nth=1),),
-            seed=1, retry=EVENT,
+            seed=1,
         )
         res = run_spmd(pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
         self._identical(res, baseline)
@@ -156,7 +143,7 @@ class TestMessageFaults:
         # two suppressed delivery attempts -> recovered on the 3rd ask
         plan = FaultPlan(
             faults=(Fault("drop", tag=5, nth=1, count=3),),
-            seed=1, retry=EVENT,
+            seed=1,
         )
         res = run_spmd(pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
         self._identical(res, baseline)
@@ -174,7 +161,7 @@ class TestMessageFaults:
 
         plan = FaultPlan(
             faults=(Fault("drop", src=0, dest=1, tag=5, nth=1),),
-            seed=1, retry=EVENT,
+            seed=1,
         )
         res = run_spmd(late_pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
         self._identical(res, baseline)
@@ -195,7 +182,7 @@ class TestMessageFaults:
         baseline = run_spmd(two_sends, 2)
         plan = FaultPlan(
             faults=(Fault("drop", src=0, dest=1, tag=5, nth=1),),
-            seed=1, retry=EVENT,
+            seed=1,
         )
         res = run_spmd(two_sends, 2, faults=plan, deadlock_timeout=WATCHDOG)
         assert baseline.results[1] == [1.0, 2.0]
@@ -221,7 +208,7 @@ class TestMessageFaults:
         baseline = run_spmd(two_sends, 2)
         plan = FaultPlan(
             faults=(Fault("corrupt", src=0, dest=1, tag=5, nth=1),),
-            seed=1, retry=EVENT,
+            seed=1,
         )
         res = run_spmd(two_sends, 2, faults=plan, deadlock_timeout=WATCHDOG)
         assert res.results[1] == baseline.results[1] == [1.0, 2.0]
@@ -253,10 +240,11 @@ class TestMessageFaults:
 
     def test_drop_stress_keeps_every_stream_in_order(self):
         """More ranks than cores, a tiny thread switch interval and a
-        30% drop rate under wildcard receives: every stream still
-        arrives complete and in order, each drop recovered by one
-        immediate re-request; duplicates of the undropped messages are
-        each discarded once, on delivery."""
+        30% drop rate, each rank receiving from its peers in turn while
+        they still send: every stream still arrives complete and in
+        order, each drop recovered by one immediate re-request;
+        duplicates of the undropped messages are each discarded once,
+        on delivery."""
         n_msgs = 20
 
         def storm(comm):
@@ -265,14 +253,16 @@ class TestMessageFaults:
                     if peer != comm.rank:
                         comm.send((comm.rank, k), dest=peer, tag=7)
             got = {}
-            for _ in range(n_msgs * (comm.size - 1)):
-                src, k = comm.recv(tag=7)
-                got.setdefault(src, []).append(k)
+            for _ in range(n_msgs):
+                for step in range(1, comm.size):
+                    peer = (comm.rank - step) % comm.size
+                    src, k = comm.recv(source=peer, tag=7)
+                    got.setdefault(src, []).append(k)
             return got
 
         plan = FaultPlan(
             faults=(Fault("drop", tag=7, prob=0.3), Fault("dup", tag=7, prob=0.3)),
-            seed=3, retry=EVENT,
+            seed=3,
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -290,11 +280,11 @@ class TestMessageFaults:
         assert stats["dup_discarded"] == stats["duplicated"]
 
     def test_exhausted_retries_name_rank_and_tag(self):
-        # 99 suppressed asks exceed the 6-ask budget: rank 1 gives up at
-        # once, long before its 30 s host timeout or the watchdog
+        # 99 suppressed asks exceed the MAX_REREQUESTS bound: rank 1
+        # gives up at once, long before the watchdog
         plan = FaultPlan(
             faults=(Fault("drop", src=0, dest=1, tag=5, nth=1, count=99),),
-            seed=1, retry=EVENT,
+            seed=1,
         )
         with pytest.raises(SpmdJobError) as ei:
             run_spmd(pingpong, 2, faults=plan, deadlock_timeout=WATCHDOG)
@@ -303,12 +293,12 @@ class TestMessageFaults:
         assert isinstance(lost, MessageLostError)
         msg = str(lost)
         assert "rank 1" in msg and "src=0" in msg and "tag=5" in msg
-        assert lost.attempts == EVENT.max_retries
+        assert lost.attempts == MAX_REREQUESTS
 
     def test_faults_on_collectives_recovered(self):
         baseline = run_spmd(ring_allreduce, 4)
         plan = FaultPlan(
-            faults=(Fault("drop", dest=2, nth=1),), seed=2, retry=EVENT
+            faults=(Fault("drop", dest=2, nth=1),), seed=2
         )
         res = run_spmd(ring_allreduce, 4, faults=plan, deadlock_timeout=WATCHDOG)
         assert res.results == baseline.results == [10.0] * 4
@@ -324,8 +314,7 @@ class TestRankFaults:
     def test_stall_is_host_time_only(self):
         baseline = run_spmd(pingpong, 2)
         plan = FaultPlan(
-            faults=(Fault("stall", rank=0, after=1, seconds=0.2),),
-            seed=1, retry=RetryPolicy(timeout=0.5, max_retries=4),
+            faults=(Fault("stall", rank=0, after=1, seconds=0.2),), seed=1
         )
         res = run_spmd(pingpong, 2, faults=plan)
         assert res.results == baseline.results
@@ -333,8 +322,7 @@ class TestRankFaults:
         assert res.fault_stats["stats"]["stalled"] == 1
 
     def test_kill_raises_structured_job_error(self):
-        plan = FaultPlan(faults=(Fault("kill", rank=0, after=1),), seed=1,
-                         retry=FAST)
+        plan = FaultPlan(faults=(Fault("kill", rank=0, after=1),), seed=1)
         with pytest.raises(SpmdJobError) as ei:
             run_spmd(pingpong, 2, faults=plan, deadlock_timeout=20.0)
         assert any(
@@ -353,6 +341,25 @@ class TestDeadlockDiagnostics:
         msg = str(ei.value)
         assert "rank 0" in msg and "rank 1" in msg
         assert "blocked in recv" in msg and "tag=9" in msg
+
+    def test_never_sent_message_under_faults_trips_the_watchdog(self):
+        """A receive waiting on a message nobody sends ends the job in
+        the watchdog's ``DeadlockError`` under a fault plan too, as in a
+        fault-free job: no host timer gives up on it first with a
+        ``MessageLostError``."""
+        def lonely(comm):
+            if comm.rank == 0:
+                comm.send(1.0, dest=1, tag=5)
+                return None
+            comm.recv(source=0, tag=5)
+            return comm.recv(source=0, tag=8)  # rank 0 never sends tag 8
+
+        with pytest.raises(DeadlockError) as ei:
+            run_spmd(lonely, 2, faults="seed=1;dup:nth=1", deadlock_timeout=1.0)
+        assert set(ei.value.diagnostics) == {1}
+        assert ei.value.diagnostics[1].startswith(
+            "blocked in recv(src=0, tag=8, ctx=0)"
+        )
 
     def test_fault_free_runs_have_no_report(self):
         assert run_spmd(pingpong, 2).fault_stats is None

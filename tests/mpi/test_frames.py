@@ -326,12 +326,12 @@ class TestFramedFaultRecovery:
         )
 
     def test_corrupted_frame_retransmitted(self):
-        out = self._exchange("seed=3;retry:timeout=0.05,max=3;corrupt:tag=9,nth=1")
+        out = self._exchange("seed=3;corrupt:tag=9,nth=1")
         _assert_same(self._payload(), out.results[1])
         assert out.fault_stats["stats"]["corrupted"] == 1
         assert out.fault_stats["stats"]["retransmitted"] >= 1
 
     def test_dropped_frame_retransmitted(self):
-        out = self._exchange("seed=3;retry:timeout=0.05,max=5;drop:tag=9,nth=1")
+        out = self._exchange("seed=3;drop:tag=9,nth=1")
         _assert_same(self._payload(), out.results[1])
         assert out.fault_stats["stats"]["dropped"] == 1

@@ -40,13 +40,6 @@ def test_match_by_source_and_tag():
     assert mb.take(0, 1, 0) is a
 
 
-def test_wildcards():
-    mb = Mailbox(1, threading.Event())
-    a = env(src=3, tag=9)
-    mb.put(a)
-    assert mb.take(-1, -1, 0) is a
-
-
 def test_context_isolation():
     mb = Mailbox(1, threading.Event())
     a = env(ctx=0)
@@ -149,7 +142,7 @@ def test_concurrent_producers_keep_each_stream_in_order():
     assert not any(t.is_alive() for t in threads)
     for (src, tag), ks in got.items():
         assert ks == list(range(tag, n_msgs, len(tags))), (src, tag)
-    assert mb.take(-1, -1, 0, block=False) is None
+    assert all(mb.take(src, tag, 0, block=False) is None for src, tag in got)
     assert mb.delivered == n_src * n_msgs
 
 
@@ -222,22 +215,15 @@ def test_wait_state_names_the_blocked_receive():
     assert mb.wait_state() is None
 
 
-def test_timed_out_receive_leaves_a_corrupt_original_in_the_ledger(monkeypatch):
-    """A receive woken by a corrupted envelope's tampered copy after its
-    retry budget ran out must return that copy and re-request nothing:
-    the pristine original stays in the fault ledger for the receive
-    that decodes the tampered copy (``Comm.rerequest``).  Taking it on
-    the timeout path left it queued behind the tampered copy, and the
+def test_receive_woken_by_a_tampered_copy_leaves_the_original_in_the_ledger():
+    """A blocked receive woken by a corrupted envelope's tampered copy
+    returns that copy and re-requests nothing: the pristine original
+    stays in the fault ledger for the receive that decodes the tampered
+    copy (``Comm.rerequest``).  A receive that took it on a host
+    timeout once left it queued behind the tampered copy, and the
     decoding receive found an empty ledger."""
-    engine = FaultEngine(
-        FaultPlan.parse("seed=1;retry:timeout=0.05;corrupt:tag=3,nth=1"), 2
-    )
+    engine = FaultEngine(FaultPlan.parse("seed=1;corrupt:tag=3,nth=1"), 2)
     mb = Mailbox(1, threading.Event(), engine=engine)
-    # the host clock reads 0 until the tampered copy is delivered and a
-    # second later from then on: the receive resumes past its budget
-    monkeypatch.setattr(
-        time, "monotonic", lambda: 0.0 if mb.delivered == 0 else 1.0
-    )
     got = []
     t = threading.Thread(target=lambda: got.append(mb.take(0, 3, 0)))
     t.start()

@@ -31,13 +31,10 @@ def test_matching_exact():
     assert not env.matches(2, 7, 4)  # wrong context
 
 
-def test_matching_wildcards():
+def test_context_never_matches_across_communicators():
     env = Envelope.from_object(2, 0, 7, 3, 1, 0.0)
-    assert env.matches(-1, 7, 3)  # ANY_SOURCE
-    assert env.matches(2, -1, 3)  # ANY_TAG
-    assert env.matches(-1, -1, 3)
-    assert env.matches(None, None, 3)
-    assert not env.matches(-1, -1, 0)  # context never wildcards
+    assert env.matches(2, 7, 3)
+    assert not any(env.matches(2, 7, ctx) for ctx in (0, 1, 2, 4))
 
 
 def test_sequence_numbers_increase():

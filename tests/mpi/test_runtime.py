@@ -52,7 +52,7 @@ def test_peer_blocked_ranks_are_cancelled_not_reported():
     def prog(comm):
         if comm.rank == 0:
             raise RuntimeError("original")
-        comm.recv(source=0)  # would block forever
+        comm.recv(source=0, tag=0)  # would block forever
 
     with pytest.raises(SpmdJobError) as ei:
         run_spmd(prog, 3)
@@ -62,7 +62,7 @@ def test_peer_blocked_ranks_are_cancelled_not_reported():
 def test_deadlock_detection():
     def prog(comm):
         # everyone receives, nobody sends
-        comm.recv(source=(comm.rank + 1) % comm.size)
+        comm.recv(source=(comm.rank + 1) % comm.size, tag=0)
 
     with pytest.raises(DeadlockError):
         run_spmd(prog, 2, deadlock_timeout=1.0)
@@ -97,7 +97,7 @@ def test_tracer_records_events():
         if comm.rank == 0:
             comm.send(1, dest=1)
         elif comm.rank == 1:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=0)
 
     res = run_spmd(prog, 2, trace=True)
     ev = res.tracer.events

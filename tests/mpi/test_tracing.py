@@ -11,7 +11,7 @@ def test_summary_table():
         if comm.rank == 0:
             comm.send("x", dest=1)
         elif comm.rank == 1:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=0)
 
     res = run_spmd(prog, 2, trace=True)
     text = res.tracer.summary()

@@ -45,7 +45,7 @@ def test_recv_charges_latency_and_bandwidth():
         if comm.rank == 0:
             comm.send(np.zeros(1000), dest=1)
         else:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=0)
         return comm.vtime, comm.clock.stats.bytes_sent
 
     res = run_spmd(prog, 2, machine=M)
@@ -77,7 +77,7 @@ def test_receiver_waits_for_late_sender():
             comm.advance(1.0)  # sender is busy for 1 virtual second
             comm.send("x", dest=1)
         else:
-            comm.recv(source=0)
+            comm.recv(source=0, tag=0)
         return comm.vtime
 
     res = run_spmd(prog, 2, machine=M)
@@ -93,7 +93,7 @@ def test_sender_not_blocked_by_receiver():
             comm.send("x", dest=1)
             return comm.vtime
         comm.advance(5.0)
-        comm.recv(source=0)
+        comm.recv(source=0, tag=0)
         return comm.vtime
 
     res = run_spmd(prog, 2, machine=M)

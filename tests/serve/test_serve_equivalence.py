@@ -18,6 +18,7 @@ from repro.serve import (
     SCORED,
     burst_arrivals,
     poisson_arrivals,
+    serve_fleet,
     serve_requests,
 )
 from repro.sparse import CSRMatrix
@@ -229,8 +230,9 @@ def scoring_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(problem=scoring_problems())
 def test_scoring_entry_points_agree_bitwise(problem):
-    """``serve_requests`` ≡ ``decision_function`` ≡
-    ``decision_function_parallel``, bit for bit, at every p × max_batch;
+    """``serve_requests`` ≡ ``serve_fleet`` ≡ ``decision_function`` ≡
+    ``decision_function_parallel``, bit for bit, at every p (× max_batch
+    for ``serve_requests``; a two-replica fleet at one max_batch);
     ``decision_function`` does not depend on ``block_rows``; and its
     ``weighted_slab`` is the hstack of per-shard slabs for any split of
     the support vectors, each row the row-at-a-time kernel row of its
@@ -270,6 +272,13 @@ def test_scoring_entry_points_agree_bitwise(problem):
             )
             assert np.all(res.status == SCORED)
             assert same_bits(res.scores, direct)
+        fleet = serve_fleet(
+            model, X, burst_arrivals(n),
+            policy=BatchPolicy(max_batch=3, max_delay=0.0),
+            config=RunConfig(nprocs=p, replicas=2),
+        )
+        assert np.all(fleet.status == SCORED)
+        assert same_bits(fleet.scores, direct)
 
 
 def test_slab_broadcast_is_a_frame(served_model, requests_60, monkeypatch):
